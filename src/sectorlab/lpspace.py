@@ -7,15 +7,24 @@ lazily — translating only adds offsets, so the semigroup law
 ``T_s T_t = T_{s+t}`` is exact float arithmetic, and all numerical error
 is confined to norm quadrature.
 
-Norms of rectangle indicators are computed by intersecting the
-integration domain with the rectangle union first (after the change of
-variables u = s + offset), so the integrand handed to Gauss-Legendre
-panels is the smooth weight alone and never crosses an indicator
-discontinuity.
+Every norm comes from one engine in s-polar coordinates: ||T_t f||^p is
+the integral of |f(s + t)|^p v(s) along the rays s = rho e^{i phi},
+|phi| <= alpha.  A function is made of pieces (the polar rectangles of an
+indicator, the disc of a bump: a rectangle [0, r] about its centre with
+no angular span), and a piece cuts a ray in at most two rho-intervals,
+solved in closed form: circle roots for the radii, half-plane cuts for
+the span, rho <= R for a truncation.  Gauss-Legendre panels split at
+integer radii run on those intervals, so no discontinuity is ever
+sampled.  The phi panels split where an interval end changes branch:
+tangent rays, corners, rays parallel to a span edge, crossings of two
+circles or of the truncation circle.  At a tangent ray an interval end
+behaves like a square root in phi; a quadratic map with a flat end there
+makes the integrand smooth again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -23,10 +32,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature as quad
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, InvalidWeightError
 from .geometry import Sector, as_complex, contains
-from .sets import PolarRect, RectUnionSet
-from .weights import Weight, weight_rect_integral, _angular_edges
+from .sets import RectUnionSet
+from .weights import Weight, _angular_panels
 
 __all__ = [
     "LpSpace", "SectorFunction", "NormResult",
@@ -118,8 +127,9 @@ class _CombBase:
         return out
 
     def support_radius(self, alpha: float):
-        # each term carries its own offset, so recurse through the wrapper
-        radii = [f.support_radius(alpha) for _, f in self.terms]
+        # base radii of the terms: the one cone-factor division happens in
+        # SectorFunction.support_radius, whatever the terms' offsets
+        radii = [f.base.support_radius(alpha) for _, f in self.terms]
         if any(r is None for r in radii):
             return None
         return max(radii, default=0.0)
@@ -139,11 +149,12 @@ class _CustomBase:
         return self.radius_hint
 
 
-# For any points s, t of a sector with half-angle alpha the angle between
-# them is at most 2*alpha, hence |s + t| >= sqrt(2) * cos(alpha) * max(|s|, |t|).
+# Two points s, t of a sector of half-angle alpha are at most 2 alpha apart
+# in angle, so |s + t| >= max(|s|, |t|) for alpha <= pi/4 and beyond that
+# |s + t| >= sin(2 alpha) max(|s|, |t|) >= sqrt(2) cos(alpha) max(|s|, |t|).
 # This converts a support bound on the base into one on the translate.
 def _cone_factor(alpha: float) -> float:
-    return math.sqrt(2.0) * math.cos(alpha)
+    return min(1.0, math.sqrt(2.0) * math.cos(alpha))
 
 
 @dataclass(frozen=True)
@@ -170,7 +181,7 @@ class SectorFunction:
         """Bound R such that this function vanishes on |s| > R in the sector.
 
         Valid for any in-sector offset (including later translations):
-        |s + offset| >= sqrt(2) cos(alpha) |s|.
+        |s + offset| >= _cone_factor(alpha) |s|.
         """
         base_r = self.base.support_radius(alpha)
         if base_r is None:
@@ -275,262 +286,249 @@ class NormResult:
         return self.value
 
 
-def _clip_bounds(rect: PolarRect, taus: np.ndarray, th: np.ndarray,
-                 R: float | None, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(offset, ray) radial interval of rect ∩ (tau + sector) ∩ {|u-tau| < R}.
-
-    Each clipping set is convex, so along the ray u = rho*e^{i th} the
-    region is a single interval.  The shifted sector contributes only
-    lower bounds: for th strictly inside (-alpha, alpha) both half-plane
-    normals have a fixed sign, giving rho >= Im(tau e^{±i alpha}) /
-    sin(th ± alpha) with matching signs.  Returns lo, hi of shape
-    (len(taus), len(th)).
-    """
-    taus = np.asarray(taus, dtype=complex).reshape(-1, 1)
-    lo = np.full((taus.shape[0], len(th)), rect.r_lo)
-    hi = np.full_like(lo, rect.r_hi)
-    for sgn in (1.0, -1.0):
-        rot = complex(math.cos(sgn * alpha), math.sin(sgn * alpha))
-        c = (taus * rot).imag
-        s = np.sin(th + sgn * alpha)[None, :]
-        np.maximum(lo, c / s, out=lo)
-    if R is not None:
-        d = taus.real * np.cos(th)[None, :] + taus.imag * np.sin(th)[None, :]
-        disc = d * d - (np.abs(taus) ** 2 - R * R)
-        ok = disc > 0
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        lo = np.where(ok, np.maximum(lo, d - root), hi)
-        hi = np.where(ok, np.minimum(hi, d + root), hi)
-    # collapse empty rays to zero-length intervals inside the rect so the
-    # (zero-weight) quadrature nodes stay in range for any evaluator
-    lo = np.minimum(lo, rect.r_hi)
-    hi = np.minimum(np.maximum(hi, lo), rect.r_hi)
-    return lo, hi
+_PHI_NODES, _MIN_PHI_PANELS, _RHO_NODES = 20, 6, 12
+_CUSTOM_PHI = (12, 8)  # no breakpoints: the generic grid, 12 nodes on >= 8 panels
+_ROW_BLOCK = 256  # offset-piece pairs whose ray intervals are held at once
+_PANEL_BLOCK = 1 << 15  # radial panels evaluated at once
 
 
-def _kink_angles(rect: PolarRect, tau: complex, R: float | None,
-                 alpha: float) -> list[float]:
-    """Angles where the active radial clip switches, inside the rect span.
-
-    The per-ray interval endpoints are maxima/minima of analytic pieces
-    (rect radii, two shifted half-plane cuts, optionally a disk), so the
-    angular integrand is analytic between these angles; splitting panels
-    here restores full Gauss-Legendre accuracy.
-    """
-    cands: list[float] = []
-    c_p = (tau * complex(math.cos(alpha), math.sin(alpha))).imag
-    c_m = (tau * complex(math.cos(alpha), -math.sin(alpha))).imag
-    for c, sgn in ((c_p, 1.0), (c_m, -1.0)):
-        for r in (rect.r_lo, rect.r_hi):
-            if r <= 0 or abs(c) > r:
-                continue
-            a0 = math.asin(c / r)
-            cands += [a0 - sgn * alpha, math.pi - a0 - sgn * alpha,
-                      -math.pi - a0 - sgn * alpha]
-    den = c_p - c_m
-    if den > 0:
-        cands.append(math.atan(math.tan(alpha) * (c_p + c_m) / den))
-    if R is not None and tau != 0:
-        at = math.atan2(tau.imag, tau.real)
-        mt = abs(tau)
-        for r in (rect.r_lo, rect.r_hi):
-            if r <= 0:
-                continue
-            cosv = (mt * mt + r * r - R * R) / (2 * mt * r)
-            if abs(cosv) <= 1:
-                d = math.acos(cosv)
-                cands += [at - d, at + d]
-        for sa in (alpha, -alpha):
-            for pm in (1.0, -1.0):
-                u = tau + pm * R * complex(math.cos(sa), math.sin(sa))
-                if u != 0:
-                    cands.append(math.atan2(u.imag, u.real))
-        if mt > R:
-            d = math.acos(math.sqrt(mt * mt - R * R) / mt)
-            cands += [at - d, at + d]
-    eps = 1e-12
-    return sorted({th for th in cands if rect.th_lo + eps < th < rect.th_hi - eps})
+@functools.cache
+def _panel_maps(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1], indexed by flat-left + 2 * flat-right."""
+    u, w = quad.gl_rule(npts)
+    t = np.array([(1 + u) / 2, (1 + u) ** 2 / 4, 1 - (1 - u) ** 2 / 4, (2 + 3 * u - u ** 3) / 4])
+    dt = np.array([np.full_like(u, 0.5), (1 + u) / 2, (1 - u) / 2, 0.75 * (1 - u * u)])
+    return t, dt * w
 
 
-def _rect_clip_integrals(v: Weight, rect: PolarRect, taus: np.ndarray,
-                         R: float | None, sector: Sector, npts: int = 12,
-                         split_kinks: bool = False,
-                         max_block: int = 4_000_000) -> np.ndarray:
-    """Batch of integrals of v(u - tau) over the clipped rectangle, per tau.
-
-    The angular integrand is continuous (piecewise smooth with kinks
-    where the active clip changes), so Gauss-Legendre panels in the
-    angle converge fast; the inner radial rule runs on the exact per-ray
-    interval, so the indicator discontinuity is never sampled.  With
-    `split_kinks` (single-offset calls) panels are split at the exact
-    switch angles, restoring spectral accuracy.
-    """
-    alpha = sector.alpha
-    taus = np.asarray(taus, dtype=complex)
-    span = rect.th_hi - rect.th_lo
-    n_th = max(12, int(math.ceil(span * 24)))
-    if split_kinks and len(taus) == 1:
-        n_th = max(8, int(math.ceil(span * 4)))
-    if not v.radial:
-        n_th = max(n_th, len(_angular_edges(v, sector, rect.r_hi,
-                                            rect.th_lo, rect.th_hi)) - 1)
-    edges = np.linspace(rect.th_lo, rect.th_hi, n_th + 1)
-    if split_kinks and len(taus) == 1:
-        kinks = _kink_angles(rect, complex(taus[0]), R, alpha)
-        if kinks:
-            edges = np.unique(np.concatenate([edges, kinks]))
-    th, wt = quad.panel_nodes(edges, npts)
-    lo, hi = _clip_bounds(rect, taus, th, R, alpha)
-    out = np.zeros(len(taus))
-    n_r = max(2, min(32, int(math.ceil((rect.r_hi - rect.r_lo) / 2.0))))
-    rows_per_chunk = max(1, max_block // (len(th) * n_r * npts))
-    phase = np.exp(1j * th)
-    for start in range(0, len(taus), rows_per_chunk):
-        rows = slice(start, min(start + rows_per_chunk, len(taus)))
-        l, h = lo[rows], hi[rows]
-        if not np.any(h > l):
-            continue
-        rho, wr = quad.interval_gl(l.ravel(), h.ravel(), n_r, npts)
-        z = rho * np.tile(phase, l.shape[0])[:, None] \
-            - np.repeat(taus[rows], len(th))[:, None]
-        vals = v.eval(z) * rho
-        inner = np.sum(wr * vals, axis=1).reshape(l.shape)
-        out[rows] = inner @ wt
-    return out
+def _piece_angles(tau, rc, R) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (rows, k) where a ray interval end of s + tau in the pieces rc
+    changes branch (nan where none), flagging the tangent rays: tangents to
+    the radius circles, corners, rays parallel to the span edges and, for a
+    truncation R, where |s| = R meets the circles and the edge lines."""
+    tau, rc = np.broadcast_arrays(tau[..., None], rc)
+    tau, r, th = tau[..., :1], rc[..., :2], rc[..., 2:]
+    m, a = np.abs(tau), np.angle(-tau)
+    e = np.exp(1j * th)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = r / m
+        tangent = np.arcsin(ratio)
+        corner = np.where(r[..., None] > 0, np.angle(r[..., None] * e[..., None, :] - tau[..., None]),
+                          np.nan)
+        angles = [a - tangent, a + tangent, corner.reshape(corner.shape[:-2] + (4,)), th]
+        if R is not None:
+            cross = np.arccos(np.clip((R * R + m * m - r * r) / (2.0 * R * m), -1.0, 1.0))
+            b = (tau * e.conj()).real
+            root = np.sqrt(np.maximum(b * b - m * m + R * R, 0.0))
+            angles += [a - cross, a + cross, np.angle((b - root) * e - tau),
+                       np.angle((b + root) * e - tau)]
+    angles = np.concatenate(angles, axis=-1)
+    flat = np.zeros(angles.shape, bool)
+    flat[..., :4] = np.concatenate([(ratio > 0) & (ratio < 1)] * 2, axis=-1)
+    return angles.reshape(len(angles), -1), flat.reshape(len(angles), -1)
 
 
-def _indicator_norm(space: LpSpace, f: SectorFunction, R: float | None) -> NormResult:
-    base: _IndicatorBase = f.base
-    total = 0.0
-    for rect in base.rects.rects:
-        if f.offset == 0:
-            # untranslated: plain radial clip, panel-aligned with the
-            # annulus terms used everywhere else
-            hi = rect.r_hi if R is None else min(R, rect.r_hi)
-            if hi > rect.r_lo:
-                clipped = PolarRect(rect.r_lo, hi, rect.th_lo, rect.th_hi)
-                total += weight_rect_integral(space.weight, clipped, space.sector)
+def _piece_intervals(tau, rc, phi, R) -> tuple[np.ndarray, np.ndarray]:
+    """The rho-intervals (rows, n_phi, 2m) where s + tau lies in the pieces
+    rc: the annulus chord, cut by the span's two half-planes."""
+    tau, rc = tau[:, None, :], rc[:, None]
+    # |rho e^{i phi} + tau| <= r  reads  rho^2 + 2 d rho + |tau|^2 <= r^2
+    d = (tau * np.exp(-1j * phi)[..., None]).real
+    disc = (d * d - np.abs(tau) ** 2)[..., None] + rc[..., :2] ** 2
+    root = np.sqrt(np.maximum(disc, 0.0))
+    lo, hi = np.maximum(-d[..., None] - root, 0.0), -d[..., None] + root
+    lo, hi = np.where(disc > 0, lo, 0.0), np.where(disc > 0, hi, 0.0)
+    # the annulus: the outer chord minus the inner one
+    lo, hi = (np.stack([lo[..., 1], np.maximum(lo[..., 1], hi[..., 0])], axis=-1),
+              np.stack([np.minimum(hi[..., 1], lo[..., 0]), hi[..., 1]], axis=-1))
+    # s + tau stays in the sector, so clipping the span to [-pi/2, pi/2]
+    # changes nothing and keeps the wedge an intersection of half-planes;
+    # sgn * Im((s + tau) e^{-i th}) >= 0 bounds rho below where k >= 0
+    cut_lo, cut_hi = 0.0, np.inf if R is None else R
+    for th, sgn in ((rc[..., 2], 1.0), (rc[..., 3], -1.0)):
+        th = np.clip(th, -np.pi / 2, np.pi / 2)
+        k = sgn * np.sin(phi[..., None] - th)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = -sgn * (tau * np.exp(-1j * th)).imag / k
+        cut_lo = np.fmax(cut_lo, np.where(k >= 0, bound, 0.0))
+        cut_hi = np.fmin(cut_hi, np.where(k < 0, bound, np.inf))
+    lo, hi = np.maximum(lo, cut_lo[..., None]), np.minimum(hi, cut_hi[..., None])
+    empty = hi <= lo
+    shape = phi.shape + (2 * rc.shape[-2],)
+    return np.where(empty, 0.0, lo).reshape(shape), np.where(empty, 0.0, hi).reshape(shape)
+
+
+def _phi_rule(space: LpSpace, reach, angles, flat, npts: int,
+              n_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row phi nodes and weights: equal panels over the sector, at
+    least n_min and as many as the weight needs out to the row's reach,
+    split at the row's angles inside the sector; flat marks the tangent
+    rays."""
+    alpha = space.sector.alpha
+    n = np.maximum(n_min, _angular_panels(space.weight, 2.0 * alpha, reach))
+    a = np.angle(np.exp(1j * angles))
+    # two angles closer than a quarter panel bracket a near-singular spot:
+    # grade the panels on either side towards them by factors of 4 (closer
+    # pairs, down to rounding duplicates, are too close to bridge)
+    a = np.where(np.abs(a) < alpha, a, alpha)
+    ends = np.concatenate([np.full((len(a), 1), -alpha), np.sort(a, axis=1)], axis=1)
+    gap = np.diff(ends, axis=1, append=alpha)[..., None]
+    width = 2.0 * alpha / n[:, None, None]
+    step = gap * 4.0 ** np.arange(1, 6)
+    near = (gap > width / 1024) & (step < width)
+    graded = np.concatenate([np.where(near, ends[..., None] - step, alpha),
+                             np.where(near, ends[..., None] + gap + step, alpha)], axis=1)
+    graded = np.where(np.abs(graded) < alpha, graded, alpha).reshape(len(a), -1)
+    base = -alpha + 2.0 * alpha * np.minimum(np.arange(n.max() + 1) / n[:, None], 1.0)
+    edges = np.concatenate([base, a, graded], axis=1)
+    flat = np.concatenate([np.zeros(base.shape, bool), flat & (a < alpha),
+                           np.zeros(graded.shape, bool)], axis=1)
+    order = np.argsort(edges, axis=1, kind="stable")
+    keep = np.sum(edges < alpha, axis=1).max() + 1  # the rest are empty panels at alpha
+    edges, flat = (np.take_along_axis(x, order, axis=1)[:, :keep] for x in (edges, flat))
+    t, w = (x[flat[:, :-1] + 2 * flat[:, 1:]] for x in _panel_maps(npts))
+    width = edges[:, 1:, None] - edges[:, :-1, None]
+    width = np.where(width > 1e-12, width, 0.0)  # rounding duplicates
+    return ((edges[:, :-1, None] + width * t).reshape(len(n), -1),
+            (width * w).reshape(len(n), -1))
+
+
+def _ray_integrate(space: LpSpace, lo, hi, phi, wphi,
+                   g: SectorFunction | None = None, scale=1.0) -> np.ndarray:
+    """Per row, the integral of |g|^p v (v alone when g is None) over the ray
+    intervals [lo, hi] (rows, n_phi, k), on panels split at multiples of 1/scale."""
+    rows, n_phi, k = lo.shape
+    phase = np.exp(1j * phi).ravel()
+    live = (hi > lo) & (wphi[..., None] > 0)
+    scale = np.broadcast_to(scale, lo.shape).ravel()
+    lo, hi = lo.ravel(), hi.ravel()
+    floor = np.floor(lo * scale)
+    n = np.where(live.ravel(), np.ceil(hi * scale) - floor, 0).astype(np.int64)
+    first = np.cumsum(n) - n
+    x, w = (r[0] for r in _panel_maps(_RHO_NODES))
+    ray = np.zeros(rows * n_phi)
+    cuts = np.flatnonzero(np.diff(first // _PANEL_BLOCK)) + 1
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(n)]):
+        ids = np.repeat(np.arange(a, b), n[a:b])
+        # panel j of an interval spans [floor + j, floor + j + 1] / scale, clipped
+        j = floor[ids] + (np.arange(len(ids)) - (first[ids] - first[a]))
+        start = np.maximum(lo[ids], j / scale[ids])
+        width = np.minimum(hi[ids], (j + 1.0) / scale[ids]) - start
+        rho = start[:, None] + width[:, None] * x
+        z = rho * phase[ids // k, None]
+        vals = space.weight.eval(z)
+        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
+            raise InvalidWeightError(
+                f"weight '{space.weight.family}' is negative or non-finite "
+                "at a quadrature node inside the sector")
+        if g is not None:
+            vals = vals * np.abs(g.evaluate(z)) ** space.p
+        ray += np.bincount(ids // k, (vals * rho) @ w * width, minlength=len(ray))
+    return np.sum(ray.reshape(rows, n_phi) * wphi, axis=1)
+
+
+def _engine(space: LpSpace, tau, rc, R: float | None,
+            g: SectorFunction | None = None, caps=()) -> np.ndarray:
+    """Per row of tau (rows, m), the integral over {s in sector, |s| <= R}
+    of |g|^p v (of v alone when g is None: disjoint pieces) over the pieces
+    {s + tau[:, j] in rc[:, j]}, rc (rows or 1, m, 4) = [r_lo, r_hi, th_lo,
+    th_hi] with nan spans for discs, and the custom intervals [0, cap]."""
+    # custom functions alone have no pieces
+    angles, flat = _piece_angles(tau, rc, R) if rc.shape[1] else (np.zeros((1, 0), bool),) * 2
+    several = g is not None and g.kind == "linear-combination"
+    # where terms overlap g may change sign, and |g|^p then has a kink
+    # unless p is even; the kink is not known in closed form, so there the
+    # radial panels are 16 times finer and the phi panels twice as many
+    kinks = several and space.p % 2 != 0
+    if several:  # corners of the lenses where two circles meet, centres -tau
+        c, r = np.repeat(-tau[0], 2), rc[0, :, :2].ravel()
+        i, j = np.triu_indices(len(c), 1)
+        d = np.abs(c[j] - c[i])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (r[i] ** 2 - r[j] ** 2 + d * d) / (2.0 * d)
+            y = np.sqrt(r[i] ** 2 - x * x)
+            a = np.angle(c[i] + np.stack([x - 1j * y, x + 1j * y]) * (c[j] - c[i]) / d).ravel()
+        angles, flat = np.hstack([angles, a[None]]), np.hstack([flat, np.ones((1, len(a)), bool)])
+    reach = np.max(rc[..., 1] + np.abs(tau), axis=1, initial=max(caps, default=0.0))
+    phi, wphi = _phi_rule(space, reach if R is None else np.minimum(reach, R), angles, flat,
+                          *((_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks)) if angles.size else _CUSTOM_PHI))
+    lo, hi = _piece_intervals(tau, rc, phi, R) if rc.shape[1] else (np.zeros(phi.shape + (0,)),) * 2
+    lo = np.concatenate([lo, np.zeros(phi.shape + (len(caps),))], axis=-1)
+    hi = np.concatenate([hi, np.broadcast_to(caps, phi.shape + (len(caps),))], axis=-1)
+    scale = 1.0
+    if several:  # cut at every interval end; |g|^p is smooth in between
+        cut = np.sort(np.concatenate([lo, hi], axis=-1), axis=-1)
+        mid = (cut[..., :-1, None] + cut[..., 1:, None]) / 2.0
+        cover = np.sum((lo[..., None, :] < mid) & (mid < hi[..., None, :]), axis=-1)
+        lo, hi = np.where(cover > 0, cut[..., :-1], 0.0), np.where(cover > 0, cut[..., 1:], 0.0)
+        scale = np.where((cover > 1) & kinks, 16.0, 1.0)
+    return _ray_integrate(space, lo, hi, phi, wphi, g, scale)
+
+
+def _pieces(g: SectorFunction, alpha: float, R: float | None):
+    """tau (1, m), rc (m, 4) and custom caps of the terms of g."""
+    tau, rc, caps = [], [], []
+    for _, f in (g.base.terms if g.kind == "linear-combination" else [(1.0, g)]):
+        if f.kind == "indicator":
+            tau += [f.offset] * len(f.base.rects.rects)
+            rc += [[t.r_lo, t.r_hi, t.th_lo, t.th_hi] for t in f.base.rects.rects]
+        elif f.kind == "bump":
+            tau.append(f.offset - f.base.center)
+            rc.append([0.0, f.base.radius, np.nan, np.nan])
         else:
-            total += float(_rect_clip_integrals(
-                space.weight, rect, np.array([f.offset]), R, space.sector,
-                split_kinks=True)[0])
-    total = max(total, 0.0)
-    value = abs(base.amplitude) * total ** (1.0 / space.p)
-    sup = f.support_radius(space.sector.alpha)
-    r_eff = sup if R is None else R
-    tail = 0.0 if (R is None or (sup is not None and sup <= R)) else None
-    return NormResult(value=value, tail=tail, R=float(r_eff if r_eff is not None else np.inf))
+            caps.append(min(x for x in (R, f.support_radius(alpha)) if x is not None))
+    return np.array(tau, dtype=complex)[None], np.array(rc).reshape(1, -1, 4), caps
+
+
+def _indicator_integrals(space: LpSpace, g: SectorFunction, ts: np.ndarray,
+                         R: float | None) -> np.ndarray:
+    """Per step t, the integral of v over {s : s + t in the rectangles of g};
+    one row per (step, rectangle), each with its own phi panels."""
+    tau, rc, _ = _pieces(g, space.sector.alpha, R)
+    tau = (ts[:, None] + tau).reshape(-1, 1)
+    rc = np.tile(rc[0], (len(ts), 1))[:, None]
+    total = np.concatenate([np.zeros(0)] + [_engine(space, tau[i:i + _ROW_BLOCK], rc[i:i + _ROW_BLOCK], R)
+                                            for i in range(0, len(tau), _ROW_BLOCK)])
+    return total.reshape(len(ts), -1).sum(axis=1)
+
+
+def lp_norm(space: LpSpace, f: SectorFunction, R: float | None = None) -> NormResult:
+    """Weighted p-norm of f, truncated at radius R (None = full support),
+    by the s-polar ray engine (see the module docstring)."""
+    if R is not None and R <= 0:
+        raise DomainError(f"truncation radius must be > 0, got {R}")
+    g = f.simplified()
+    if g.is_zero:
+        return NormResult(0.0, 0.0, float(R if R is not None else 0.0))
+    sup = g.support_radius(space.sector.alpha)
+    if R is None and sup is None:
+        raise DomainError("function has unbounded support; a truncation radius is required")
+    tail = 0.0 if sup is not None and (R is None or sup <= R) else None
+    r_eff = float(min(x for x in (R, sup) if x is not None))
+    if g.kind == "indicator":  # disjoint pieces: the weight alone, times |a|^p
+        total = abs(g.base.amplitude) ** space.p * _indicator_integrals(space, g, np.zeros(1), R)[0]
+    else:
+        tau, rc, caps = _pieces(g, space.sector.alpha, R)
+        total = _engine(space, tau, rc, R, g, caps)[0]
+    value = max(float(total), 0.0) ** (1.0 / space.p)
+    return NormResult(value=value, tail=tail, R=r_eff)
 
 
 def indicator_orbit_norms(space: LpSpace, f: SectorFunction, ts,
                           R: float | None = None) -> np.ndarray:
     """``||T_t f||`` for a batch of steps t, f an indicator function.
 
-    Same quadrature as the single-call path, vectorised over offsets;
-    used where many separation norms of one witness are needed.
+    The engine of `lp_norm`, vectorised over the steps, so each entry
+    equals ``orbit_norm(space, f, t, R)`` up to rounding.
     """
     g = f.simplified()
     if g.is_zero:
         return np.zeros(len(np.atleast_1d(ts)))
     if g.kind != "indicator":
         raise DomainError("batch orbit norms require an indicator function")
-    taus = g.offset + np.asarray([as_complex(t) for t in np.atleast_1d(ts)])
-    total = np.zeros(len(taus))
-    for rect in g.base.rects.rects:
-        total += _rect_clip_integrals(space.weight, rect, taus, R, space.sector)
-    total = np.maximum(total, 0.0)
-    return abs(g.base.amplitude) * total ** (1.0 / space.p)
-
-
-def _bump_norm(space: LpSpace, f: SectorFunction, R: float | None) -> NormResult:
-    """Norm of a (translated) bump in local polar coordinates.
-
-    Around the bump's own center the integrand is smooth (the cap
-    vanishes C1 at its support edge), and the sector's half-planes cut
-    each local ray in a single interval, so Gauss-Legendre panels
-    converge fast without ever crossing a support boundary.
-    """
-    b: _BumpBase = f.base
-    center = b.center - f.offset  # bump center seen from s-coordinates
-    rad = b.radius
-    alpha = space.sector.alpha
-    p = space.p
-    npts = 12
-    phi, wphi = quad.panel_nodes(np.linspace(-math.pi, math.pi, 49), npts)
-    lo = np.zeros(phi.shape)
-    hi = np.full(phi.shape, rad)
-    for sgn in (1.0, -1.0):
-        rot = complex(math.cos(sgn * alpha), math.sin(sgn * alpha))
-        c0 = (center * rot).imag
-        coef = np.sin(phi + sgn * alpha)
-        # sector constraint: sgn * (c0 + rho*coef) >= 0 along the local ray
-        pos = sgn * coef > 1e-15
-        neg = sgn * coef < -1e-15
-        bound = np.where(coef != 0, -c0 / np.where(coef != 0, coef, 1.0), 0.0)
-        lo[pos] = np.maximum(lo[pos], bound[pos])
-        hi[neg] = np.minimum(hi[neg], bound[neg])
-        flat = ~(pos | neg)
-        if np.any(flat) and sgn * c0 < 0:
-            hi[flat] = 0.0
-    if R is not None:
-        d = center.real * np.cos(phi) + center.imag * np.sin(phi)
-        disc = d * d - (abs(center) ** 2 - R * R)
-        ok = disc > 0
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        lo = np.where(ok, np.maximum(lo, -d - root), hi)
-        hi = np.where(ok, np.minimum(hi, -d + root), hi)
-    lo = np.clip(lo, 0.0, rad)
-    hi = np.clip(hi, lo, rad)
-    if not np.any(hi > lo):
-        return NormResult(0.0, 0.0, float(R if R is not None else 0.0))
-    rho, wr = quad.interval_gl(lo, hi, 8, npts)
-    z = center + rho * np.exp(1j * phi)[:, None]
-    vals = (np.abs(b.amplitude * np.cos(np.pi * np.minimum(rho, rad) / (2 * rad)) ** 2)
-            ** p * space.weight.eval(z) * rho)
-    total = max(float(np.sum(wphi * np.sum(wr * vals, axis=1))), 0.0)
-    sup = f.support_radius(alpha)
-    tail = 0.0 if (R is None or (sup is not None and sup <= R)) else None
-    r_eff = R if R is not None else sup
-    return NormResult(value=total ** (1.0 / p), tail=tail, R=float(r_eff))
-
-
-def _generic_norm(space: LpSpace, f: SectorFunction, R: float | None) -> NormResult:
-    sup = f.support_radius(space.sector.alpha)
-    if R is None and sup is None:
-        raise DomainError("function has unbounded support; a truncation radius is required")
-    r_eff = min(x for x in (R, sup) if x is not None)
-    if r_eff <= 0:
-        return NormResult(0.0, 0.0, 0.0)
-    r_edges = quad.radial_edges(0.0, r_eff, 1.0)
-    n_th = max(8, len(_angular_edges(space.weight, space.sector, r_eff)) - 1)
-    th_edges = np.linspace(-space.sector.alpha, space.sector.alpha, n_th + 1)
-
-    def integrand(rho, th):
-        z = rho * np.exp(1j * th)
-        return np.abs(f.evaluate(z)) ** space.p * space.weight.eval(z)
-
-    total = max(quad.integrate_polar(integrand, r_edges, th_edges, npts=12), 0.0)
-    tail = 0.0 if (sup is not None and (R is None or sup <= R)) else None
-    return NormResult(value=total ** (1.0 / space.p), tail=tail, R=float(r_eff))
-
-
-def lp_norm(space: LpSpace, f: SectorFunction, R: float | None = None) -> NormResult:
-    """Weighted p-norm of f, truncated at radius R (None = full support).
-
-    Indicator functions (and combinations that collapse to one) follow
-    the exact domain-intersection path; smooth kinds use Gauss-Legendre
-    panels on the truncated sector.
-    """
-    if R is not None and R <= 0:
-        raise DomainError(f"truncation radius must be > 0, got {R}")
-    g = f.simplified()
-    if g.is_zero:
-        return NormResult(0.0, 0.0, float(R if R is not None else 0.0))
-    if g.kind == "indicator":
-        return _indicator_norm(space, g, R)
-    if g.kind == "bump":
-        return _bump_norm(space, g, R)
-    return _generic_norm(space, g, R)
+    taus = np.asarray([as_complex(t) for t in np.atleast_1d(ts)])
+    total = _indicator_integrals(space, g, taus, R)
+    return abs(g.base.amplitude) * np.maximum(total, 0.0) ** (1.0 / space.p)
 
 
 def orbit_norm(space: LpSpace, f: SectorFunction, t, R: float | None = None) -> float:

@@ -72,10 +72,9 @@ class Weight:
     params: tuple = ()
 
     def __post_init__(self):
-        # spot-check positivity on a small deterministic grid
-        r = np.array([0.0, 0.25, 1.0, 3.0, 8.0])
-        th = np.linspace(-1.0, 1.0, 5)
-        z = r[:, None] * np.exp(1j * th[None, :])
+        # spot-check positivity on the positive real axis, which lies in
+        # every sector; norm quadratures check every node they evaluate
+        z = np.array([0.0, 0.25, 1.0, 3.0, 8.0], dtype=complex)
         vals = np.asarray(self.evaluator(z), dtype=float)
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
             raise InvalidWeightError(
@@ -197,21 +196,25 @@ def admissibility_check(v: Weight, M: float, w: float, sector: Sector,
 # integrals
 
 
-def _angular_edges(v: Weight, sector: Sector, r_hi: float,
-                   th_lo: float | None = None, th_hi: float | None = None) -> np.ndarray:
-    """Angular panel edges sized to the weight's angular variation.
+def _angular_panels(v: Weight, span: float, r_hi):
+    """Number of angular panels over `span` out to radius `r_hi` (an array
+    gives one count per radius), sized to the weight's angular variation.
 
     For radial weights the polar integrand is constant in the angle, so
     a single panel is exact; otherwise panels shrink like 1/r so that
     exponential-in-angle factors stay resolvable by a 16-point rule.
     """
+    if v.radial:
+        return np.ones(np.shape(r_hi), dtype=int)
+    return np.maximum(4, np.ceil(span * np.maximum(1.0, r_hi) / 2.0)).astype(int)
+
+
+def _angular_edges(v: Weight, sector: Sector, r_hi: float,
+                   th_lo: float | None = None, th_hi: float | None = None) -> np.ndarray:
+    """Angular panel edges over [th_lo, th_hi] (default: the sector)."""
     lo = -sector.alpha if th_lo is None else th_lo
     hi = sector.alpha if th_hi is None else th_hi
-    if v.radial:
-        n = 1
-    else:
-        n = max(4, int(math.ceil((hi - lo) * max(1.0, r_hi) / 2.0)))
-    return np.linspace(lo, hi, n + 1)
+    return np.linspace(lo, hi, int(_angular_panels(v, hi - lo, r_hi)) + 1)
 
 
 def weight_rect_integral(v: Weight, rect, sector: Sector, npts: int = 16) -> float:

@@ -1,0 +1,216 @@
+"""Conformance of the weighted norms with independent scipy oracles.
+
+The oracles integrate ``||T_t f||^p = integral of |f(u)|^p v(u - t) du``
+over the shifted sector ``t + sector`` in u-polar coordinates,
+u = r e^{i theta}, where u = s + t is the point the translate reads.  Each
+u-ray enters the shifted sector at a radius set by its two edges; the
+radial limits come from those cuts and from the raw parameters of the
+rectangles and support discs.  The library integrates in s-polar
+coordinates around the apex of the untranslated sector, so the two share
+no interval formula and no quadrature node.  scipy's adaptive ``quad``
+does both the radial and the angular integral, with the angles where a
+radial limit changes branch passed as break points.
+
+Inputs: alpha in {0.3, pi/4, 1.4}; per alpha and kind, the four weight
+families with p from a Latin square; each function at a step within 2 %
+of the sector edge and at t = 0.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from scipy import integrate
+
+from sectorlab import (LpSpace, PolarRect, RectUnionSet, Sector, bump,
+                       constant_weight, custom_function, exp_decay, indicator,
+                       linear_combination, orbit_norm, poly_decay, vertical_exp)
+
+ALPHAS = (0.3, math.pi / 4, 1.4)
+FAMILIES = ("exp_decay", "poly_decay", "vertical_exp", "constant")
+KINDS = ("indicator", "bump", "combination", "custom")
+PS = (1.0, 2.0, 3.0)
+# relative tolerances on ||T_t f||^p; custom functions carry no
+# breakpoints, so their kinks (a cone cap's apex and rim) fall inside panels
+RTOL = {"indicator": 1e-10, "bump": 1e-6, "combination": 1e-6, "custom": 1e-2}
+QUAD = dict(epsabs=0.0, epsrel=1e-12, limit=400)
+
+WEIGHTS = {
+    "exp_decay": (exp_decay, lambda z: math.exp(-abs(z))),
+    "poly_decay": (poly_decay, lambda z: 1.0 / (abs(z) ** 4 + 1.0)),
+    "vertical_exp": (vertical_exp, lambda z: math.exp(2.0 * z.imag)),
+    "constant": (constant_weight, lambda z: 1.0),
+}
+
+
+# ---------------------------------------------------------------------------
+# u-polar oracles
+
+
+def shifted_cut(t: complex, alpha: float, th: float) -> float:
+    """Radius where the u-ray at angle th enters t + sector.
+
+    u - t lies in the sector iff Im((u - t) e^{i alpha}) >= 0 and
+    Im((u - t) e^{-i alpha}) <= 0; for |th| < alpha both are lower bounds.
+    """
+    return max(0.0, (t * cmath.exp(1j * alpha)).imag / math.sin(th + alpha),
+               (t * cmath.exp(-1j * alpha)).imag / math.sin(th - alpha))
+
+
+def circle_line_angles(c: complex, radius: float, t: complex, alpha: float) -> list[float]:
+    """Angles of the points where an edge of t + sector meets |u - c| = radius."""
+    out = []
+    for sgn in (1.0, -1.0):
+        e = cmath.exp(1j * sgn * alpha)  # edge direction from the apex t
+        b = ((t - c) * e.conjugate()).real
+        disc = b * b - abs(t - c) ** 2 + radius * radius
+        if disc > 0:
+            for lam in (-b - math.sqrt(disc), -b + math.sqrt(disc)):
+                if lam > 0:
+                    out.append(cmath.phase(t + lam * e))
+    return out
+
+
+def _in_sector(points, alpha):
+    return sorted({p for p in points if -alpha + 1e-12 < p < alpha - 1e-12})
+
+
+def indicator_oracle(family: str, rects, t: complex, alpha: float) -> float:
+    """Integral of v(u - t) over the disjoint rects inside t + sector."""
+    v = WEIGHTS[family][1]
+    total = 0.0
+    for r_lo, r_hi, th_lo, th_hi in rects:
+        def radial(th):
+            lo = max(r_lo, shifted_cut(t, alpha, th))
+            if lo >= r_hi:
+                return 0.0
+            e = cmath.exp(1j * th)
+            return integrate.quad(lambda r: v(r * e - t) * r, lo, r_hi, **QUAD)[0]
+
+        a, b = max(th_lo, -alpha), min(th_hi, alpha)
+        pts = _in_sector(circle_line_angles(0j, r_lo, t, alpha)
+                         + circle_line_angles(0j, r_hi, t, alpha)
+                         + [cmath.phase(t) if t else 0.0], alpha)
+        pts = [p for p in pts if a < p < b]
+        total += integrate.quad(radial, a, b, points=pts or None, **QUAD)[0]
+    return total
+
+
+def shape_value(shape, u: complex) -> float:
+    kind, c, w, amp = shape
+    d = abs(u - c)
+    if d >= w:
+        return 0.0
+    if kind == "bump":
+        return amp * math.cos(math.pi * d / (2.0 * w)) ** 2
+    return amp * (1.0 - d / w) ** 2  # cone cap
+
+
+def smooth_oracle(family: str, terms, t: complex, alpha: float, p: float,
+                  epsrel: float) -> float:
+    """Integral of |sum c_j g_j(u)|^p v(u - t) over t + sector, the g_j
+    bumps or cone caps given by (kind, centre, radius, amplitude)."""
+    v = WEIGHTS[family][1]
+    quad = dict(QUAD, epsrel=epsrel)
+
+    def radial(th):
+        e = cmath.exp(1j * th)
+        cut = shifted_cut(t, alpha, th)
+        chords = []
+        for _, (_, c, w, _) in terms:
+            d = (c * e.conjugate()).real
+            disc = d * d - abs(c) ** 2 + w * w
+            if disc > 0 and d + math.sqrt(disc) > cut:
+                chords.append((max(d - math.sqrt(disc), cut), d + math.sqrt(disc)))
+        ends = sorted({x for ch in chords for x in ch})
+        total = 0.0
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            if any(a < (lo + hi) / 2 < b for a, b in chords):
+                total += integrate.quad(
+                    lambda r: abs(sum(k * shape_value(sh, r * e) for k, sh in terms)) ** p
+                    * v(r * e - t) * r, lo, hi, **quad)[0]
+        return total
+
+    pts = [cmath.phase(t) if t else 0.0]
+    for i, (_, (_, c, w, _)) in enumerate(terms):
+        pts += [cmath.phase(c)] + circle_line_angles(c, w, t, alpha)
+        if abs(c) > w:
+            pts += [cmath.phase(c) + s * math.asin(w / abs(c)) for s in (-1, 1)]
+        for _, (_, c2, w2, _) in terms[i + 1:]:  # where two support circles cross
+            d = abs(c2 - c)
+            if abs(w - w2) < d < w + w2:
+                a = (w * w - w2 * w2 + d * d) / (2 * d)
+                h = math.sqrt(w * w - a * a)
+                pts += [cmath.phase(c + (a + s * 1j * h) * (c2 - c) / d) for s in (-1, 1)]
+    pts = _in_sector(pts, alpha)
+    return integrate.quad(radial, -alpha, alpha, points=pts or None, **quad)[0]
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def _cases():
+    rng = np.random.default_rng(2503_00891)
+    cases = []
+    for ia, alpha in enumerate(ALPHAS):
+        for ik, kind in enumerate(KINDS):
+            for jf, family in enumerate(FAMILIES):
+                side = 1.0 if rng.uniform() < 0.5 else -1.0
+                t = rng.uniform(0.5, 3.0) * cmath.exp(
+                    1j * side * alpha * (1.0 - rng.uniform(0.0, 0.02)))
+
+                def shape(kind):
+                    c = t + rng.uniform(1.0, 3.0) * cmath.exp(1j * rng.uniform(-alpha, alpha))
+                    return (kind, c, rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0))
+
+                if kind == "indicator":
+                    rects = []
+                    for j in range(int(rng.integers(1, 4))):
+                        r_lo = abs(t) + 1.5 * j + rng.uniform(0.0, 0.5)
+                        width = rng.uniform(0.3, 1.0) * 2 * alpha
+                        th_lo = rng.uniform(-alpha, alpha - width)
+                        rects.append((r_lo, r_lo + rng.uniform(0.4, 1.0), th_lo, th_lo + width))
+                    spec = dict(rects=rects, amplitude=rng.uniform(0.5, 2.0))
+                elif kind == "combination":
+                    spec = dict(terms=[(1.0, shape("bump")),
+                                       (rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.0),
+                                        shape("bump"))])
+                else:
+                    spec = dict(terms=[(1.0, shape("bump" if kind == "bump" else "cone"))])
+                cases.append(pytest.param(
+                    kind, alpha, family, PS[(ia + ik + jf) % 3], t, spec,
+                    id=f"{kind}-a{alpha:.2f}-{family}"))
+    return cases
+
+
+def build(kind, spec):
+    if kind == "indicator":
+        return indicator(RectUnionSet(PolarRect(*r) for r in spec["rects"]),
+                         spec["amplitude"])
+    parts = []
+    for coef, (shape_kind, c, w, amp) in spec["terms"]:
+        if shape_kind == "bump":
+            g = bump(c, w, amp)
+        else:
+            g = custom_function(
+                lambda z, c=c, w=w, a=amp: a * np.maximum(0.0, 1.0 - np.abs(z - c) / w) ** 2,
+                support_radius=abs(c) + w)
+        parts.append((coef, g))
+    return parts[0][1] if kind != "combination" else linear_combination(parts)
+
+
+@pytest.mark.parametrize("kind, alpha, family, p, t_edge, spec", _cases())
+def test_norm_matches_u_polar_oracle(kind, alpha, family, p, t_edge, spec):
+    space = LpSpace(WEIGHTS[family][0](), p, Sector(alpha))
+    f = build(kind, spec)
+    for t in (t_edge, 0j):
+        got = orbit_norm(space, f, t) ** p
+        if kind == "indicator":
+            got /= spec["amplitude"] ** p
+            ref = indicator_oracle(family, spec["rects"], t, alpha)
+        else:
+            ref = smooth_oracle(family, spec["terms"], t, alpha, p,
+                                epsrel=1e-6 if kind == "custom" else 1e-11)
+        assert got == pytest.approx(ref, rel=RTOL[kind], abs=1e-300), f"t={t}"

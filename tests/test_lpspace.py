@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from sectorlab import (ConfigError, DomainError, EvaluationError, IndexSet,
-                       LpSpace, RectUnionSet, Sector, annuli_union,
-                       bump, custom_function, dc_sufficient_series, exp_decay,
-                       function_from_spec, indicator, indicator_orbit_norms,
-                       linear_combination, lp_norm, orbit_norm,
-                       translate_function, vertical_exp)
+                       InvalidWeightError, LpSpace, RectUnionSet, Sector,
+                       annuli_union, bump, custom_function, custom_weight,
+                       dc_sufficient_series, exp_decay, function_from_spec,
+                       indicator, indicator_orbit_norms, linear_combination,
+                       lp_norm, orbit_norm, translate_function, vertical_exp)
+from sectorlab.lpspace import _cone_factor
 
 from conftest import ALPHA, random_small_rects
 
@@ -24,8 +25,10 @@ def s_space_norm_oracle(t: complex, bands: tuple[float, float], p: float) -> flo
 
     Along each angle the membership |s+t| in [bands] is solved as explicit
     radial intervals and the radial factor rho*exp(-rho) is integrated in
-    closed form; only the angular integral is numerical.  Entirely
-    independent of the library's u-substitution quadrature.
+    closed form; only the angular integral is numerical (scipy ``quad``).
+    The library integrates in the same coordinates but shares neither the
+    closed-form radial integral nor the adaptive angular rule; the
+    u-polar oracles of test_conformance.py share not even the coordinates.
     """
     def radial_intervals(phi):
         d = (t * np.exp(-1j * phi)).real
@@ -105,6 +108,15 @@ class TestLpNorm:
         with pytest.raises(DomainError):
             lp_norm(space, f)
         assert lp_norm(space, f, R=10.0).tail is None
+
+    def test_nonfinite_weight_inside_the_sector(self):
+        # finite on the positive real axis, where the construction spot
+        # check looks, but nan for |arg z| > 1.2
+        v = custom_weight(lambda z: np.where(np.abs(np.angle(z)) > 1.2, np.nan,
+                                             np.exp(-np.abs(z))))
+        sector = Sector(1.4)
+        with pytest.raises(InvalidWeightError):
+            lp_norm(LpSpace(v, 2.0, sector), indicator(annuli_union([0, 1], sector)))
 
     def test_nonfinite_custom_evaluator(self, sector):
         space = exp_space()
@@ -205,14 +217,12 @@ class TestCombinations:
         assert d.is_zero
 
     def test_batch_matches_single_calls(self, sector, rng):
-        # the batch shares angular panels across offsets, so it cannot
-        # split at per-offset kink angles; ~1e-3 agreement is its contract
         space = exp_space(2.0)
         f = indicator(annuli_union([0, 1, 2], sector))
         ts = rng.uniform(0, 3, 6) * np.exp(1j * rng.uniform(-ALPHA, ALPHA, 6))
         batch = indicator_orbit_norms(space, f, ts)
         singles = np.array([orbit_norm(space, f, sector.from_complex(t)) for t in ts])
-        assert np.allclose(batch, singles, atol=1e-3)
+        assert np.allclose(batch, singles, rtol=1e-12, atol=0.0)
 
     @given(st.floats(0.1, 2.0), st.floats(-0.6, 0.6))
     @settings(max_examples=30, deadline=None)
@@ -221,6 +231,25 @@ class TestCombinations:
         space = LpSpace(exp_decay(), 2.0, sector)
         f = bump(r * np.exp(1j * th * ALPHA / 0.8), 0.3, 1.0)
         assert lp_norm(space, f).value > 0
+
+
+class TestSupportBounds:
+    def test_narrow_sector_bound_covers_the_support(self, rng):
+        # a cone cap of support 3: below alpha = pi/4 the bound is 3 itself
+        f = custom_function(lambda z: np.maximum(0.0, 1.0 - np.abs(z - 2.0)) ** 2,
+                            support_radius=3.0)
+        alpha = 0.3
+        bound = f.support_radius(alpha)
+        assert bound >= 3.0
+        sector = Sector(alpha)
+        s = rng.uniform(bound, 2 * bound, 200) * np.exp(1j * rng.uniform(-alpha, alpha, 200))
+        for t in rng.uniform(0, 3, 5) * np.exp(1j * rng.uniform(-alpha, alpha, 5)):
+            assert np.all(translate_function(f, t, sector).evaluate(s) == 0.0)
+
+    def test_combination_divides_by_the_cone_factor_once(self):
+        # two bumps; the larger base support is 2.4 + 1.0 = 3.4
+        g = linear_combination([(1.0, bump(2.4 + 0j, 1.0)), (-0.5, bump(1.5 + 1.0j, 1.0))])
+        assert 3.4 <= g.support_radius(1.4) <= 3.4 / _cone_factor(1.4) * (1 + 1e-12)
 
 
 class TestFunctionSpecs:

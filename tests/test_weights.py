@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from sectorlab import (Certificate, ConfigError, DomainError,
-                       InvalidWeightError, MissingCertificateError,
-                       PairSampling, admissibility_check, compact_lower_bound,
-                       constant_weight, custom_weight, exp_decay, grid_minimum,
-                       poly_decay, vertical_exp, weight_from_spec,
-                       weight_integral, weight_to_spec)
+                       InvalidWeightError, LpSpace, MissingCertificateError,
+                       PairSampling, Sector, admissibility_check, annuli_union,
+                       compact_lower_bound, constant_weight, custom_weight,
+                       exp_decay, grid_minimum, indicator, lp_norm, poly_decay,
+                       vertical_exp, weight_from_spec, weight_integral,
+                       weight_to_spec)
 
 from conftest import ALPHA
 
@@ -49,6 +50,15 @@ class TestAdmissibility:
     def test_invalid_weight_caught_at_construction(self):
         with pytest.raises(InvalidWeightError):
             custom_weight(lambda z: np.abs(z) - 1.0)  # non-positive at origin
+        with pytest.raises(InvalidWeightError):
+            custom_weight(lambda z: 2.0 - np.abs(z))  # non-positive further out
+
+    def test_weight_of_a_narrow_sector_is_accepted(self):
+        # positive only for |arg z| < 0.6, so a weight for alpha = 0.5
+        v = custom_weight(lambda z: np.exp(-np.abs(z)) * (0.6 - np.abs(np.angle(z))))
+        sector = Sector(0.5)
+        norm = lp_norm(LpSpace(v, 2.0, sector), indicator(annuli_union([0, 1], sector)))
+        assert math.isfinite(norm.value) and norm.value > 0
 
     def test_report_counts_pairs(self, sector):
         report = admissibility_check(
