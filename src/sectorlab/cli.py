@@ -7,8 +7,7 @@ and `reproduce` (packaged example scenarios with pass/fail lines).
 Exit codes: 0 success, 1 a numeric acceptance threshold failed,
 2 configuration error, 64 usage error.  Outputs are byte-identical for
 identical config and seed: floats are emitted with round-trip repr and
-every reduction in the library runs in a fixed order.  The environment
-variable SECTORLAB_THREADS caps worker threads (default 1).
+every reduction in the library runs in a fixed order.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--p", type=float, default=2.0)
     c.add_argument("--M", type=float, default=None)
     c.add_argument("--w", type=float, default=None)
-    c.add_argument("--K", default="all")
+    c.add_argument("--K", default="all", help="index-set spec, as for density --annuli")
     c.add_argument("--kmax", type=int, default=60)
     c.add_argument("--t1", help="ray direction, e.g. '2,-1'")
 
@@ -102,25 +101,6 @@ def _load_config(path: Path | None) -> dict:
         return json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def _parse_index_set(spec: str) -> IndexSet:
-    if spec == "all":
-        return IndexSet.all_naturals()
-    if spec == "evens":
-        return IndexSet.evens()
-    if spec == "odds":
-        return IndexSet.arithmetic(1, 2)
-    if spec == "nonsquares":
-        return IndexSet.nonsquares()
-    if spec.startswith("finite:"):
-        return IndexSet.finite(int(k) for k in spec[len("finite:"):].split(","))
-    if spec.startswith("arith:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bad arithmetic spec {spec!r}, want arith:start:step")
-        return IndexSet.arithmetic(int(parts[1]), int(parts[2]))
-    raise ConfigError(f"unknown index-set spec {spec!r}")
 
 
 def _parse_complex(text: str) -> complex:
@@ -170,7 +150,7 @@ def _cmd_density(args, cfg: dict) -> int:
             raw = Path(raw[1:]).read_text()
         A = RectUnionSet.from_json(raw)
     elif args.annuli:
-        K = _parse_index_set(args.annuli)
+        K = IndexSet.from_spec(args.annuli)
         kmax = args.kmax if args.kmax is not None else int(math.floor(horizon))
         A = annuli_union(K.members_up_to(kmax), sector)
     else:
@@ -218,8 +198,7 @@ def _cmd_check(args, cfg: dict) -> int:
                        "violations": [[str(t), str(tp), r] for t, tp, r in res.violations]})
         ok = res.ok
     elif args.check == "dc-sufficient":
-        K = _parse_index_set(cfg.get("K", args.K) if isinstance(cfg.get("K", args.K), str)
-                             else args.K)
+        K = IndexSet.from_spec(cfg.get("K", args.K))
         series = dc_sufficient_series(v, K, args.kmax, sector)
         report.update({"K": K.describe(), "k_max": args.kmax,
                        "partial_sum": series.value,
@@ -239,7 +218,7 @@ def _cmd_check(args, cfg: dict) -> int:
                        "verdict": series.verdict})
         ok = series.verdict == "convergent-trend"
     else:  # witness
-        K = _parse_index_set(args.K)
+        K = IndexSet.from_spec(cfg.get("K", args.K))
         R = args.horizon or 20.0
         pkg = build_witness(v, K, p, sector, k_cap=int(R) + 14)
         ver = verify_witness(LpSpace(v, p, sector), pkg, K, R,

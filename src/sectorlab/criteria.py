@@ -121,18 +121,38 @@ class IndexSet:
         }[self.kind]
 
     @classmethod
-    def from_spec(cls, spec: dict) -> "IndexSet":
+    def from_spec(cls, spec) -> "IndexSet":
+        """Index set from a spec string or a scenario-schema dict.
+
+        Strings: ``all | evens | odds | nonsquares | finite:1,2,3 |
+        arith:start:step``.  Dicts: ``{"kind", "members", "start",
+        "step"}`` as in ``scenario.schema.json``.
+        """
+        if isinstance(spec, str):
+            kind, _, rest = spec.partition(":")
+            if kind == "finite":
+                spec = {"kind": kind, "members": rest.split(",")}
+            elif kind == "arith":
+                start, _, step = rest.partition(":")
+                spec = {"kind": kind, "start": start, "step": step}
+            elif spec == "odds":
+                spec = {"kind": "arith", "start": 1, "step": 2}
+            else:
+                spec = {"kind": spec}
         kind = spec.get("kind")
-        if kind == "all":
-            return cls.all_naturals()
-        if kind == "finite":
-            return cls.finite(spec["members"])
-        if kind == "arith":
-            return cls.arithmetic(int(spec["start"]), int(spec["step"]))
-        if kind == "evens":
-            return cls.evens()
-        if kind == "nonsquares":
-            return cls.nonsquares()
+        try:
+            if kind == "all":
+                return cls.all_naturals()
+            if kind == "finite":
+                return cls.finite(spec["members"])
+            if kind == "arith":
+                return cls.arithmetic(int(spec["start"]), int(spec["step"]))
+            if kind == "evens":
+                return cls.evens()
+            if kind == "nonsquares":
+                return cls.nonsquares()
+        except (KeyError, ValueError) as exc:  # DomainError is a ValueError
+            raise ConfigError(f"bad {kind} index-set spec {spec!r}: {exc}") from exc
         raise ConfigError(f"unknown index-set kind {kind!r}")
 
 
@@ -196,9 +216,10 @@ def dc_sufficient_series(v: Weight, K: IndexSet, k_max: int,
                          sector: Sector) -> SeriesReport:
     """Annulus series of the weight over K, up to index k_max.
 
-    term_k is the exact panel quadrature of v over the annulus
-    {k <= |t| <= k+1}; terms are shared bit-for-bit with indicator norms
-    (same integration routine).
+    term_k is the panel quadrature of v over the annulus
+    {k <= |t| <= k+1} (`weight_rect_integral`).  The norm of the K-annuli
+    indicator is computed by the norm engine instead and matches the
+    partial sum to about 1e-12 relative.
     """
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
@@ -376,7 +397,9 @@ def verify_witness(space: LpSpace, pkg: WitnessPackage, K: IndexSet, R: float,
 # packaged example scenarios
 
 
-EXAMPLE_IDS = ("exp-decay-dc", "poly-decay-dc", "devaney-not-dc")
+_DATA = resources.files("sectorlab") / "data"
+EXAMPLE_IDS = tuple(sorted(p.name[:-len(".json")] for p in (_DATA / "scenarios").iterdir()
+                           if p.name.endswith(".json")))
 
 
 @dataclass(frozen=True)
@@ -410,156 +433,137 @@ class ExampleReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-_REQUIRED_SCENARIO_KEYS = {"id", "alpha", "p", "weight", "thresholds"}
-
-
 def validate_scenario(cfg: dict) -> dict:
-    """Light structural validation against the shipped schema's contract."""
-    missing = _REQUIRED_SCENARIO_KEYS - set(cfg)
+    """Refuse a scenario that lacks a key `scenario.schema.json` requires.
+
+    The schema is the one statement of the scenario rules.  Values are
+    checked where they are used: `Sector`, `LpSpace` and
+    `weight_from_spec` raise on bad ones.
+    """
+    required = json.loads((_DATA / "scenario.schema.json").read_text())["required"]
+    missing = sorted(set(required) - set(cfg))
     if missing:
-        raise ConfigError(f"scenario config is missing keys: {sorted(missing)}")
-    if not isinstance(cfg["weight"], dict) or "family" not in cfg["weight"]:
-        raise ConfigError("scenario 'weight' must be an object with a 'family'")
-    if not (0 < float(cfg["alpha"]) < math.pi / 2):
-        raise ConfigError("scenario 'alpha' must lie in (0, pi/2)")
-    if float(cfg["p"]) < 1:
-        raise ConfigError("scenario 'p' must be >= 1")
+        raise ConfigError(f"scenario config is missing keys: {missing}")
     return cfg
 
 
 def load_scenario(example_id: str) -> dict:
     if example_id not in EXAMPLE_IDS:
         raise ConfigError(f"unknown example id {example_id!r}; known: {EXAMPLE_IDS}")
-    text = resources.files("sectorlab").joinpath(
-        f"data/scenarios/{example_id}.json").read_text()
+    text = (_DATA / "scenarios" / f"{example_id}.json").read_text()
     return validate_scenario(json.loads(text))
-
-
-def _dc_example_checks(cfg: dict) -> list[CheckResult]:
-    sector = Sector(cfg["alpha"])
-    v = weight_from_spec(cfg["weight"])
-    p = float(cfg["p"])
-    thr = cfg["thresholds"]
-    hor = cfg["horizons"]
-    K = IndexSet.from_spec(cfg.get("K", {"kind": "all"}))
-    checks = []
-
-    adm = cfg["admissibility"]
-    report = admissibility_check(v, adm["M"], adm["w"], sector)
-    checks.append(CheckResult(
-        name="admissibility", value=report.worst_ratio,
-        requirement=f"no violation of the growth inequality at (M={adm['M']}, w={adm['w']})",
-        passed=report.ok, detail={"n_pairs": report.n_pairs}))
-
-    series = dc_sufficient_series(v, K, hor["series_k_max"], sector)
-    expected = thr["series_expected"]
-    rel = abs((series.limit_estimate or float("nan")) - expected) / expected \
-        if series.limit_estimate is not None else float("inf")
-    checks.append(CheckResult(
-        name="annulus-series", value=series.limit_estimate or float("nan"),
-        requirement=f"convergent-trend with limit within {thr['series_rel_tol']:g} "
-                    f"of {expected!r}",
-        passed=series.verdict == "convergent-trend" and rel <= thr["series_rel_tol"],
-        detail={"verdict": series.verdict, "partial_sum": series.value,
-                "relative_error": rel, "counting_ratio": series.counting_ratio,
-                "declared_density": series.declared_density}))
-
-    pkg = build_witness(v, K, p, sector, k_cap=hor["witness_k_cap"],
-                        bound=cfg.get("witness_bound", "auto"))
-    space = LpSpace(weight=v, p=p, sector=sector)
-    sampling = WitnessSampling(n_random=cfg.get("sampling", {}).get("n_random", 200),
-                               seed=cfg.get("sampling", {}).get("seed", 42))
-    ver = verify_witness(space, pkg, K, hor["witness_R"], sampling,
-                         tol=thr["witness_tol"])
-    checks.append(CheckResult(
-        name="witness-separation", value=ver.min_norm,
-        requirement=f"min sampled ||T_t f|| >= delta - {thr['witness_tol']:g} "
-                    f"(delta={pkg.delta!r}, {pkg.bound_source} bound)",
-        passed=ver.passed,
-        detail={"delta": pkg.delta, "delta_grid": pkg.delta_grid,
-                "n_samples": ver.n_samples, "argmin": str(ver.argmin)}))
-
-    if "superlevel_density_min" in thr:
-        res = OrbitResolution(n_r=cfg["grids"]["orbit_n_r"],
-                              n_theta=cfg["grids"]["orbit_n_theta"])
-        grid = orbit_profile(space, pkg.f, hor["witness_R"], res)
-        schedule = np.geomspace(hor["witness_R"] / 8.0, hor["witness_R"], 8)
-        prof = level_density(grid, pkg.delta, "super", schedule)
-        upper = float(np.max(prof.profile.ratios[-4:]))
-        checks.append(CheckResult(
-            name="superlevel-density", value=upper,
-            requirement=f"upper-density estimate at delta >= {thr['superlevel_density_min']}",
-            passed=upper >= thr["superlevel_density_min"],
-            detail={"ratios": prof.profile.ratios.tolist()}))
-    return checks
-
-
-def _devaney_example_checks(cfg: dict) -> list[CheckResult]:
-    sector = Sector(cfg["alpha"])
-    v = weight_from_spec(cfg["weight"])
-    p = float(cfg["p"])
-    thr = cfg["thresholds"]
-    hor = cfg["horizons"]
-    checks = []
-
-    adm = cfg["admissibility"]
-    report = admissibility_check(v, adm["M"], adm["w"], sector)
-    checks.append(CheckResult(
-        name="admissibility", value=report.worst_ratio,
-        requirement=f"no violation of the growth inequality at (M={adm['M']}, w={adm['w']})",
-        passed=report.ok, detail={"n_pairs": report.n_pairs}))
-
-    t1 = complex(cfg["ray"]["t1"][0], cfg["ray"]["t1"][1])
-    ray = devaney_ray_series(v, t1, hor["ray_k_max"], sector)
-    expected = thr["ray_expected"]
-    err = abs(ray.value - expected)
-    checks.append(CheckResult(
-        name="ray-series", value=ray.value,
-        requirement=f"convergent-trend with partial sum within {thr['ray_abs_tol']:g} "
-                    f"of {expected!r}",
-        passed=ray.verdict == "convergent-trend" and err <= thr["ray_abs_tol"],
-        detail={"verdict": ray.verdict, "absolute_error": err, "t1": str(t1)}))
-
-    series = dc_sufficient_series(v, IndexSet.all_naturals(), hor["series_k_max"], sector)
-    checks.append(CheckResult(
-        name="annulus-series-divergence", value=series.value,
-        requirement="divergent-trend (the sufficient condition must fail)",
-        passed=series.verdict == "divergent-trend",
-        detail={"verdict": series.verdict}))
-
-    space = LpSpace(weight=v, p=p, sector=sector)
-    f = function_from_spec(cfg["function"])
-    res = OrbitResolution(n_r=cfg["grids"]["orbit_n_r"],
-                          n_theta=cfg["grids"]["orbit_n_theta"])
-    grid = orbit_profile(space, f, hor["orbit_R"], res)
-    schedule = np.geomspace(hor["orbit_R"] / 8.0, hor["orbit_R"], 10)
-    eps = thr["epsilon"]
-    sub = level_density(grid, eps, "sub", schedule)
-    sup = level_density(grid, eps, "super", schedule)
-    sub_lower = float(np.min(sub.profile.ratios[-6:]))
-    sup_upper = float(np.max(sup.profile.ratios[-6:]))
-    checks.append(CheckResult(
-        name="sublevel-lower-density", value=sub_lower,
-        requirement=f"lower-density estimate of ||T_t f|| < {eps} is >= {thr['sub_lower_min']}",
-        passed=sub_lower >= thr["sub_lower_min"],
-        detail={"ratios": sub.profile.ratios.tolist()}))
-    checks.append(CheckResult(
-        name="superlevel-upper-density", value=sup_upper,
-        requirement=f"upper-density estimate of ||T_t f|| >= {eps} is <= {thr['super_upper_max']}",
-        passed=sup_upper <= thr["super_upper_max"],
-        detail={"ratios": sup.profile.ratios.tolist()}))
-    return checks
 
 
 def run_example(example_id: str) -> ExampleReport:
     """Run a packaged scenario and report every check with its threshold.
 
-    Thresholds live in the versioned scenario files shipped with the
-    package, so a given release reproduces bit-identical reports.
+    The keys of the scenario's `thresholds` choose the checks: the
+    admissibility check always runs; `ray_expected` adds the ray series;
+    the annulus series must converge to `series_expected` when that key
+    is given and diverge otherwise; `witness_tol` adds the separation
+    witness and `superlevel_density_min` the density of its superlevel
+    set; `epsilon` adds the level-set densities of the scenario's
+    function.  Thresholds live in the versioned scenario files shipped
+    with the package, so a given release reproduces bit-identical
+    reports.
     """
     cfg = load_scenario(example_id)
-    if example_id in ("exp-decay-dc", "poly-decay-dc"):
-        checks = _dc_example_checks(cfg)
+    sector = Sector(cfg["alpha"])
+    v = weight_from_spec(cfg["weight"])
+    p = float(cfg["p"])
+    space = LpSpace(weight=v, p=p, sector=sector)
+    thr = cfg["thresholds"]
+    hor = cfg["horizons"]
+    K = IndexSet.from_spec(cfg.get("K", "all"))
+    checks = []
+
+    def orbit_grid(f, R):
+        res = OrbitResolution(n_r=cfg["grids"]["orbit_n_r"],
+                              n_theta=cfg["grids"]["orbit_n_theta"])
+        return orbit_profile(space, f, R, res)
+
+    adm = cfg["admissibility"]
+    report = admissibility_check(v, adm["M"], adm["w"], sector)
+    checks.append(CheckResult(
+        name="admissibility", value=report.worst_ratio,
+        requirement=f"no violation of the growth inequality at (M={adm['M']}, w={adm['w']})",
+        passed=report.ok, detail={"n_pairs": report.n_pairs}))
+
+    if "ray_expected" in thr:
+        t1 = complex(cfg["ray"]["t1"][0], cfg["ray"]["t1"][1])
+        ray = devaney_ray_series(v, t1, hor["ray_k_max"], sector)
+        expected = thr["ray_expected"]
+        err = abs(ray.value - expected)
+        checks.append(CheckResult(
+            name="ray-series", value=ray.value,
+            requirement=f"convergent-trend with partial sum within {thr['ray_abs_tol']:g} "
+                        f"of {expected!r}",
+            passed=ray.verdict == "convergent-trend" and err <= thr["ray_abs_tol"],
+            detail={"verdict": ray.verdict, "absolute_error": err, "t1": str(t1)}))
+
+    series = dc_sufficient_series(v, K, hor["series_k_max"], sector)
+    if "series_expected" in thr:
+        expected = thr["series_expected"]
+        rel = abs((series.limit_estimate or float("nan")) - expected) / expected \
+            if series.limit_estimate is not None else float("inf")
+        checks.append(CheckResult(
+            name="annulus-series", value=series.limit_estimate or float("nan"),
+            requirement=f"convergent-trend with limit within {thr['series_rel_tol']:g} "
+                        f"of {expected!r}",
+            passed=series.verdict == "convergent-trend" and rel <= thr["series_rel_tol"],
+            detail={"verdict": series.verdict, "partial_sum": series.value,
+                    "relative_error": rel, "counting_ratio": series.counting_ratio,
+                    "declared_density": series.declared_density}))
     else:
-        checks = _devaney_example_checks(cfg)
+        checks.append(CheckResult(
+            name="annulus-series-divergence", value=series.value,
+            requirement="divergent-trend (the sufficient condition must fail)",
+            passed=series.verdict == "divergent-trend",
+            detail={"verdict": series.verdict}))
+
+    if "witness_tol" in thr:
+        pkg = build_witness(v, K, p, sector, k_cap=hor["witness_k_cap"],
+                            bound=cfg.get("witness_bound", "auto"))
+        sampling = WitnessSampling(n_random=cfg.get("sampling", {}).get("n_random", 200),
+                                   seed=cfg.get("sampling", {}).get("seed", 42))
+        ver = verify_witness(space, pkg, K, hor["witness_R"], sampling,
+                             tol=thr["witness_tol"])
+        checks.append(CheckResult(
+            name="witness-separation", value=ver.min_norm,
+            requirement=f"min sampled ||T_t f|| >= delta - {thr['witness_tol']:g} "
+                        f"(delta={pkg.delta!r}, {pkg.bound_source} bound)",
+            passed=ver.passed,
+            detail={"delta": pkg.delta, "delta_grid": pkg.delta_grid,
+                    "n_samples": ver.n_samples, "argmin": str(ver.argmin)}))
+
+        if "superlevel_density_min" in thr:
+            grid = orbit_grid(pkg.f, hor["witness_R"])
+            schedule = np.geomspace(hor["witness_R"] / 8.0, hor["witness_R"], 8)
+            prof = level_density(grid, pkg.delta, "super", schedule)
+            upper = float(np.max(prof.profile.ratios[-4:]))
+            checks.append(CheckResult(
+                name="superlevel-density", value=upper,
+                requirement=f"upper-density estimate at delta >= {thr['superlevel_density_min']}",
+                passed=upper >= thr["superlevel_density_min"],
+                detail={"ratios": prof.profile.ratios.tolist()}))
+
+    if "epsilon" in thr:
+        grid = orbit_grid(function_from_spec(cfg["function"]), hor["orbit_R"])
+        schedule = np.geomspace(hor["orbit_R"] / 8.0, hor["orbit_R"], 10)
+        eps = thr["epsilon"]
+        sub = level_density(grid, eps, "sub", schedule)
+        sup = level_density(grid, eps, "super", schedule)
+        sub_lower = float(np.min(sub.profile.ratios[-6:]))
+        sup_upper = float(np.max(sup.profile.ratios[-6:]))
+        checks.append(CheckResult(
+            name="sublevel-lower-density", value=sub_lower,
+            requirement=f"lower-density estimate of ||T_t f|| < {eps} is >= {thr['sub_lower_min']}",
+            passed=sub_lower >= thr["sub_lower_min"],
+            detail={"ratios": sub.profile.ratios.tolist()}))
+        checks.append(CheckResult(
+            name="superlevel-upper-density", value=sup_upper,
+            requirement=f"upper-density estimate of ||T_t f|| >= {eps} is <= {thr['super_upper_max']}",
+            passed=sup_upper <= thr["super_upper_max"],
+            detail={"ratios": sup.profile.ratios.tolist()}))
+
     return ExampleReport(example_id=example_id, checks=tuple(checks))

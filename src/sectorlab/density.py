@@ -12,15 +12,13 @@ limit; callers are expected to surface the trend flag.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import thread_count
 from .errors import DomainError
 from .geometry import RadiusSchedule, Sector, truncated_measure
-from .sets import GridConfig, RectUnionSet, measure_profile
+from .sets import GridConfig, measure_profile
 
 __all__ = [
     "DensityProfile", "DensityEstimate",
@@ -83,17 +81,7 @@ def density_profile(A, schedule, sector: Sector,
     if len(radii) == 0:
         raise DomainError("schedule must be nonempty")
 
-    n = thread_count()
-    if n > 1 and isinstance(A, RectUnionSet):
-        # per-radius closed forms are independent; assemble in order
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            chunks = list(pool.map(
-                lambda r: measure_profile(A, [r], sector, config), radii))
-        measures = np.array([c[0][0] for c in chunks])
-        errors = np.array([c[1][0] for c in chunks])
-    else:
-        measures, errors = measure_profile(A, radii, sector, config)
-
+    measures, errors = measure_profile(A, radii, sector, config)
     denom = np.array([truncated_measure(sector, r) for r in radii])
     return DensityProfile(radii=radii, ratios=measures / denom, errors=errors / denom)
 

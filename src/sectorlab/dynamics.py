@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import thread_count
 from .density import DensityProfile, density_estimates, density_profile
 from .errors import DomainError
 from .lpspace import LpSpace, SectorFunction, linear_combination
@@ -139,20 +137,11 @@ def orbit_profile(space: LpSpace, f: SectorFunction, R: float,
         norms = np.zeros(len(nodes))
     else:
         p = space.p
-
-        def _chunk(idx):
-            block = nodes[idx]
+        parts = []
+        for i in range(0, len(nodes), res.chunk):
+            block = nodes[i:i + res.chunk]
             vals = np.abs(g.evaluate(pts[None, :] + block[:, None])) ** p
-            return vals @ wv
-
-        chunks = [np.arange(i, min(i + res.chunk, len(nodes)))
-                  for i in range(0, len(nodes), res.chunk)]
-        n_workers = thread_count()
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                parts = list(pool.map(_chunk, chunks))
-        else:
-            parts = [_chunk(ix) for ix in chunks]
+            parts.append(vals @ wv)
         norms = np.concatenate(parts) ** (1.0 / p)
     return OrbitGrid(radii=radii, thetas=thetas,
                      norms=norms.reshape(len(radii), len(thetas)),

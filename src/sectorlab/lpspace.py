@@ -151,10 +151,11 @@ class _CustomBase:
 
 # Two points s, t of a sector of half-angle alpha are at most 2 alpha apart
 # in angle, so |s + t| >= max(|s|, |t|) for alpha <= pi/4 and beyond that
-# |s + t| >= sin(2 alpha) max(|s|, |t|) >= sqrt(2) cos(alpha) max(|s|, |t|).
-# This converts a support bound on the base into one on the translate.
+# |s + t| >= sin(2 alpha) max(|s|, |t|), with equality at |t| = -|s| cos(2 alpha)
+# on opposite edges.  This converts a support bound on the base into one on
+# the translate.
 def _cone_factor(alpha: float) -> float:
-    return min(1.0, math.sqrt(2.0) * math.cos(alpha))
+    return 1.0 if alpha <= math.pi / 4 else math.sin(2.0 * alpha)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Gauss-Legendre panel quadrature on polar rectangles.
+"""Gauss-Legendre rules and panel quadrature on polar rectangles.
 
-Every integral in this library reduces to a smooth integrand on polar
-rectangles, so fixed-order Gauss-Legendre per panel is sufficient.
-Radial panels are split at integer radii (the natural annulus partition
-used throughout), angular panels are subdivided when the integrand
-varies in the angle.  All reductions run in a fixed order, so repeated
-runs produce bit-identical results.
+Weight integrals over polar rectangles (series terms, sector integrals)
+have a smooth integrand, so fixed-order Gauss-Legendre per panel is
+sufficient.  Radial panels are split at integer radii (the natural
+annulus partition used throughout), angular panels are subdivided when
+the integrand varies in the angle.  Norms are not computed here: the
+ray engine of `lpspace` takes only the rule (`gl_rule`) and builds its
+own panels on per-ray intervals.  All reductions run in a fixed order,
+so repeated runs produce bit-identical results.
 """
 
 from __future__ import annotations

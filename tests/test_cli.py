@@ -116,6 +116,32 @@ class TestCheckCommand:
         assert report["weight"] == "poly_decay"
         assert report["limit_estimate"] == pytest.approx(math.pi ** 2 / 8, rel=1e-6)
 
+    def test_config_index_set_dict(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"K": {"kind": "finite", "members": [1, 2]}}))
+        code, out, _ = run_cli(capsys, "check", "dc-sufficient",
+                               "--config", str(cfg), "--kmax", "10")
+        assert code == 0
+        assert json.loads(out)["K"] == "finite {1, 2}"
+
+    def test_config_index_set_for_witness(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"K": "evens"}))
+        code, out, _ = run_cli(capsys, "check", "witness", "--config", str(cfg),
+                               "--horizon", "6")
+        assert code == 0
+        assert json.loads(out)["K"] == "k = 0 + 2 j"
+
+    def test_unknown_index_set_spec(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "check", "dc-sufficient", "--K", "primes")
+        assert code == 2
+        assert "config error" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"K": {"kind": "primes"}}))
+        code, _, err = run_cli(capsys, "check", "dc-sufficient", "--config", str(cfg))
+        assert code == 2
+        assert "config error" in err
+
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -153,6 +179,12 @@ class TestReproducibility:
             assert code == 0
         for name in ("density_profile.csv", "density_profile_translated.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+        for out_dir in (a, b):
+            code, _, _ = run_cli(capsys, "reproduce", "devaney-not-dc",
+                                 "--out", str(out_dir))
+            assert code == 0
+        name = "devaney-not-dc.json"
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_check_report_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "check", "admissible", "--family",

@@ -1,6 +1,8 @@
 import json
 import math
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from sectorlab import (ConfigError, DomainError, IndexSet, LpSpace,
                        indicator, load_scenario, lp_norm, poly_decay,
                        run_example, verify_witness, vertical_exp,
                        EXAMPLE_IDS)
+from sectorlab.criteria import validate_scenario
+
+SCHEMA = resources.files("sectorlab") / "data" / "scenario.schema.json"
 
 
 class TestIndexSet:
@@ -34,6 +39,21 @@ class TestIndexSet:
     def test_from_spec_unknown(self):
         with pytest.raises(ConfigError):
             IndexSet.from_spec({"kind": "primes"})
+
+    def test_from_spec_strings_match_dicts(self):
+        pairs = [("all", {"kind": "all"}), ("evens", {"kind": "evens"}),
+                 ("odds", {"kind": "arith", "start": 1, "step": 2}),
+                 ("nonsquares", {"kind": "nonsquares"}),
+                 ("finite:3,1", {"kind": "finite", "members": [1, 3]}),
+                 ("arith:2:5", {"kind": "arith", "start": 2, "step": 5})]
+        for text, spec in pairs:
+            assert IndexSet.from_spec(text) == IndexSet.from_spec(spec)
+
+    def test_from_spec_malformed_strings(self):
+        for text in ("primes", "arith:1", "arith:1:2:3", "arith:0:0", "finite:",
+                     "finite:a", "finite:-1"):
+            with pytest.raises(ConfigError):
+                IndexSet.from_spec(text)
 
     def test_negative_member_rejected(self):
         with pytest.raises(DomainError):
@@ -202,6 +222,19 @@ class TestScenarios:
         for ex in EXAMPLE_IDS:
             cfg = load_scenario(ex)
             assert cfg["id"] == ex
+
+    def test_scenarios_match_the_schema(self):
+        schema = json.loads(SCHEMA.read_text())
+        for ex in EXAMPLE_IDS:
+            jsonschema.validate(load_scenario(ex), schema)
+
+    def test_scenario_without_alpha_is_refused(self):
+        cfg = load_scenario("exp-decay-dc")
+        del cfg["alpha"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(cfg, json.loads(SCHEMA.read_text()))
+        with pytest.raises(ConfigError, match="alpha"):
+            validate_scenario(cfg)
 
     def test_devaney_example_report(self):
         rep = run_example("devaney-not-dc")

@@ -235,16 +235,24 @@ class TestCombinations:
 
 class TestSupportBounds:
     def test_narrow_sector_bound_covers_the_support(self, rng):
-        # a cone cap of support 3: below alpha = pi/4 the bound is 3 itself
+        # a cone cap of support 3: below alpha = pi/4 the bound is 3 itself,
+        # above it 3 / sin(2 alpha)
         f = custom_function(lambda z: np.maximum(0.0, 1.0 - np.abs(z - 2.0)) ** 2,
                             support_radius=3.0)
-        alpha = 0.3
-        bound = f.support_radius(alpha)
-        assert bound >= 3.0
-        sector = Sector(alpha)
-        s = rng.uniform(bound, 2 * bound, 200) * np.exp(1j * rng.uniform(-alpha, alpha, 200))
-        for t in rng.uniform(0, 3, 5) * np.exp(1j * rng.uniform(-alpha, alpha, 5)):
-            assert np.all(translate_function(f, t, sector).evaluate(s) == 0.0)
+        for alpha in (0.3, 1.4):
+            bound = f.support_radius(alpha)
+            assert bound >= 3.0
+            sector = Sector(alpha)
+            s = rng.uniform(bound, 2 * bound, 200) * np.exp(1j * rng.uniform(-alpha, alpha, 200))
+            ts = rng.uniform(0, 3, 5) * np.exp(1j * rng.uniform(-alpha, alpha, 5))
+            for t in ts:
+                assert np.all(translate_function(f, t, sector).evaluate(s) == 0.0)
+        # the worst pair at alpha = 1.4: s on one edge just beyond the bound,
+        # t on the other with |t| = -|s| cos(2 alpha), so |s + t| = |s| sin(2 alpha)
+        s = bound * (1 + 1e-9) * np.exp(-1j * alpha)
+        t = -abs(s) * math.cos(2 * alpha) * np.exp(1j * alpha)
+        assert 3.0 < abs(s + t) < 3.0 * (1 + 1e-6)
+        assert translate_function(f, t, sector).evaluate(s) == 0.0
 
     def test_combination_divides_by_the_cone_factor_once(self):
         # two bumps; the larger base support is 2.4 + 1.0 = 3.4
