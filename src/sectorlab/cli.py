@@ -4,8 +4,9 @@ Three subcommands: `density` (ratio profiles of sector subsets),
 `check` (admissibility / series / ray / witness checks as report JSON),
 and `reproduce` (packaged example scenarios with pass/fail lines).
 
-Exit codes: 0 success, 1 a numeric acceptance threshold failed,
-2 configuration error, 64 usage error.  Outputs are byte-identical for
+Exit codes: 0 success, 1 a numeric acceptance threshold failed (a
+divergent series included), 2 configuration error or an input outside
+the domain of its operation, 64 usage error.  Outputs are byte-identical for
 identical config and seed: floats are emitted with round-trip repr and
 every reduction in the library runs in a fixed order.
 """
@@ -24,7 +25,7 @@ from .criteria import (EXAMPLE_IDS, IndexSet, build_witness, dc_sufficient_serie
                        devaney_ray_series, run_example, verify_witness,
                        WitnessSampling)
 from .density import density_estimates, density_profile
-from .errors import ConfigError, SectorLabError
+from .errors import ConfigError, DomainError, SectorLabError
 from .geometry import Sector
 from .lpspace import LpSpace
 from .sets import GridConfig, RectUnionSet, annuli_union, translate_set
@@ -261,7 +262,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args, cfg)
         return _cmd_reproduce(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:  # bad input, not a failed check
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SectorLabError as exc:

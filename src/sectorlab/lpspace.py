@@ -15,11 +15,14 @@ no angular span), and a piece cuts a ray in at most two rho-intervals,
 solved in closed form: circle roots for the radii, half-plane cuts for
 the span, rho <= R for a truncation.  Gauss-Legendre panels split at
 integer radii run on those intervals, so no discontinuity is ever
-sampled.  The phi panels split where an interval end changes branch:
-tangent rays, corners, rays parallel to a span edge, crossings of two
-circles or of the truncation circle.  At a tangent ray an interval end
-behaves like a square root in phi; a quadratic map with a flat end there
-makes the integrand smooth again.
+sampled; for an indicator and a built-in weight the rho-integral over an
+interval is the weight's closed-form ray primitive instead (see
+`weights`), so only the phi integral is numerical.  The phi panels split
+where an interval end changes branch: tangent rays, corners, rays
+parallel to a span edge, crossings of two circles or of the truncation
+circle.  At a tangent ray an interval end behaves like a square root in
+phi; a quadratic map with a flat end there makes the integrand smooth
+again.
 """
 
 from __future__ import annotations
@@ -394,13 +397,28 @@ def _phi_rule(space: LpSpace, reach, angles, flat, npts: int,
             (width * w).reshape(len(n), -1))
 
 
+def _checked(space: LpSpace, vals: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(vals)) or np.any(vals < 0):
+        raise InvalidWeightError(
+            f"weight '{space.weight.family}' is negative or non-finite "
+            "on a ray inside the sector")
+    return vals
+
+
 def _ray_integrate(space: LpSpace, lo, hi, phi, wphi,
                    g: SectorFunction | None = None, scale=1.0) -> np.ndarray:
     """Per row, the integral of |g|^p v (v alone when g is None) over the ray
-    intervals [lo, hi] (rows, n_phi, k), on panels split at multiples of 1/scale."""
+    intervals [lo, hi] (rows, n_phi, k).  v alone with a weight primitive
+    (the built-in families) is integrated in rho in closed form; otherwise
+    on panels split at multiples of 1/scale."""
     rows, n_phi, k = lo.shape
-    phase = np.exp(1j * phi).ravel()
     live = (hi > lo) & (wphi[..., None] > 0)
+    if g is None and space.weight.primitive is not None:
+        ray = np.zeros(lo.shape)
+        ray[live] = _checked(space, space.weight.primitive(
+            np.broadcast_to(phi[..., None], lo.shape)[live], lo[live], hi[live]))
+        return np.sum(np.sum(ray, axis=2) * wphi, axis=1)
+    phase = np.exp(1j * phi).ravel()
     scale = np.broadcast_to(scale, lo.shape).ravel()
     lo, hi = lo.ravel(), hi.ravel()
     floor = np.floor(lo * scale)
@@ -417,11 +435,7 @@ def _ray_integrate(space: LpSpace, lo, hi, phi, wphi,
         width = np.minimum(hi[ids], (j + 1.0) / scale[ids]) - start
         rho = start[:, None] + width[:, None] * x
         z = rho * phase[ids // k, None]
-        vals = space.weight.eval(z)
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise InvalidWeightError(
-                f"weight '{space.weight.family}' is negative or non-finite "
-                "at a quadrature node inside the sector")
+        vals = _checked(space, space.weight.eval(z))
         if g is not None:
             vals = vals * np.abs(g.evaluate(z)) ** space.p
         ray += np.bincount(ids // k, (vals * rho) @ w * width, minlength=len(ray))

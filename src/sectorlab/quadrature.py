@@ -1,8 +1,8 @@
 """Gauss-Legendre rules and panel quadrature on polar rectangles.
 
 Weight integrals over polar rectangles (series terms, sector integrals)
-have a smooth integrand, so fixed-order Gauss-Legendre per panel is
-sufficient.  Radial panels are split at integer radii (the natural
+of weights without a closed-form ray primitive have a smooth integrand,
+so fixed-order Gauss-Legendre per panel is sufficient.  Radial panels are split at integer radii (the natural
 annulus partition used throughout), angular panels are subdivided when
 the integrand varies in the angle.  Norms are not computed here: the
 ray engine of `lpspace` takes only the rule (`gl_rule`) and builds its

@@ -101,6 +101,13 @@ class TestCheckCommand:
         assert report["passed"] is True
         assert report["min_norm"] >= report["delta"] - 1e-4
 
+    def test_input_outside_domain_is_config_error(self, capsys):
+        # annulus 9 lies beyond the horizon: a bad input, not a failed check
+        code, out, err = run_cli(capsys, "check", "witness", "--K", "finite:9",
+                                 "--horizon", "6")
+        assert code == 2
+        assert out == "" and "no separation bands" in err
+
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "bogus"])

@@ -14,6 +14,10 @@ radial limit changes branch passed as break points.
 Inputs: alpha in {0.3, pi/4, 1.4}; per alpha and kind, the four weight
 families with p from a Latin square; each function at a step within 2 %
 of the sector edge and at t = 0.
+
+The ray primitives of the built-in weights (the rho-integral of
+v(rho e^{i phi}) rho in closed form) are checked apart, against scipy
+``quad`` along single rays.
 """
 
 import cmath
@@ -214,3 +218,27 @@ def test_norm_matches_u_polar_oracle(kind, alpha, family, p, t_edge, spec):
             ref = smooth_oracle(family, spec["terms"], t, alpha, p,
                                 epsrel=1e-6 if kind == "custom" else 1e-11)
         assert got == pytest.approx(ref, rel=RTOL[kind], abs=1e-300), f"t={t}"
+
+
+# ---------------------------------------------------------------------------
+# ray primitives
+
+# narrow intervals at and away from the apex, a wide one, and one far out
+INTERVALS = ((0.0, 1e-8), (3.0, 3.0 + 1e-9), (0.5, 3.0), (150.0, 151.0))
+RAY_ANGLES = (0.0, 1e-7, -1e-7) + tuple(s * a for a in ALPHAS for s in (1.0, -1.0))
+# measured worst 5.5e-15, on [150, 151]: an exponent near 150 carries its
+# rounding (in |rho e^{i phi}| or rho sin phi) into the weight some 100-fold
+PRIMITIVE_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_primitive_matches_quad_along_rays(family):
+    make, v = WEIGHTS[family]
+    primitive = make().primitive
+    for phi in RAY_ANGLES:
+        e = cmath.exp(1j * phi)
+        for lo, hi in INTERVALS:
+            ref = integrate.quad(lambda r: v(r * e) * r, lo, hi,
+                                 epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            got = float(primitive(phi, lo, hi))
+            assert got == pytest.approx(ref, rel=PRIMITIVE_RTOL, abs=0.0), (phi, lo, hi)

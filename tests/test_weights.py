@@ -1,15 +1,17 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sectorlab import (Certificate, ConfigError, DomainError,
                        InvalidWeightError, LpSpace, MissingCertificateError,
-                       PairSampling, Sector, admissibility_check, annuli_union,
-                       compact_lower_bound, constant_weight, custom_weight,
+                       PairSampling, PolarRect, Sector, admissibility_check,
+                       annuli_union, compact_lower_bound, constant_weight, custom_weight,
                        exp_decay, grid_minimum, indicator, lp_norm, poly_decay,
                        vertical_exp, weight_from_spec, weight_integral,
-                       weight_to_spec)
+                       weight_rect_integral, weight_to_spec)
 
 from conftest import ALPHA
 
@@ -152,3 +154,50 @@ class TestWeightSpecs:
     def test_constant_must_be_positive(self):
         with pytest.raises(InvalidWeightError):
             constant_weight(0.0)
+
+
+class TestRayPrimitive:
+    FACTORIES = (exp_decay, poly_decay, vertical_exp, lambda: constant_weight(3.0))
+
+    def test_built_in_families_carry_one(self):
+        for make in self.FACTORIES:
+            assert make().primitive is not None
+        assert custom_weight(lambda z: np.exp(-np.abs(z))).primitive is None
+
+    def test_primitive_cannot_drift_from_its_evaluator(self):
+        with pytest.raises(InvalidWeightError, match="primitive"):
+            dataclasses.replace(exp_decay(), evaluator=lambda z: 2 * np.exp(-np.abs(z)))
+        with pytest.raises(InvalidWeightError, match="primitive"):
+            dataclasses.replace(vertical_exp(), evaluator=lambda z: np.exp(2.0 * np.real(z)))
+
+    def test_wrapped_evaluator_keeps_the_primitive(self):
+        # a counting wrapper around the same evaluator, as a tracer builds it
+        for make in self.FACTORIES:
+            v = make()
+            counted = dataclasses.replace(v, evaluator=lambda z, e=v.evaluator: e(z))
+            assert counted.primitive is v.primitive
+
+    def test_spec_certificate_keeps_the_primitive(self):
+        v = weight_from_spec({"family": "exp_decay", "certificate": {"M": 2.0, "w": 1.0}})
+        assert v.primitive is not None and v.certificate == Certificate(2.0, 1.0)
+
+    def test_rect_integral_closed_forms(self):
+        for alpha in (0.3, ALPHA, 1.4):
+            sector = Sector(alpha)
+            for k in (0, 3, 17):
+                rect = PolarRect(k, k + 1, -alpha, alpha)
+                exact = 2 * alpha * ((k + 1) * math.exp(-k) - (k + 2) * math.exp(-(k + 1)))
+                assert weight_rect_integral(exp_decay(), rect, sector) == pytest.approx(
+                    exact, rel=1e-14)
+                exact = alpha * (math.atan((k + 1) ** 2) - math.atan(k ** 2))
+                assert weight_rect_integral(poly_decay(), rect, sector) == pytest.approx(
+                    exact, rel=1e-14)
+
+    def test_overflow_raises_without_a_warning(self):
+        sector = Sector(math.pi / 4)
+        space = LpSpace(vertical_exp(), 2.0, sector)
+        f = indicator(annuli_union([600], sector))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidWeightError):
+                lp_norm(space, f)
