@@ -28,7 +28,8 @@ from .weights import (Certificate, Weight, PairSampling, AdmissibilityReport,
                       weight_to_spec)
 from .lpspace import (LpSpace, SectorFunction, NormResult, indicator, bump,
                       linear_combination, custom_function, lp_norm,
-                      translate_function, orbit_norm, indicator_orbit_norms,
+                      translate_function, orbit_norm, orbit_norms,
+                      indicator_orbit_norms,
                       function_from_spec)
 from .dynamics import (OrbitResolution, OrbitGrid, LevelSetProfile,
                        PairDiagnostic, orbit_profile, level_density,

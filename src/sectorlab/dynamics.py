@@ -2,10 +2,12 @@
 
 Everything here samples: orbit norms ``||T_t f||`` on a polar node grid
 over a truncated sector, level sets of that field as oracle sets, and
-density profiles of those level sets.  None of it can certify a limit
-statement — every summary is labelled "consistent with" or
-"inconsistent with" the property on the sampled horizon, and callers
-must treat the verdicts as heuristics.
+density profiles of those level sets.  The node norms themselves are
+not sampled: each is the full norm of its translate from the s-polar
+ray engine of `lpspace` (`orbit_norms`, all nodes in one batch).  None
+of it can certify a limit statement — every summary is labelled
+"consistent with" or "inconsistent with" the property on the sampled
+horizon, and callers must treat the verdicts as heuristics.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .density import DensityProfile, density_estimates, density_profile
 from .errors import DomainError
-from .lpspace import LpSpace, SectorFunction, linear_combination
+from .lpspace import LpSpace, SectorFunction, linear_combination, orbit_norms
 from .sets import GridConfig, OracleSet
 
 __all__ = [
@@ -29,12 +31,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrbitResolution:
-    """Node and quadrature-mesh resolution for orbit grids.
+    """Node resolution for orbit grids.
 
     Nodes are geometric in radius (density ratios are radius-heavy since
-    the truncation measure grows like r^2) and uniform in angle.  The
-    mesh is the midpoint rule used for every node's norm; its cell count
-    scales with the support of the function being translated.
+    the truncation measure grows like r^2) and uniform in angle.  Each
+    node's norm comes from the ray engine, which sets its own panels, so
+    `mesh_per_unit`, `mesh_n_theta`, `mesh_max_cells_r`, `mesh_radius`
+    and `chunk` are ignored.  They belonged to a midpoint mesh that is
+    gone and are kept only so that existing callers which pass them, the
+    benchmark's workloads among them, keep working.
     """
 
     n_r: int = 400
@@ -84,43 +89,15 @@ class OrbitGrid:
         return buf.getvalue()
 
 
-def _norm_mesh(space: LpSpace, f: SectorFunction, R: float,
-               res: OrbitResolution) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint quadrature mesh (points, weight*v products) for orbit norms.
-
-    The mesh covers the support bound of f, which also bounds the support
-    of every translate T_t f, so one mesh serves all nodes.
-    """
-    alpha = space.sector.alpha
-    sup = f.support_radius(alpha)
-    if res.mesh_radius is not None:
-        r_mesh = res.mesh_radius
-    elif sup is not None:
-        r_mesh = sup
-    else:
-        r_mesh = R + 2.0
-    if r_mesh <= 0:
-        return np.empty(0, dtype=complex), np.empty(0)
-    n_r = int(np.clip(math.ceil(r_mesh * res.mesh_per_unit), 32, res.mesh_max_cells_r))
-    r_edges = np.linspace(0.0, r_mesh, n_r + 1)
-    th_edges = np.linspace(-alpha, alpha, res.mesh_n_theta + 1)
-    rho = 0.5 * (r_edges[:-1] + r_edges[1:])
-    th = 0.5 * (th_edges[:-1] + th_edges[1:])
-    dth = th_edges[1] - th_edges[0]
-    area = dth * (r_edges[1:] ** 2 - r_edges[:-1] ** 2) / 2.0
-    pts = (rho[:, None] * np.exp(1j * th[None, :])).ravel()
-    wv = (np.broadcast_to(area[:, None], (n_r, res.mesh_n_theta)).ravel()
-          * space.weight.eval(pts))
-    return pts, wv
-
-
 def orbit_profile(space: LpSpace, f: SectorFunction, R: float,
                   resolution: OrbitResolution | None = None) -> OrbitGrid:
     """Orbit-norm field of f over the truncation of radius R.
 
-    Norms are midpoint-mesh estimates of the full (untruncated) norm of
-    each translate; the mesh covers the translate-invariant support
-    bound of f, so nothing is silently cut off.
+    Each node holds the full (untruncated) norm of its translate from the
+    s-polar ray engine, `lpspace.orbit_norms` over all nodes at once, so
+    it equals ``orbit_norm(space, f, t)`` up to rounding; nodes whose
+    translate has left the sector read exactly 0.  A function without a
+    support bound raises `DomainError`, as `lp_norm` does.
     """
     if R <= 0:
         raise DomainError(f"grid radius must be > 0, got {R}")
@@ -132,17 +109,7 @@ def orbit_profile(space: LpSpace, f: SectorFunction, R: float,
 
     g = f.simplified()
     nodes = (radii[:, None] * np.exp(1j * thetas[None, :])).ravel()
-    pts, wv = _norm_mesh(space, g, R, res)
-    if len(pts) == 0:
-        norms = np.zeros(len(nodes))
-    else:
-        p = space.p
-        parts = []
-        for i in range(0, len(nodes), res.chunk):
-            block = nodes[i:i + res.chunk]
-            vals = np.abs(g.evaluate(pts[None, :] + block[:, None])) ** p
-            parts.append(vals @ wv)
-        norms = np.concatenate(parts) ** (1.0 / p)
+    norms = orbit_norms(space, g, nodes)
     return OrbitGrid(radii=radii, thetas=thetas,
                      norms=norms.reshape(len(radii), len(thetas)),
                      R=float(R), space=space, fn=g)

@@ -20,9 +20,26 @@ interval is the weight's closed-form ray primitive instead (see
 `weights`), so only the phi integral is numerical.  The phi panels split
 where an interval end changes branch: tangent rays, corners, rays
 parallel to a span edge, crossings of two circles or of the truncation
-circle.  At a tangent ray an interval end behaves like a square root in
+circle and, in a combination, where a span edge of one piece crosses a
+circle or a span edge of another, since two interval ends swap there.
+Splits closer than a quarter panel get panels graded towards them.  At a
+tangent ray an interval end behaves like a square root in
 phi; a quadratic map with a flat end there makes the integrand smooth
 again.
+
+A batch of steps is a batch of rows, one per step (`orbit_norms`, behind
+every orbit grid), and each row carries its own phi panels.  Indicators,
+and combinations of indicators at one offset, are cut into level
+pieces: disjoint rectangles on which |f|^p is one constant, found by an
+angular and then a radial sweep, so they take the primitive path with
+one row per (step, piece).  Other combinations cut the ray at every
+interval end and integrate |f(s + t)|^p on radial panels between the
+cuts, one row per step.  In a batch, a row whose pieces all lie in
+discs |s + tau| <= r_hi that miss the sector is exactly zero and is
+skipped before any panel is laid; the test is the distance from -tau to
+the sector, |tau| sin(beta) with beta the angle to the nearer edge
+(|tau| once beta >= pi/2).  In an orbit grid many rows are such rows.
+A single norm (`lp_norm`) has one step and runs the engine directly.
 """
 
 from __future__ import annotations
@@ -37,13 +54,14 @@ import numpy as np
 from . import quadrature as quad
 from .errors import DomainError, EvaluationError, InvalidWeightError
 from .geometry import Sector, as_complex, contains
-from .sets import RectUnionSet
+from .sets import PolarRect, RectUnionSet
 from .weights import Weight, _angular_panels
 
 __all__ = [
     "LpSpace", "SectorFunction", "NormResult",
     "indicator", "bump", "linear_combination", "custom_function",
-    "lp_norm", "translate_function", "orbit_norm", "indicator_orbit_norms",
+    "lp_norm", "translate_function", "orbit_norm", "orbit_norms",
+    "indicator_orbit_norms",
     "function_from_spec",
 ]
 
@@ -292,7 +310,7 @@ class NormResult:
 
 _PHI_NODES, _MIN_PHI_PANELS, _RHO_NODES = 20, 6, 12
 _CUSTOM_PHI = (12, 8)  # no breakpoints: the generic grid, 12 nodes on >= 8 panels
-_ROW_BLOCK = 256  # offset-piece pairs whose ray intervals are held at once
+_ROW_BLOCK = 256  # pieces (over all rows) whose ray intervals are held at once
 _PANEL_BLOCK = 1 << 15  # radial panels evaluated at once
 
 
@@ -371,15 +389,18 @@ def _phi_rule(space: LpSpace, reach, angles, flat, npts: int,
     alpha = space.sector.alpha
     n = np.maximum(n_min, _angular_panels(space.weight, 2.0 * alpha, reach))
     a = np.angle(np.exp(1j * angles))
-    # two angles closer than a quarter panel bracket a near-singular spot:
-    # grade the panels on either side towards them by factors of 4 (closer
-    # pairs, down to rounding duplicates, are too close to bridge)
+    # two angles closer than a quarter panel bracket a near-singular spot
+    # (a tangent ray next to a corner, say): grade the panels on either side
+    # towards them by factors of 4, as many as bridge the gap to a panel's
+    # width, at most 12 (closer pairs, down to rounding duplicates, are too
+    # close to bridge); 5 steps bridge every gap of 1/1024 panel or more
     a = np.where(np.abs(a) < alpha, a, alpha)
     ends = np.concatenate([np.full((len(a), 1), -alpha), np.sort(a, axis=1)], axis=1)
     gap = np.diff(ends, axis=1, append=alpha)[..., None]
     width = 2.0 * alpha / n[:, None, None]
-    step = gap * 4.0 ** np.arange(1, 6)
-    near = (gap > width / 1024) & (step < width)
+    bridge = (gap > width / 4.0 ** 12) & (gap < width / 4.0 ** 5)
+    step = gap * 4.0 ** np.arange(1, 13 if bridge.any() else 6)
+    near = (gap > width / 4.0 ** 12) & (step < width)
     graded = np.concatenate([np.where(near, ends[..., None] - step, alpha),
                              np.where(near, ends[..., None] + gap + step, alpha)], axis=1)
     graded = np.where(np.abs(graded) < alpha, graded, alpha).reshape(len(a), -1)
@@ -406,11 +427,13 @@ def _checked(space: LpSpace, vals: np.ndarray) -> np.ndarray:
 
 
 def _ray_integrate(space: LpSpace, lo, hi, phi, wphi,
-                   g: SectorFunction | None = None, scale=1.0) -> np.ndarray:
-    """Per row, the integral of |g|^p v (v alone when g is None) over the ray
-    intervals [lo, hi] (rows, n_phi, k).  v alone with a weight primitive
-    (the built-in families) is integrated in rho in closed form; otherwise
-    on panels split at multiples of 1/scale."""
+                   g: SectorFunction | None = None, scale=1.0, shift=None) -> np.ndarray:
+    """Per row, the integral of |g(s + shift)|^p v(s) (v alone when g is
+    None) over the ray intervals [lo, hi] (rows, n_phi, k), shift (rows,)
+    the row's step (None: 0).  v alone with a weight primitive (the
+    built-in families) is integrated in rho in closed form; otherwise on
+    panels split at multiples of 1/scale.  Either way an overflow gives
+    inf with no warning, which `_checked` refuses."""
     rows, n_phi, k = lo.shape
     live = (hi > lo) & (wphi[..., None] > 0)
     if g is None and space.weight.primitive is not None:
@@ -435,35 +458,76 @@ def _ray_integrate(space: LpSpace, lo, hi, phi, wphi,
         width = np.minimum(hi[ids], (j + 1.0) / scale[ids]) - start
         rho = start[:, None] + width[:, None] * x
         z = rho * phase[ids // k, None]
-        vals = _checked(space, space.weight.eval(z))
-        if g is not None:
-            vals = vals * np.abs(g.evaluate(z)) ** space.p
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _checked(space, space.weight.eval(z))
+            if g is not None:
+                if shift is not None:
+                    z = z + shift[ids // (k * n_phi), None]
+                vals = vals * np.abs(g.evaluate(z)) ** space.p
         ray += np.bincount(ids // k, (vals * rho) @ w * width, minlength=len(ray))
     return np.sum(ray.reshape(rows, n_phi) * wphi, axis=1)
 
 
+def _edge_crossings(c, r, th) -> np.ndarray:
+    """Angles (rows, k) where a span edge of one piece, the ray -tau + lam
+    e^{i th} (lam >= 0), meets a circle or a span edge of another piece:
+    there two interval ends of the combination swap.  c, r and th (rows,
+    2m) list the centres -tau, the radii and the span edges, two per piece
+    (nan edges for discs)."""
+    rows, n = c.shape
+    own = np.arange(n) // 2
+    e = np.exp(1j * th)
+    with np.errstate(invalid="ignore"):
+        # edge l meets circle k where lam^2 + 2 b lam + |c_l - c_k|^2 - r_k^2 = 0
+        dc = c[:, None, :] - c[:, :, None]  # (rows, circle k, edge l)
+        b = (dc * e[:, None, :].conj()).real
+        root = np.sqrt(b * b - np.abs(dc) ** 2 + r[:, :, None] ** 2)
+        lam = -b[..., None] + np.stack([-root, root], axis=-1)
+        other = (own[:, None] != own[None, :])[None, :, :, None]
+        circle = np.where(other & (lam >= 0), np.angle(c[:, None, :, None] + lam * e[:, None, :, None]),
+                          np.nan)
+        # edges i and j meet where c_i + lam_i e_i = c_j + lam_j e_j
+        i, j = np.triu_indices(n, 1)
+        i, j = i[own[i] != own[j]], j[own[i] != own[j]]
+        den = (e[:, i] * e[:, j].conj()).imag
+        dc = c[:, j] - c[:, i]
+        ok = np.abs(den) > 1e-12
+        den = np.where(ok, den, 1.0)
+        lam_i, lam_j = (dc * e[:, j].conj()).imag / den, (dc * e[:, i].conj()).imag / den
+        edge = np.where(ok & (lam_i >= 0) & (lam_j >= 0), np.angle(c[:, i] + lam_i * e[:, i]), np.nan)
+    return np.hstack([circle.reshape(rows, -1), edge])
+
+
 def _engine(space: LpSpace, tau, rc, R: float | None,
-            g: SectorFunction | None = None, caps=()) -> np.ndarray:
+            g: SectorFunction | None = None, caps=(), shift=None) -> np.ndarray:
     """Per row of tau (rows, m), the integral over {s in sector, |s| <= R}
-    of |g|^p v (of v alone when g is None: disjoint pieces) over the pieces
-    {s + tau[:, j] in rc[:, j]}, rc (rows or 1, m, 4) = [r_lo, r_hi, th_lo,
-    th_hi] with nan spans for discs, and the custom intervals [0, cap]."""
+    of |g(s + shift)|^p v(s) (of v alone when g is None: disjoint pieces)
+    over the pieces {s + tau[:, j] in rc[:, j]}, rc (rows or 1, m, 4) =
+    [r_lo, r_hi, th_lo, th_hi] with nan spans for discs, and the custom
+    intervals [0, cap]; shift (rows,) is the row's step (None: 0)."""
+    rows = len(tau)
     # custom functions alone have no pieces
-    angles, flat = _piece_angles(tau, rc, R) if rc.shape[1] else (np.zeros((1, 0), bool),) * 2
+    angles, flat = (_piece_angles(tau, rc, R) if rc.shape[1]
+                    else (np.zeros((rows, 0)), np.zeros((rows, 0), bool)))
     several = g is not None and g.kind == "linear-combination"
     # where terms overlap g may change sign, and |g|^p then has a kink
     # unless p is even; the kink is not known in closed form, so there the
     # radial panels are 16 times finer and the phi panels twice as many
     kinks = several and space.p % 2 != 0
     if several:  # corners of the lenses where two circles meet, centres -tau
-        c, r = np.repeat(-tau[0], 2), rc[0, :, :2].ravel()
-        i, j = np.triu_indices(len(c), 1)
-        d = np.abs(c[j] - c[i])
+        c = np.repeat(-tau, 2, axis=1)
+        r = np.broadcast_to(rc[..., :2], tau.shape + (2,)).reshape(rows, -1)
+        i, j = np.triu_indices(c.shape[1], 1)
+        d = np.abs(c[:, j] - c[:, i])
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = (r[i] ** 2 - r[j] ** 2 + d * d) / (2.0 * d)
-            y = np.sqrt(r[i] ** 2 - x * x)
-            a = np.angle(c[i] + np.stack([x - 1j * y, x + 1j * y]) * (c[j] - c[i]) / d).ravel()
-        angles, flat = np.hstack([angles, a[None]]), np.hstack([flat, np.ones((1, len(a)), bool)])
+            x = (r[:, i] ** 2 - r[:, j] ** 2 + d * d) / (2.0 * d)
+            y = np.sqrt(r[:, i] ** 2 - x * x)
+            a = np.angle(c[:, None, i] + np.stack([x - 1j * y, x + 1j * y], axis=1)
+                         * (c[:, j] - c[:, i])[:, None] / d[:, None]).reshape(rows, -1)
+        angles, flat = np.hstack([angles, a]), np.hstack([flat, np.ones(a.shape, bool)])
+        if np.isfinite(rc[..., 2]).any():
+            a = _edge_crossings(c, r, np.broadcast_to(rc[..., 2:], tau.shape + (2,)).reshape(rows, -1))
+            angles, flat = np.hstack([angles, a]), np.hstack([flat, np.zeros(a.shape, bool)])
     reach = np.max(rc[..., 1] + np.abs(tau), axis=1, initial=max(caps, default=0.0))
     phi, wphi = _phi_rule(space, reach if R is None else np.minimum(reach, R), angles, flat,
                           *((_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks)) if angles.size else _CUSTOM_PHI))
@@ -477,11 +541,46 @@ def _engine(space: LpSpace, tau, rc, R: float | None,
         cover = np.sum((lo[..., None, :] < mid) & (mid < hi[..., None, :]), axis=-1)
         lo, hi = np.where(cover > 0, cut[..., :-1], 0.0), np.where(cover > 0, cut[..., 1:], 0.0)
         scale = np.where((cover > 1) & kinks, 16.0, 1.0)
-    return _ray_integrate(space, lo, hi, phi, wphi, g, scale)
+    return _ray_integrate(space, lo, hi, phi, wphi, g, scale, shift)
+
+
+def _rows(space: LpSpace, tau, rc, R: float | None,
+          g: SectorFunction | None = None, caps=(), shift=None) -> np.ndarray:
+    """`_engine` over the rows of tau (rows, m), in blocks of at most
+    _ROW_BLOCK pieces (of their squares when they are cut against each
+    other)."""
+    m = tau.shape[1] + len(caps)
+    block = max(1, _ROW_BLOCK // (m if g is None else m * m))
+    if len(tau) <= block:
+        return _engine(space, tau, rc, R, g, caps, shift)
+    return np.concatenate([
+        _engine(space, tau[i:i + block], rc[i:i + block] if len(rc) > 1 else rc, R, g, caps,
+                None if shift is None else shift[i:i + block])
+        for i in range(0, len(tau), block)])
+
+
+def _misses(sector: Sector, tau, r_hi) -> np.ndarray:
+    """Where the disc |s + tau| <= r_hi misses the sector: the distance from
+    -tau to the sector, |tau| sin(beta) with beta the angle from arg(-tau)
+    to the nearer edge (|tau| itself once beta >= pi/2), exceeds r_hi."""
+    beta = np.arctan2(np.abs(tau.imag), -tau.real) - sector.alpha
+    return np.abs(tau) * np.sin(np.minimum(np.maximum(beta, 0.0), np.pi / 2)) > r_hi
+
+
+def _live_rows(space: LpSpace, tau, rc, R: float | None,
+               g: SectorFunction | None = None, caps=(), shift=None) -> np.ndarray:
+    """`_rows`, skipping every row whose pieces all miss the sector and
+    that has no custom interval: it is exactly zero."""
+    total = np.zeros(len(tau))
+    live = ~_misses(space.sector, tau, rc[..., 1]).all(axis=1) | bool(caps)
+    if live.any():
+        total[live] = _rows(space, tau[live], rc[live] if len(rc) > 1 else rc, R, g, caps,
+                            None if shift is None else shift[live])
+    return total
 
 
 def _pieces(g: SectorFunction, alpha: float, R: float | None):
-    """tau (1, m), rc (m, 4) and custom caps of the terms of g."""
+    """tau (1, m), rc (1, m, 4) and custom caps of the terms of g."""
     tau, rc, caps = [], [], []
     for _, f in (g.base.terms if g.kind == "linear-combination" else [(1.0, g)]):
         if f.kind == "indicator":
@@ -495,16 +594,64 @@ def _pieces(g: SectorFunction, alpha: float, R: float | None):
     return np.array(tau, dtype=complex)[None], np.array(rc).reshape(1, -1, 4), caps
 
 
-def _indicator_integrals(space: LpSpace, g: SectorFunction, ts: np.ndarray,
-                         R: float | None) -> np.ndarray:
-    """Per step t, the integral of v over {s : s + t in the rectangles of g};
-    one row per (step, rectangle), each with its own phi panels."""
-    tau, rc, _ = _pieces(g, space.sector.alpha, R)
-    tau = (ts[:, None] + tau).reshape(-1, 1)
-    rc = np.tile(rc[0], (len(ts), 1))[:, None]
-    total = np.concatenate([np.zeros(0)] + [_engine(space, tau[i:i + _ROW_BLOCK], rc[i:i + _ROW_BLOCK], R)
-                                            for i in range(0, len(tau), _ROW_BLOCK)])
-    return total.reshape(len(ts), -1).sum(axis=1)
+def _level_pieces(g: SectorFunction, p: float):
+    """An indicator, or a combination of indicators at one offset, as that
+    offset, disjoint rectangles rc (m, 4), the weights (|level| / amp)^p of
+    |g|^p on them and amp, the largest |level|; None for other functions.
+
+    A combination is cut, by an angular and then a radial sweep as in
+    `sets._normalize_rects`, into cells where it is constant, and the
+    cells of one |level| are normalised into one rect union, so the pieces
+    of 1_A - 1_B are the rectangles of the symmetric difference of A and B.
+    """
+    if g.kind == "indicator":
+        rects, w, amp = g.base.rects.rects, np.ones(len(g.base.rects.rects)), abs(g.base.amplitude)
+    elif g.kind != "linear-combination" or any(
+            f.kind != "indicator" or f.offset != g.base.terms[0][1].offset for _, f in g.base.terms):
+        return None
+    else:
+        parts = [(c * f.base.amplitude, t) for c, f in g.base.terms for t in f.base.rects.rects]
+        edges = sorted({t.th_lo for _, t in parts} | {t.th_hi for _, t in parts})
+        cells: dict[float, list[PolarRect]] = {}
+        for a, b in zip(edges[:-1], edges[1:]):
+            strip = [(c, t) for c, t in parts if t.th_lo <= a and t.th_hi >= b]
+            radii = sorted({t.r_lo for _, t in strip} | {t.r_hi for _, t in strip})
+            for lo, hi in zip(radii[:-1], radii[1:]):
+                level = sum(c for c, t in strip if t.r_lo <= lo and t.r_hi >= hi)
+                if level != 0.0:
+                    cells.setdefault(abs(level), []).append(PolarRect(lo, hi, a, b))
+        levels = {level: RectUnionSet(rects).rects for level, rects in cells.items()}
+        amp = max(levels, default=0.0)
+        order = sorted(levels, reverse=True)
+        rects = [t for level in order for t in levels[level]]
+        w = np.array([(level / amp) ** p for level in order for _ in levels[level]])
+    rc = np.array([[t.r_lo, t.r_hi, t.th_lo, t.th_hi] for t in rects]).reshape(-1, 4)
+    offset = g.offset if g.kind == "indicator" else g.base.terms[0][1].offset
+    return offset, rc, w, amp
+
+
+def _steps(sector: Sector, ts) -> np.ndarray:
+    taus = np.array([as_complex(t) for t in np.atleast_1d(ts)], dtype=complex)
+    outside = ~sector.membership_mask(taus)
+    if np.any(outside):
+        raise DomainError(f"translation step {taus[outside][0]} lies outside the sector")
+    return taus
+
+
+def _norms(space: LpSpace, g: SectorFunction, ts: np.ndarray, R: float | None,
+           rows=_rows) -> np.ndarray:
+    """||T_t g|| truncated at R for every step t of ts, g simplified,
+    nonzero and bounded by its support or R; rows runs the engine."""
+    levels = _level_pieces(g, space.p)
+    if levels is not None:  # disjoint pieces: the weight alone, one row per (step, piece)
+        offset, rc, w, amp = levels
+        tau = np.repeat(ts + offset, len(rc))[:, None]
+        total = rows(space, tau, np.tile(rc, (len(ts), 1))[:, None], R)
+        total = (total.reshape(len(ts), -1) * w).sum(axis=1)
+        return amp * np.maximum(total, 0.0) ** (1.0 / space.p)
+    tau, rc, caps = _pieces(g, space.sector.alpha, R)
+    total = rows(space, ts[:, None] + tau, rc, R, g, caps, ts if ts.any() else None)
+    return np.maximum(total, 0.0) ** (1.0 / space.p)
 
 
 def lp_norm(space: LpSpace, f: SectorFunction, R: float | None = None) -> NormResult:
@@ -519,31 +666,35 @@ def lp_norm(space: LpSpace, f: SectorFunction, R: float | None = None) -> NormRe
     if R is None and sup is None:
         raise DomainError("function has unbounded support; a truncation radius is required")
     tail = 0.0 if sup is not None and (R is None or sup <= R) else None
-    r_eff = float(min(x for x in (R, sup) if x is not None))
-    if g.kind == "indicator":  # disjoint pieces: the weight alone, times |a|^p
-        total = abs(g.base.amplitude) ** space.p * _indicator_integrals(space, g, np.zeros(1), R)[0]
-    else:
-        tau, rc, caps = _pieces(g, space.sector.alpha, R)
-        total = _engine(space, tau, rc, R, g, caps)[0]
-    value = max(float(total), 0.0) ** (1.0 / space.p)
-    return NormResult(value=value, tail=tail, R=r_eff)
+    value = float(_norms(space, g, np.zeros(1), R)[0])
+    return NormResult(value=value, tail=tail, R=float(min(x for x in (R, sup) if x is not None)))
+
+
+def orbit_norms(space: LpSpace, f: SectorFunction, ts, R: float | None = None) -> np.ndarray:
+    """``||T_t f||`` for a batch of steps t, truncated at R, f of any kind.
+
+    The engine of `lp_norm` with the steps as rows, so each entry equals
+    ``orbit_norm(space, f, t, R)`` up to rounding; rows that miss the
+    sector are skipped and read exactly 0.  A step outside the sector
+    raises `DomainError`, as `orbit_norm` does.
+    """
+    taus = _steps(space.sector, ts)
+    if R is not None and R <= 0:
+        raise DomainError(f"truncation radius must be > 0, got {R}")
+    g = f.simplified()
+    if g.is_zero:
+        return np.zeros(len(taus))
+    if R is None and g.support_radius(space.sector.alpha) is None:
+        raise DomainError("function has unbounded support; a truncation radius is required")
+    return _norms(space, g, taus, R, _live_rows)
 
 
 def indicator_orbit_norms(space: LpSpace, f: SectorFunction, ts,
                           R: float | None = None) -> np.ndarray:
-    """``||T_t f||`` for a batch of steps t, f an indicator function.
-
-    The engine of `lp_norm`, vectorised over the steps, so each entry
-    equals ``orbit_norm(space, f, t, R)`` up to rounding.
-    """
-    g = f.simplified()
-    if g.is_zero:
-        return np.zeros(len(np.atleast_1d(ts)))
-    if g.kind != "indicator":
+    """`orbit_norms` of an indicator function."""
+    if f.simplified().kind != "indicator":
         raise DomainError("batch orbit norms require an indicator function")
-    taus = np.asarray([as_complex(t) for t in np.atleast_1d(ts)])
-    total = _indicator_integrals(space, g, taus, R)
-    return abs(g.base.amplitude) * np.maximum(total, 0.0) ** (1.0 / space.p)
+    return orbit_norms(space, f, ts, R)
 
 
 def orbit_norm(space: LpSpace, f: SectorFunction, t, R: float | None = None) -> float:

@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from sectorlab import (DomainError, IndexSet, LpSpace, OrbitResolution,
-                       RectUnionSet, annuli_union, build_witness,
-                       bump, custom_function, density_estimates, exp_decay,
-                       indicator, level_density, linear_combination, lp_norm,
-                       orbit_profile, pair_diagnostic, translate_function,
-                       unboundedness_diagnostic, vertical_exp)
+                       PolarRect, RectUnionSet, Sector, annuli_union,
+                       build_witness, bump, custom_function, density_estimates,
+                       exp_decay, indicator, level_density, linear_combination,
+                       lp_norm, orbit_norm, orbit_profile, pair_diagnostic,
+                       poly_decay, translate_function, unboundedness_diagnostic,
+                       vertical_exp)
 
-FAST = OrbitResolution(n_r=64, n_theta=24, mesh_per_unit=6.0, mesh_n_theta=32)
+FAST = OrbitResolution(n_r=64, n_theta=24)
 
 
 @pytest.fixture
@@ -45,11 +48,60 @@ class TestOrbitProfile:
 
     def test_csv_export_shape(self, exp_space, sector):
         grid = orbit_profile(exp_space, indicator(annuli_union([0], sector)),
-                             5.0, OrbitResolution(n_r=4, n_theta=3,
-                                                  mesh_per_unit=6.0, mesh_n_theta=16))
+                             5.0, OrbitResolution(n_r=4, n_theta=3))
         lines = grid.to_csv().splitlines()
         assert lines[0] == "t_r,t_theta,norm"
         assert len(lines) == 1 + 4 * 3
+
+
+def _grid_kinds(sector):
+    a = indicator(annuli_union([0, 2], sector))
+    b = indicator(RectUnionSet([PolarRect(1.0, 2.5, -sector.alpha / 2, sector.alpha / 3)]))
+    cap = bump(1.5 * np.exp(0.1j), 0.7)
+    return {"indicator": a,
+            "indicator-difference": linear_combination([(1.0, a), (-1.0, b)]),
+            "bump": cap,
+            "indicator-minus-bump": linear_combination([(1.0, a), (-1.0, cap)])}
+
+
+class TestGridFromEngine:
+    """Every node of an orbit grid is the engine's norm of that translate."""
+
+    @pytest.mark.parametrize("alpha", [0.3, math.pi / 4, 1.4])
+    @pytest.mark.parametrize("kind", ["indicator", "indicator-difference", "bump",
+                                      "indicator-minus-bump"])
+    def test_nodes_equal_orbit_norm(self, alpha, kind):
+        sector = Sector(alpha)
+        space = LpSpace(poly_decay(), 3.0, sector)
+        f = _grid_kinds(sector)[kind]
+        grid = orbit_profile(space, f, 6.0, OrbitResolution(n_r=5, n_theta=4))
+        nodes = grid.radii[:, None] * np.exp(1j * grid.thetas[None, :])
+        singles = np.array([[orbit_norm(space, f, t) for t in row] for row in nodes])
+        assert np.any(singles > 0)
+        assert np.allclose(grid.norms, singles, rtol=1e-12, atol=0.0)
+
+    def test_far_nodes_are_exactly_zero(self, sector):
+        # beyond |t| = reach the support of the translate misses the sector
+        space = LpSpace(vertical_exp(), 2.0, sector)
+        for f, reach in ((indicator(annuli_union([0, 1], sector)), 2.0),
+                         (bump(1.0 + 0.5j, 0.5), abs(1.0 + 0.5j) + 0.5)):
+            grid = orbit_profile(space, f, 20.0, OrbitResolution(n_r=24, n_theta=6))
+            far = grid.radii > reach * (1 + 1e-9)
+            assert far.any() and grid.norms[~far].max() > 0.0
+            assert np.all(grid.norms[far] == 0.0)
+
+    def test_unbounded_custom_function_raises(self, exp_space):
+        f = custom_function(lambda z: np.exp(-np.abs(z)))
+        with pytest.raises(DomainError):
+            orbit_profile(exp_space, f, 5.0, OrbitResolution(n_r=4, n_theta=3))
+
+    def test_custom_function_uses_the_generic_grid(self, exp_space):
+        f = custom_function(lambda z: np.maximum(0.0, 1.0 - np.abs(z - 2.0)) ** 2,
+                            support_radius=3.0)
+        grid = orbit_profile(exp_space, f, 4.0, OrbitResolution(n_r=3, n_theta=2))
+        nodes = grid.radii[:, None] * np.exp(1j * grid.thetas[None, :])
+        singles = np.array([[orbit_norm(exp_space, f, t) for t in row] for row in nodes])
+        assert np.allclose(grid.norms, singles, rtol=1e-12, atol=0.0)
 
 
 class TestLevelDensity:
@@ -99,8 +151,7 @@ class TestLevelDensity:
         # on (at least) half the sector in the tail
         f = indicator(annuli_union([0], sector))
         grid = orbit_profile(vert_space, f, 60.0,
-                             OrbitResolution(n_r=96, n_theta=32,
-                                             mesh_per_unit=8.0, mesh_n_theta=32))
+                             OrbitResolution(n_r=96, n_theta=32))
         sched = np.geomspace(5.0, 60.0, 8)
         sub = level_density(grid, 0.1, "sub", sched)
         est = density_estimates(sub.profile, 4)
@@ -139,8 +190,7 @@ class TestPairDiagnostic:
         x = indicator(annuli_union([0], sector))
         y = bump(0.5 + 0j, 0.3)
         diag = pair_diagnostic(vert_space, x, y, 0.1, 0.1, 40.0,
-                               OrbitResolution(n_r=80, n_theta=24,
-                                               mesh_per_unit=8.0, mesh_n_theta=32))
+                               OrbitResolution(n_r=80, n_theta=24))
         assert diag.prox_upper >= 0.5 - 0.05
 
     def test_threshold_validation(self, exp_space, sector):
@@ -185,8 +235,7 @@ class TestSeparationTranslationInvariance:
         pkg = build_witness(exp_decay(), IndexSet.all_naturals(), 2.0, sector,
                             k_cap=40)
         sched = np.geomspace(4.0, 25.0, 8)
-        res = OrbitResolution(n_r=72, n_theta=24, mesh_per_unit=6.0,
-                              mesh_n_theta=32)
+        res = OrbitResolution(n_r=72, n_theta=24)
         base = orbit_profile(exp_space, pkg.f, 25.0, res)
         shifted_fn = translate_function(pkg.f, sector.from_complex(1.5 + 0.5j),
                                         sector)

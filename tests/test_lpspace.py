@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from sectorlab import (ConfigError, DomainError, EvaluationError, IndexSet,
-                       InvalidWeightError, LpSpace, RectUnionSet, Sector,
-                       annuli_union, bump, custom_function, custom_weight,
-                       dc_sufficient_series, exp_decay, function_from_spec,
-                       indicator, indicator_orbit_norms, linear_combination,
-                       lp_norm, orbit_norm, translate_function, vertical_exp)
+                       InvalidWeightError, LpSpace, PolarRect, RectUnionSet,
+                       Sector, annuli_union, bump, custom_function,
+                       custom_weight, dc_sufficient_series, exp_decay,
+                       function_from_spec, indicator, indicator_orbit_norms,
+                       linear_combination, lp_norm, orbit_norm, orbit_norms,
+                       poly_decay, translate_function, vertical_exp)
 from sectorlab.lpspace import _cone_factor
 
 from conftest import ALPHA, random_small_rects
@@ -223,6 +224,55 @@ class TestCombinations:
         batch = indicator_orbit_norms(space, f, ts)
         singles = np.array([orbit_norm(space, f, sector.from_complex(t)) for t in ts])
         assert np.allclose(batch, singles, rtol=1e-12, atol=0.0)
+        # every other kind, through orbit_norms
+        space = LpSpace(poly_decay(), 3.0, sector)
+        a = indicator(annuli_union([0, 2], sector))
+        kinds = [bump(1 + 0.3j, 0.6),
+                 linear_combination([(1.0, a), (-0.5, bump(1 + 0.3j, 0.6))]),
+                 # indicators at two offsets: constant levels, no level pieces
+                 linear_combination([(1.0, a), (-1.0, translate_function(a, 0.5, sector))])]
+        ts = np.r_[0.0, ts]
+        for f in kinds:
+            singles = np.array([orbit_norm(space, f, t) for t in ts])
+            assert np.allclose(orbit_norms(space, f, ts), singles, rtol=1e-12, atol=0.0)
+
+    def test_batch_rejects_steps_outside_the_sector(self, sector):
+        space = exp_space(2.0)
+        f = indicator(annuli_union([1, 2], sector))
+        for batch in (indicator_orbit_norms, orbit_norms):
+            with pytest.raises(DomainError):
+                batch(space, f, [1.0, -3.0])
+        with pytest.raises(DomainError):
+            orbit_norm(space, f, -3.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_unit_difference_is_the_symmetric_difference(self, p):
+        # 1_A - 1_B is cut into level pieces: those of A xor B, exactly
+        alpha = 0.6
+        sector = Sector(alpha)
+        space = LpSpace(exp_decay(), p, sector)
+        A = RectUnionSet([PolarRect(0.0, 2.0, -alpha, alpha)])
+        B = RectUnionSet([PolarRect(1.0, 3.0, -alpha / 2, alpha / 2)])
+        xor = indicator(RectUnionSet([
+            PolarRect(0.0, 1.0, -alpha, alpha), PolarRect(1.0, 2.0, -alpha, -alpha / 2),
+            PolarRect(1.0, 2.0, alpha / 2, alpha), PolarRect(2.0, 3.0, -alpha / 2, alpha / 2)]))
+        ts = [0.0, 0.7 * np.exp(0.3j), 2.5 * np.exp(-0.5j)]
+        expected = orbit_norms(space, xor, ts)
+        for pair in ((indicator(A), indicator(B)), (indicator(B), indicator(A))):
+            diff = linear_combination([(1.0, pair[0]), (-1.0, pair[1])])
+            assert lp_norm(space, diff).value == lp_norm(space, xor).value
+            assert np.array_equal(orbit_norms(space, diff, ts), expected)
+
+    def test_level_pieces_carry_their_levels(self, sector):
+        # 2 * 1_A - 1_B takes the values 2, 1 and -1: against the
+        # indicators of the three level sets
+        space = exp_space(3.0)
+        A, B = annuli_union([0, 1], sector), annuli_union([1, 2], sector)
+        f = linear_combination([(2.0, indicator(A)), (-1.0, indicator(B))])
+        parts = [lp_norm(space, indicator(annuli_union([k], sector))).value ** 3
+                 for k in range(3)]
+        assert lp_norm(space, f).value ** 3 == pytest.approx(
+            8 * parts[0] + parts[1] + parts[2], rel=1e-13)
 
     @given(st.floats(0.1, 2.0), st.floats(-0.6, 0.6))
     @settings(max_examples=30, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from sectorlab import (Certificate, ConfigError, DomainError,
                        InvalidWeightError, LpSpace, MissingCertificateError,
                        PairSampling, PolarRect, Sector, admissibility_check,
-                       annuli_union, compact_lower_bound, constant_weight, custom_weight,
+                       annuli_union, bump, compact_lower_bound, constant_weight, custom_weight,
                        exp_decay, grid_minimum, indicator, lp_norm, poly_decay,
                        vertical_exp, weight_from_spec, weight_integral,
                        weight_rect_integral, weight_to_spec)
@@ -196,8 +196,9 @@ class TestRayPrimitive:
     def test_overflow_raises_without_a_warning(self):
         sector = Sector(math.pi / 4)
         space = LpSpace(vertical_exp(), 2.0, sector)
-        f = indicator(annuli_union([600], sector))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidWeightError):
-                lp_norm(space, f)
+        # the primitive path (an indicator) and the panel path (a bump)
+        for f in (indicator(annuli_union([600], sector)), bump(420 + 410j, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidWeightError):
+                    lp_norm(space, f)
