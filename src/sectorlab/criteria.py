@@ -35,10 +35,10 @@ from .errors import ConfigError, DomainError, WitnessInvalidError
 from .geometry import Sector, as_complex, contains
 from .lpspace import (LpSpace, SectorFunction, function_from_spec, indicator,
                       indicator_orbit_norms)
-from .sets import PolarRect, annuli_union
+from .sets import annuli_union
 from .weights import (Weight, admissibility_check, compact_lower_bound,
-                      grid_minimum, trend_verdict, weight_from_spec,
-                      weight_rect_integral)
+                      full_annuli, grid_minimum, trend_verdict, weight_from_spec,
+                      weight_rect_integrals)
 
 __all__ = [
     "IndexSet", "SeriesReport", "WitnessPackage", "WitnessVerification",
@@ -216,21 +216,17 @@ def dc_sufficient_series(v: Weight, K: IndexSet, k_max: int,
                          sector: Sector) -> SeriesReport:
     """Annulus series of the weight over K, up to index k_max.
 
-    term_k is the integral of v over the annulus {k <= |t| <= k+1}
-    (`weight_rect_integral`, closed-form in the radius for the built-in
-    weights).  The norm engine computes the p-th power of the norm of the
-    K-annuli indicator along rays instead; for the built-in weights it
-    matches the partial sum to 3e-15 relative (K in {all, evens,
-    nonsquares}, alpha in {0.3, pi/4, 1.4}).
+    term_k is the integral of v over the annulus {k <= |t| <= k+1}, all
+    terms in one batch of `weight_rect_integrals`: closed-form for the
+    radial built-in weights, one call of the ray engine otherwise.  The
+    p-th power of the norm of the K-annuli indicator is the same
+    integral; criterion 8 checks the two agree (for a weight that is not
+    radial, that is the engine against itself).
     """
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
     ks = K.members_up_to(k_max)
-    terms = np.array([
-        weight_rect_integral(
-            v, PolarRect(float(k), float(k) + 1.0, -sector.alpha, sector.alpha), sector)
-        for k in ks
-    ])
+    terms = weight_rect_integrals(v, full_annuli(ks, ks + 1.0, sector), sector)
     partial = np.cumsum(terms)
     if K.kind == "finite":
         # a finite index set has a finite sum: no trend heuristics needed

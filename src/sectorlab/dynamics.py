@@ -4,10 +4,10 @@ Everything here samples: orbit norms ``||T_t f||`` on a polar node grid
 over a truncated sector, level sets of that field as oracle sets, and
 density profiles of those level sets.  The node norms themselves are
 not sampled: each is the full norm of its translate from the s-polar
-ray engine of `lpspace` (`orbit_norms`, all nodes in one batch).  None
-of it can certify a limit statement — every summary is labelled
-"consistent with" or "inconsistent with" the property on the sampled
-horizon, and callers must treat the verdicts as heuristics.
+ray engine of `quadrature` (`lpspace.orbit_norms`, all nodes in one
+batch).  None of it can certify a limit statement — every summary is
+labelled "consistent with" or "inconsistent with" the property on the
+sampled horizon, and callers must treat the verdicts as heuristics.
 """
 
 from __future__ import annotations

@@ -27,7 +27,9 @@ one more boundary, so |f|^p has no kink inside an oracle panel.
 
 The ray primitives of the built-in weights (the rho-integral of
 v(rho e^{i phi}) rho in closed form) are checked apart, against scipy
-``quad`` along single rays.
+``quad`` along single rays, and so are the integrals of the weight alone
+over polar rectangles (series terms, sector integrals), against scipy
+``dblquad`` in (theta, rho).
 """
 
 import cmath
@@ -37,10 +39,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sectorlab import (LpSpace, PolarRect, RectUnionSet, Sector, bump,
-                       constant_weight, custom_function, exp_decay, indicator,
+from sectorlab import (IndexSet, LpSpace, PolarRect, RectUnionSet, Sector, bump,
+                       constant_weight, custom_function, custom_weight,
+                       dc_sufficient_series, exp_decay, indicator,
                        linear_combination, orbit_norm, poly_decay,
-                       translate_function, vertical_exp)
+                       translate_function, vertical_exp, weight_integral,
+                       weight_rect_integral)
 
 ALPHAS = (0.3, math.pi / 4, 1.4)
 FAMILIES = ("exp_decay", "poly_decay", "vertical_exp", "constant")
@@ -446,3 +450,49 @@ def test_primitive_matches_quad_along_rays(family):
                                  epsabs=0.0, epsrel=1e-13, limit=200)[0]
             got = float(primitive(phi, lo, hi))
             assert got == pytest.approx(ref, rel=PRIMITIVE_RTOL, abs=0.0), (phi, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# weight integrals over polar rectangles
+
+# a weight smooth in polar coordinates that is neither radial nor built in
+RECT_WEIGHTS = dict(
+    WEIGHTS,
+    custom=(lambda: custom_weight(lambda z: np.exp(-0.5 * np.abs(z)) * (1.5 + np.cos(np.angle(z)))),
+            lambda z: math.exp(-0.5 * abs(z)) * (1.5 + math.cos(cmath.phase(z)))))
+
+
+def _rects(alpha):
+    """Full annuli k <= |t| <= k + 1 and rectangles of part of the span."""
+    return ([(k, k + 1.0, -alpha, alpha) for k in (0, 3, 17)]
+            + [(2.3, 4.1, -0.4 * alpha, 0.9 * alpha), (0.0, 0.6, 0.1 * alpha, 0.5 * alpha),
+               (8.5, 9.0, -alpha, -0.2 * alpha)])
+
+
+@pytest.mark.parametrize("family", tuple(RECT_WEIGHTS))
+def test_rect_integral_matches_dblquad(family):
+    make, v = RECT_WEIGHTS[family]
+    weight = make()
+    for alpha in ALPHAS:
+        for r_lo, r_hi, th_lo, th_hi in _rects(alpha):
+            ref = integrate.dblquad(lambda rho, th: v(rho * cmath.exp(1j * th)) * rho,
+                                    th_lo, th_hi, r_lo, r_hi, epsabs=0.0, epsrel=1e-13)[0]
+            got = weight_rect_integral(weight, PolarRect(r_lo, r_hi, th_lo, th_hi), Sector(alpha))
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (alpha, r_lo, r_hi, th_lo, th_hi)
+
+
+@pytest.mark.parametrize("family", tuple(RECT_WEIGHTS))
+def test_batched_terms_equal_single_rect_integrals(family):
+    weight = RECT_WEIGHTS[family][0]()
+    for alpha in ALPHAS:
+        sector = Sector(alpha)
+
+        def single(lo, hi):
+            return weight_rect_integral(weight, PolarRect(lo, hi, -alpha, alpha), sector)
+
+        series = dc_sufficient_series(weight, IndexSet.nonsquares(), 30, sector)
+        expect = [single(k, k + 1.0) for k in series.k_values]
+        np.testing.assert_allclose(series.terms, expect, rtol=1e-14, atol=0.0)
+        est = weight_integral(weight, 12.5, sector)
+        expect = sum(single(k, min(k + 1.0, 12.5)) for k in range(13))
+        assert est.value == pytest.approx(expect, rel=1e-14, abs=0.0)

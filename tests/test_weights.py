@@ -102,6 +102,34 @@ class TestWeightIntegral:
         with pytest.raises(DomainError):
             weight_integral(exp_decay(), 0.0, sector)
 
+    def test_unknown_tail_model_raises_on_every_verdict(self, sector):
+        # convergent at R > 1, R <= 1 (no tail fitted) and divergent
+        for v, R in ((exp_decay(), 60.0), (exp_decay(), 0.5), (vertical_exp(), 30.0)):
+            with pytest.raises(DomainError, match="tail model"):
+                weight_integral(v, R, sector, tail="bogus")
+
+
+class TestRectIntegralDomain:
+    WEIGHTS = (exp_decay, poly_decay, vertical_exp, constant_weight,
+               lambda: custom_weight(lambda z: np.exp(-np.abs(z)) * (2.0 + np.sin(z.imag))))
+
+    def test_span_outside_the_sector_raises_on_every_path(self):
+        # radial closed form, engine with a primitive, engine without one
+        sector = Sector(0.3)
+        for make in self.WEIGHTS:
+            for rect in (PolarRect(1.0, 2.0, -1.0, 0.5), PolarRect(1.0, 2.0, 0.0, 0.3 + 1e-9)):
+                with pytest.raises(DomainError, match="leaves the sector"):
+                    weight_rect_integral(make(), rect, sector)
+
+    def test_span_within_the_slack_is_accepted(self):
+        sector = Sector(0.3)
+        full = PolarRect(1.0, 2.0, -0.3, 0.3)
+        near = PolarRect(1.0, 2.0, -0.3 - 1e-13, 0.3 + 1e-13)
+        for make in self.WEIGHTS:
+            v = make()
+            assert weight_rect_integral(v, near, sector) == pytest.approx(
+                weight_rect_integral(v, full, sector), rel=1e-11)
+
 
 class TestCompactLowerBound:
     def test_exp_decay_analytic_equals_grid(self, sector):
