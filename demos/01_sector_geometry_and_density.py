@@ -36,20 +36,16 @@ print(f"\neven annuli: tail upper={est.upper:.4f}, lower={est.lower:.4f}, "
       f"trend={est.trend}")
 print("(the asymptotic density is 1/2; these are finite-horizon estimates)")
 
-# Translating a set does not move its upper density: the translate is a
-# membership oracle measured on a midpoint grid, error bounds included.
-# Unit-annulus structure wants cells well below one unit, hence the
-# explicit fine grid; the default 0.01*r cells would still estimate the
-# ratio well but report a uselessly conservative error bound.
-from sectorlab import GridConfig
-
+# Translating a set does not move its upper density.  The translate of a
+# rect union is measured exactly too: each rectangle becomes an annular
+# sector centred at -t0, cut against the truncation in closed form.
 t0 = 3.0 + 1.0j
 shifted = translate_set(A, t0, sector, "minus")
-prof_t = density_profile(shifted, radii, sector, GridConfig(n_r=800, n_theta=1024))
+prof_t = density_profile(shifted, radii, sector)
 est_t = density_estimates(prof_t, window=int((radii >= 100).sum()))
 print(f"\ntranslated by {t0}: upper={est_t.upper:.4f} "
       f"(gap {abs(est_t.upper - est.upper):.4f}), "
-      f"max grid error={prof_t.errors.max():.4f}")
+      f"max error={prof_t.errors.max():.4f}")
 
 # Lower-bound formula for annuli densities: the exact ratio at integer
 # horizon n dominates the squared counting ratio.

@@ -15,7 +15,8 @@ labelled as such.
 
 from .geometry import (Sector, SectorPoint, RadiusSchedule,
                        truncated_measure, contains, add_points)
-from .sets import (PolarRect, RectUnionSet, OracleSet, GridConfig, normalize,
+from .sets import (PolarRect, RectUnionSet, OracleSet, TranslatedRectUnion,
+                   GridConfig, normalize,
                    measure_in_truncation, measure_profile, translate_set,
                    annuli_union)
 from .density import (DensityProfile, DensityEstimate, density_profile,

@@ -14,6 +14,7 @@ every reduction in the library runs in a fixed order.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -112,6 +113,15 @@ def _parse_complex(text: str) -> complex:
     return complex(x, y)
 
 
+def _grid_config(spec) -> GridConfig:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"grid must be an object, got {spec!r}")
+    unknown = sorted(set(spec) - {f.name for f in dataclasses.fields(GridConfig)})
+    if unknown:
+        raise ConfigError(f"unknown grid key(s) {', '.join(unknown)}")
+    return GridConfig(**spec)
+
+
 def _emit(args, name: str, text: str) -> None:
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -157,7 +167,7 @@ def _cmd_density(args, cfg: dict) -> int:
     else:
         raise ConfigError("density needs --annuli or --set-json")
 
-    grid = GridConfig(**cfg.get("grid", {}))
+    grid = _grid_config(cfg.get("grid", {}))
     profile = density_profile(A, radii, sector, grid)
     est = density_estimates(profile, args.window)
     summary = {"upper": est.upper, "lower": est.lower,

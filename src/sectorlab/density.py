@@ -70,9 +70,10 @@ def density_profile(A, schedule, sector: Sector,
                     config: GridConfig | None = None) -> DensityProfile:
     """Ratio profile of A over a schedule (or explicit radii array).
 
-    Rect unions are exact per radius; oracle sets share one midpoint
-    grid for the whole profile (see `sets.measure_profile`).  Ratios of
-    a measure-zero set are zeros, not an error.
+    Rect unions and their translates are exact per radius (errors 0,
+    `config` unused); oracle sets share one midpoint grid, set by
+    `config`, for the whole profile (see `sets.measure_profile`).  Ratios
+    of a measure-zero set are zeros, not an error.
     """
     if isinstance(schedule, RadiusSchedule):
         radii = schedule.radii

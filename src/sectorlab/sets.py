@@ -2,24 +2,26 @@
 
 Two tiers of sets are supported, mirroring where exactness is possible:
 
-*   `RectUnionSet` — finite unions of polar rectangles
-    ``{r_lo <= |t| <= r_hi, th_lo <= arg t <= th_hi}``.  These are closed
-    under normalization to a disjoint canonical form, and every measure
-    computed on them (total, or clipped at a truncation radius) is a
-    closed form in the rectangle parameters.
-*   `OracleSet` — an arbitrary membership predicate, used for sets that
-    leave the rectangle algebra (translates of a rect union, level sets
-    of an orbit-norm field).  Their measure inside a truncation is a
-    deterministic midpoint-grid estimate with a reported error heuristic
-    proportional to boundary length times cell size; the error is never
-    hidden.
-
-Translation of a polar rectangle is not a polar rectangle, which is the
-whole reason for the second tier.
+*   Exact sets, measured in closed form with errors identically 0:
+    `RectUnionSet`, a finite union of polar rectangles
+    ``{r_lo <= |t| <= r_hi, th_lo <= arg t <= th_hi}`` normalized to a
+    disjoint canonical form, and `TranslatedRectUnion`, its translate
+    along the semigroup (what `translate_set` returns for a rect union).
+    A rectangle's measure inside a truncation is a closed form in its
+    parameters; a translated rectangle is an annular sector centred at
+    -t0 (or +t0), bounded by arcs and segments, and its measure inside a
+    truncation follows from Green's theorem with closed-form cuts.
+*   `OracleSet` — an arbitrary membership predicate, used for the sets
+    that leave this algebra: level sets of an orbit-norm field, and
+    translates of sets that are not rect unions.  Their measure inside a
+    truncation is a deterministic midpoint-grid estimate (`GridConfig`)
+    with a reported error heuristic proportional to boundary length times
+    cell size; the error is never hidden.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ from .errors import DomainError
 from .geometry import Sector, as_complex, contains
 
 __all__ = [
-    "PolarRect", "RectUnionSet", "OracleSet", "GridConfig",
+    "PolarRect", "RectUnionSet", "OracleSet", "TranslatedRectUnion", "GridConfig",
     "normalize", "measure_in_truncation", "measure_profile",
     "translate_set", "annuli_union",
 ]
@@ -115,10 +117,13 @@ class RectUnionSet:
     (r_lo, th_lo).  Membership is boundary-inclusive.
     """
 
-    __slots__ = ("rects", "_groups")
+    __slots__ = ("rects", "_groups", "_bounds")
 
     def __init__(self, rects: Iterable[PolarRect] = ()):
         self.rects: tuple[PolarRect, ...] = _normalize_rects(rects)
+        # (r_lo, r_hi, th_hi - th_lo) per rect, for the clipped measures
+        self._bounds = np.array([(t.r_lo, t.r_hi, t.th_hi - t.th_lo)
+                                 for t in self.rects]).reshape(-1, 3)
         # group radial intervals by identical angular span for fast lookup
         groups: dict[tuple[float, float], list[float]] = {}
         for t in self.rects:
@@ -157,7 +162,7 @@ class RectUnionSet:
 
     def clipped_measure(self, r: float) -> float:
         """Exact measure of the union intersected with {|t| < r}."""
-        return float(sum(t.clipped_measure(r) for t in self.rects))
+        return float(_rect_profile(self, np.array([float(r)]))[0])
 
     def support_radius(self) -> float:
         return max((t.r_hi for t in self.rects), default=0.0)
@@ -206,17 +211,29 @@ def normalize(u: RectUnionSet) -> RectUnionSet:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Midpoint-grid resolution for oracle-set measures.
+    """Midpoint-grid resolution for the measures of oracle sets.
 
+    Only `OracleSet`s (level sets of orbit grids, translates of sets that
+    are not rect unions) are measured on a grid; rect unions and their
+    translates are measured in closed form and ignore this config.
     Defaults follow cell sizes of about 0.01*r at truncation radius r:
     100 radial cells, angular step 0.01 rad (so the arc length of an
-    outer cell is about 0.01*r as well).  `extra_edges` lets callers pin
-    specific radii (e.g. schedule points) as exact cell boundaries.
+    outer cell is about 0.01*r as well).  `n_theta`, when given,
+    overrides the angular step.  A non-positive count or step raises
+    `DomainError`.
     """
 
     n_r: int = 100
     theta_step: float = 0.01
     n_theta: int | None = None
+
+    def __post_init__(self):
+        if not (_is_int(self.n_r) and self.n_r >= 1):
+            raise DomainError(f"grid n_r must be an integer >= 1, got {self.n_r!r}")
+        if self.n_theta is not None and not (_is_int(self.n_theta) and self.n_theta >= 1):
+            raise DomainError(f"grid n_theta must be an integer >= 1, got {self.n_theta!r}")
+        if not (_is_real(self.theta_step) and self.theta_step > 0):
+            raise DomainError(f"grid theta_step must be > 0, got {self.theta_step!r}")
 
     def resolve_n_theta(self, alpha: float) -> int:
         if self.n_theta is not None:
@@ -224,25 +241,237 @@ class GridConfig:
         return max(8, int(math.ceil(2 * alpha / self.theta_step)))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+@dataclass(frozen=True)
+class TranslatedRectUnion:
+    """Translate of a rect union along the semigroup, measured exactly.
+
+    direction="minus" is ``{s : s + t0 in base}``, direction="plus" is
+    ``{s : s - t0 in sector and in base}``.  Each rectangle of `base`
+    becomes an annular sector centred at -t0 (or +t0), so its part
+    inside a truncation is bounded by arcs and segments and
+    `measure_profile` measures it in closed form.
+    """
+
+    base: RectUnionSet
+    t0: complex
+    direction: str
+    sector: Sector
+
+    def member(self, z) -> np.ndarray:
+        return _translated_member(self.base, self.t0, self.direction, self.sector,
+                                  np.asarray(z, dtype=complex))
+
+
+def _translated_member(A, z0: complex, direction: str, sector: Sector, z) -> np.ndarray:
+    if direction == "minus":
+        return A.member(z + z0)
+    shifted = z - z0
+    return sector.membership_mask(shifted) & A.member(shifted)
+
+
+def _rect_profile(A: RectUnionSet, radii: np.ndarray) -> np.ndarray:
+    """Exact measures of ``A ∩ {|t| < r}`` for every r, one broadcast over
+    rects x radii.
+
+    Each term is `PolarRect.clipped_measure`; the terms are summed one by
+    one in the canonical order of the rects (a running sum, never
+    pairwise), so the floats do not depend on how many radii are asked.
+    """
+    if not A.rects:
+        return np.zeros_like(radii)
+    r_lo, r_hi, span = (col[:, None] for col in A._bounds.T)
+    hi = np.minimum(radii[None, :], r_hi)
+    terms = np.where(hi > r_lo, span * (hi ** 2 - r_lo ** 2) / 2.0, 0.0)
+    return np.cumsum(terms, axis=0)[-1]
+
+
+# -- exact measures of translated rect unions ------------------------------
+#
+# A rectangle P of the base (angles clipped to the sector) becomes the
+# annular sector Q = c + P, c = -t0 ("minus") or +t0 ("plus").  By Green's
+# theorem mu(Q ∩ S_r) = 1/2 ∮ (x dy - y dx) over the parts of ∂Q inside
+# S_r = {|s| <= r, |arg s| <= alpha} plus the part of ∂S_r inside Q.  The
+# pieces are arcs (c + R e^{iψ} contributes 1/2 (R²Δψ + R c_x Δsin ψ
+# - R c_y Δcos ψ)) and segments (p -> q contributes 1/2 Im(conj(p) q)).
+# The two edges of S_r lie on lines through 0 and contribute nothing, so a
+# rectangle edge collinear with them needs no rule either.  Each piece is
+# cut where it may cross the other region's boundary (circle-circle,
+# circle-line, line-line); a sub-piece counts when its midpoint lies in
+# the other region.  Spurious cuts (clipped roots of missed crossings)
+# only split a sub-piece into halves that classify alike.  A double root
+# within rounding of a tangency is snapped to the tangent point: its two
+# cuts would sit ~sqrt(eps) apart around a midpoint that rounding cannot
+# classify, while the lens the snap drops has an area of order eps^1.5.
+
+_PAIR_BLOCK = 8192  # (rectangle, radius) pairs per vectorised block
+_SNAP = 1e3 * np.finfo(float).eps  # rounding scale of a cosine, sine or discriminant
+
+
+def _unit_root(x, scale):
+    """x clipped to [-1, 1], and set to +-1 within `scale` * _SNAP of it."""
+    x = np.clip(x, -1.0, 1.0)
+    return np.where(np.abs(x) >= 1.0 - _SNAP * scale, np.sign(x), x)
+
+
+def _cut_sum(lo, hi, cuts, antiderivative, point, inside):
+    """Sum of antiderivative increments over the sub-intervals of [lo, hi]
+    (split at `cuts`) whose midpoints lie inside."""
+    t = np.sort(np.clip(np.stack(cuts, axis=1), lo[:, None], hi[:, None]), axis=1)
+    t = np.concatenate([lo[:, None], t, hi[:, None]], axis=1)
+    g = antiderivative(t)
+    keep = inside(point(0.5 * (t[:, 1:] + t[:, :-1])))
+    return np.where(keep, g[:, 1:] - g[:, :-1], 0.0).sum(axis=1)
+
+
+def _arc_circle_cuts(c, R, d, q):
+    """Angles ψ where c + R e^{iψ} meets the circle |s - d| = q."""
+    e = c - d
+    den = 2.0 * R * np.abs(e)
+    num = (q - R) * (q + R) - np.abs(e) ** 2
+    scale = np.divide(q * q + R * R + np.abs(e) ** 2, den, out=np.ones_like(num * den),
+                      where=den > 0)
+    cos = np.divide(num, den, out=np.ones_like(num * den), where=den > 0)
+    off = np.arccos(_unit_root(cos, scale))
+    return np.angle(e) - off, np.angle(e) + off
+
+
+def _arc_line_cuts(c, R, p, beta):
+    """Angles ψ where c + R e^{iψ} meets the line through p along e^{iβ}."""
+    w = -np.imag(np.exp(-1j * beta) * (c - p))
+    sin = np.divide(w, R, out=np.zeros_like(w * R), where=R > 0)
+    scale = np.divide(np.abs(c - p) + R, R, out=np.ones_like(w * R), where=R > 0)
+    s = np.arcsin(_unit_root(sin, scale))
+    return beta + s, beta + np.pi - s
+
+
+def _wrapped(angles, lo):
+    """Each angle moved into [lo, lo + 2π), so it falls in a window at lo."""
+    return [lo + np.mod(a - lo, 2.0 * np.pi) for a in angles]
+
+
+def _seg_cuts(p, u, r, alpha):
+    """τ where p + τu meets |s| = r or a line arg s = ±α through 0."""
+    b = np.real(np.conj(p) * u)
+    disc = b * b - np.abs(p) ** 2 + r * r
+    root = np.sqrt(np.where(disc > _SNAP * (np.abs(p) ** 2 + r * r), disc, 0.0))
+    cuts = [-b - root, -b + root]
+    for beta in (-alpha, alpha):
+        rot = np.exp(-1j * beta)
+        den = np.imag(rot * u)
+        num = -np.imag(rot * p) * np.ones_like(den)
+        cuts.append(np.divide(num, den, out=np.zeros_like(num), where=den != 0))
+    return cuts
+
+
+def _annular_sector_areas(c: complex, r_lo, r_hi, a1, a2, r, alpha: float):
+    """mu((c + P) ∩ S_r) for polar rectangles P = [r_lo, r_hi] x [a1, a2],
+    elementwise over the arrays (0 < a2 - a1 <= 2 alpha < π)."""
+    rot = np.exp(1j * alpha)
+
+    def in_truncation(s):
+        return ((np.abs(s) <= r[:, None]) & (np.imag(s * rot) >= 0)
+                & (np.imag(s / rot) <= 0))
+
+    def in_rect(s):
+        w = s - c
+        rho = np.abs(w)
+        return ((rho >= r_lo[:, None]) & (rho <= r_hi[:, None])
+                & (np.imag(w * np.exp(-1j * a1)[:, None]) >= 0)
+                & (np.imag(w * np.exp(-1j * a2)[:, None]) <= 0))
+
+    total = np.zeros_like(r)
+    for R, sign in ((r_hi, 1.0), (r_lo, -1.0)):  # outer arc ccw, inner cw
+        cuts = (_arc_circle_cuts(c, R, 0.0, r) + _arc_line_cuts(c, R, 0.0, -alpha)
+                + _arc_line_cuts(c, R, 0.0, alpha))
+        Rc = R[:, None]
+        total += sign * _cut_sum(
+            a1, a2, _wrapped(cuts, a1),
+            lambda psi: 0.5 * (Rc * Rc * psi + Rc * c.real * np.sin(psi)
+                               - Rc * c.imag * np.cos(psi)),
+            lambda psi: c + Rc * np.exp(1j * psi), in_truncation)
+    for a, sign in ((a1, 1.0), (a2, -1.0)):  # edge at a1 outwards, a2 inwards
+        u = np.exp(1j * a)
+        slope = (0.5 * np.imag(np.conj(c) * u))[:, None]
+        total += sign * _cut_sum(
+            r_lo, r_hi, _seg_cuts(c, u, r, alpha), lambda tau: slope * tau,
+            lambda tau: c + tau * u[:, None], in_truncation)
+    lo = np.full_like(r, -alpha)
+    cuts = (_arc_circle_cuts(0.0, r, c, r_lo) + _arc_circle_cuts(0.0, r, c, r_hi)
+            + _arc_line_cuts(0.0, r, c, a1) + _arc_line_cuts(0.0, r, c, a2))
+    rc = r[:, None]
+    total += _cut_sum(lo, -lo, _wrapped(cuts, lo), lambda psi: 0.5 * rc * rc * psi,
+                      lambda psi: rc * np.exp(1j * psi), in_rect)
+    return total
+
+
+def _blocked_areas(c, r_lo, r_hi, a1, a2, r, alpha):
+    return np.concatenate([np.zeros(0)] + [
+        _annular_sector_areas(c, r_lo[i:i + _PAIR_BLOCK], r_hi[i:i + _PAIR_BLOCK],
+                              a1[i:i + _PAIR_BLOCK], a2[i:i + _PAIR_BLOCK],
+                              r[i:i + _PAIR_BLOCK], alpha)
+        for i in range(0, len(r), _PAIR_BLOCK)])
+
+
+def _translated_profile(T: TranslatedRectUnion, radii: np.ndarray) -> np.ndarray:
+    """Exact ``mu(T ∩ Δ_r)`` for every r.
+
+    A rectangle whose translate lies inside |s| <= r (r_hi + |t0| <= r)
+    adds its in-wedge area, computed once and summed over radii by a
+    prefix sum; one that lies outside (r_lo - |t0| >= r) adds 0; only the
+    pairs in between take the r-dependent cut.
+    """
+    if T.t0 == 0:
+        return _rect_profile(T.base, radii)
+    alpha = T.sector.alpha
+    rects = np.array([(t.r_lo, t.r_hi, max(t.th_lo, -alpha), min(t.th_hi, alpha))
+                      for t in T.base.rects]).reshape(-1, 4)
+    rects = rects[rects[:, 2] < rects[:, 3]]
+    rects = rects[np.argsort(rects[:, 1], kind="stable")]
+    r_lo, r_hi, a1, a2 = rects.T
+    c = -T.t0 if T.direction == "minus" else T.t0
+    reach = abs(c)
+
+    full = _blocked_areas(c, r_lo, r_hi, a1, a2, r_hi + reach + 1.0, alpha)
+    n_full = np.searchsorted(r_hi + reach, radii, side="right")
+    vals = np.concatenate([[0.0], np.cumsum(full)])[n_full]
+
+    ir, ik = np.nonzero((r_lo[None, :] - reach < radii[:, None])
+                        & (radii[:, None] < r_hi[None, :] + reach))
+    cut = _blocked_areas(c, r_lo[ik], r_hi[ik], a1[ik], a2[ik], radii[ir], alpha)
+    return vals + np.bincount(ir, weights=cut, minlength=len(radii))
+
+
 def measure_profile(A, radii, sector: Sector, config: GridConfig | None = None,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Measures of ``A ∩ Δ_r`` for each r in `radii`, with error bounds.
 
-    Rect unions are measured in closed form (errors identically 0).
-    Oracle sets are classified once on a single midpoint polar grid
-    reaching max(radii), whose radial edges include every requested
-    radius; per-radius values are cumulative sums over whole bands, so
-    one classification serves the entire profile.  The reported error is
-    half the total area of cells whose membership differs from a
-    neighbour — a boundary-length-times-cell-size heuristic, not a
-    rigorous bound.
+    Rect unions and their translates (`TranslatedRectUnion`) are measured
+    in closed form, and their errors are identically 0; `config` is not
+    used for them.  Oracle sets are classified once on a single midpoint
+    polar grid reaching max(radii), whose radial edges include every
+    requested radius; per-radius values are cumulative sums over whole
+    bands, so one classification serves the entire profile.  The
+    reported error is half the total area of cells whose membership
+    differs from a neighbour — a boundary-length-times-cell-size
+    heuristic, not a rigorous bound.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
         raise DomainError("truncation radii must be > 0")
     if isinstance(A, RectUnionSet):
-        vals = np.array([A.clipped_measure(r) for r in radii])
-        return vals, np.zeros_like(vals)
+        return _rect_profile(A, radii), np.zeros_like(radii)
+    if isinstance(A, TranslatedRectUnion):
+        if A.sector != sector:
+            raise DomainError(f"set translated in {A.sector}, measured in {sector}")
+        return _translated_profile(A, radii), np.zeros_like(radii)
 
     config = config or GridConfig()
     r_max = float(radii.max())
@@ -274,31 +503,30 @@ def measure_profile(A, radii, sector: Sector, config: GridConfig | None = None,
 
 def measure_in_truncation(A, r: float, sector: Sector,
                           config: GridConfig | None = None) -> float:
-    """Measure of ``A ∩ Δ_r``; exact for rect unions, grid-estimated else."""
+    """Measure of ``A ∩ Δ_r``: exact for rect unions and their translates,
+    grid-estimated for oracle sets."""
     vals, _ = measure_profile(A, [r], sector, config)
     return float(vals[0])
 
 
-def translate_set(A, t0, sector: Sector, direction: str = "minus") -> OracleSet:
+def translate_set(A, t0, sector: Sector, direction: str = "minus"):
     """Translate a set along the semigroup: A-t0 = {s : s+t0 in A}.
 
     direction="minus" gives membership(s) = A.member(s + t0);
     direction="plus" gives membership(s) = (s - t0 in sector) and
-    A.member(s - t0).  The result leaves the rectangle algebra, hence an
-    OracleSet.
+    A.member(s - t0).  A rect union gives a `TranslatedRectUnion`,
+    measured exactly; any other set gives an `OracleSet` with that
+    membership, measured on a grid.
     """
     z0 = as_complex(t0)
     if not contains(sector, z0):
         raise DomainError(f"translation offset {z0} lies outside the sector")
-    if direction == "minus":
-        return OracleSet(lambda z: A.member(z + z0),
-                         f"({A!r}) - {z0}")
-    if direction == "plus":
-        def _member(z):
-            shifted = z - z0
-            return sector.membership_mask(shifted) & A.member(shifted)
-        return OracleSet(_member, f"({A!r}) + {z0}")
-    raise DomainError(f"direction must be 'minus' or 'plus', got {direction!r}")
+    if direction not in ("minus", "plus"):
+        raise DomainError(f"direction must be 'minus' or 'plus', got {direction!r}")
+    if isinstance(A, RectUnionSet):
+        return TranslatedRectUnion(A, z0, direction, sector)
+    return OracleSet(functools.partial(_translated_member, A, z0, direction, sector),
+                     f"({A!r}) {'-' if direction == 'minus' else '+'} {z0}")
 
 
 def annuli_union(K: Iterable[int], sector: Sector) -> RectUnionSet:

@@ -49,6 +49,31 @@ class TestDensityCommand:
         assert code == 2
         assert "config error" in err
 
+    def test_translated_profile_is_exact(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "density", "--annuli", "evens", "--horizon", "30",
+                             "--t0", "2,0.5", "--out", str(tmp_path))
+        assert code == 0
+        rows = (tmp_path / "density_profile_translated.csv").read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[2] == "0.0" for row in rows)
+
+    # an unknown key, a value GridConfig rejects, not an object
+    @pytest.mark.parametrize("grid", [{"n_rr": 5}, {"n_theta": -3}, [400, 512]])
+    def test_bad_grid_config_is_config_error(self, capsys, tmp_path, grid):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+        code, out, err = run_cli(capsys, "density", "--annuli", "evens", "--horizon", "20",
+                                 "--t0", "1,0", "--config", str(cfg))
+        assert code == 2
+        assert "config error" in err and "grid" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_good_grid_config_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n_r": 400, "n_theta": 512, "theta_step": 0.02}}))
+        code, _, _ = run_cli(capsys, "density", "--annuli", "evens", "--horizon", "20",
+                             "--t0", "1,0", "--config", str(cfg))
+        assert code == 0
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--annuli", "evens",
                                "--horizon", "30", "--format", "json")

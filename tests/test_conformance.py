@@ -30,6 +30,12 @@ v(rho e^{i phi}) rho in closed form) are checked apart, against scipy
 ``quad`` along single rays, and so are the integrals of the weight alone
 over polar rectangles (series terms, sector integrals), against scipy
 ``dblquad`` in (theta, rho).
+
+The exact measures of translated rect unions (Green's theorem in the
+library) are checked against an s-polar oracle that shares no formula
+with them: scipy ``quad`` in phi between the ray breaks of the translated
+circles, the edge lines and |s| = r, with the rho-intervals in closed
+form, at generic radii, tangencies and corners, in both directions.
 """
 
 import cmath
@@ -39,12 +45,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sectorlab import (IndexSet, LpSpace, PolarRect, RectUnionSet, Sector, bump,
-                       constant_weight, custom_function, custom_weight,
-                       dc_sufficient_series, exp_decay, indicator,
-                       linear_combination, orbit_norm, poly_decay,
-                       translate_function, vertical_exp, weight_integral,
-                       weight_rect_integral)
+from sectorlab import (IndexSet, LpSpace, OracleSet, PolarRect, RectUnionSet, Sector,
+                       TranslatedRectUnion, bump, constant_weight, custom_function,
+                       custom_weight, dc_sufficient_series, density_profile, exp_decay,
+                       indicator, linear_combination, measure_profile, orbit_norm,
+                       poly_decay, translate_function, translate_set, vertical_exp,
+                       weight_integral, weight_rect_integral)
 
 ALPHAS = (0.3, math.pi / 4, 1.4)
 FAMILIES = ("exp_decay", "poly_decay", "vertical_exp", "constant")
@@ -496,3 +502,147 @@ def test_batched_terms_equal_single_rect_integrals(family):
         est = weight_integral(weight, 12.5, sector)
         expect = sum(single(k, min(k + 1.0, 12.5)) for k in range(13))
         assert est.value == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact measures of translated rect unions
+
+# relative tolerance on mu((A -+ t0) ∩ Δ_r) against the s-polar oracle
+SET_RTOL = 1e-10
+
+
+def translated_set_oracle(rects, c: complex, r: float, alpha: float) -> float:
+    """Measure of {s in the sector : |s| <= r, s - c in the union of rects}.
+
+    scipy ``quad`` in phi on each panel between the ray breaks of
+    `_angle_breaks`, after phi = mid - half cos(theta), which smooths the
+    square-root ends at rays tangent to a circle; along each ray the
+    rho-intervals between the crossings of the translated circles, the
+    edge lines and |s| = r are integrated in closed form, (b^2 - a^2)/2,
+    and counted when their midpoint is in.
+    """
+    circles = [(0j, r)] + [(c, R) for lo, hi, _, _ in rects for R in (lo, hi) if R > 0]
+    lines = [(c, th) for _, _, a, b in rects for th in (a, b)]
+
+    def inside(s):
+        u, mod = s - c, abs(s - c)
+        return any(lo <= mod <= hi and a <= cmath.phase(u) <= b for lo, hi, a, b in rects)
+
+    def radial(phi):
+        e = cmath.exp(1j * phi)
+        breaks = [x for x in _ray_breaks(circles, lines, phi) if x < r] + [r]
+        return sum((b * b - a * a) / 2.0 for a, b in zip(breaks[:-1], breaks[1:])
+                   if b > a and inside((a + b) / 2.0 * e))
+
+    edges = [-alpha]
+    for x in _angle_breaks(circles, lines, alpha) + [alpha]:
+        if x - edges[-1] > 1e-12:  # a corner on |s| = r repeats its angle
+            edges.append(x)
+    edges[-1] = alpha
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        total += integrate.quad(lambda th: radial(mid - half * math.cos(th)) * half
+                                * math.sin(th), 0.0, math.pi, **QUAD)[0]
+    return total
+
+
+def _set_cases():
+    rng = np.random.default_rng(2503_00892)
+    cases = []
+    for alpha in ALPHAS:
+        for span in ("full", "partial"):
+            rects = []
+            for k in sorted(rng.choice(6, size=3, replace=False)):
+                lo, hi = float(k), float(k) + rng.uniform(0.4, 1.0)
+                if span == "full":
+                    rects.append((lo, hi, -alpha, alpha))
+                else:
+                    width = rng.uniform(0.2, 0.9) * 2 * alpha
+                    a = rng.uniform(-alpha, alpha - width)
+                    rects.append((lo, hi, a, a + width))
+            t0 = rng.uniform(0.5, 2.5) * cmath.exp(1j * rng.uniform(-alpha, alpha))
+            for direction in ("minus", "plus"):
+                cases.append(pytest.param(alpha, rects, t0, direction,
+                                          id=f"a{alpha:.2f}-{span}-{direction}"))
+    return cases
+
+
+def _special_radii(rects, c: complex, alpha: float):
+    """Generic radii, the tangencies r = |t0| + r_hi and r = r_lo - |t0|,
+    and the moduli of the translated corners inside the sector."""
+    radii = [0.7, 3.3, 9.0]
+    for lo, hi, a, b in rects:
+        radii += [abs(c) + hi, lo - abs(c)]
+        for R in (lo, hi):
+            for th in (a, b):
+                corner = c + R * cmath.exp(1j * th)
+                if abs(cmath.phase(corner)) < alpha:
+                    radii.append(abs(corner))
+    return sorted({x for x in radii if x > 1e-9})
+
+
+def _check_against_oracle(rects, t0, direction, alpha):
+    sector = Sector(alpha)
+    T = translate_set(RectUnionSet(PolarRect(*q) for q in rects), t0, sector, direction)
+    c = -t0 if direction == "minus" else t0
+    radii = _special_radii(rects, c, alpha)
+    got, err = measure_profile(T, radii, sector)
+    assert np.all(err == 0.0)
+    for r, g in zip(radii, got):
+        ref = translated_set_oracle(rects, c, r, alpha)
+        assert g == pytest.approx(ref, rel=SET_RTOL, abs=1e-12), (r, direction)
+
+
+@pytest.mark.parametrize("alpha, rects, t0, direction", _set_cases())
+def test_translated_rect_union_matches_s_polar_oracle(alpha, rects, t0, direction):
+    assert isinstance(translate_set(RectUnionSet([]), t0, Sector(alpha), direction),
+                      TranslatedRectUnion)
+    _check_against_oracle(rects, t0, direction, alpha)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("direction", ("minus", "plus"))
+def test_translate_along_sector_edge_counts_collinear_boundary_once(alpha, direction):
+    # t0 on an edge of the sector and rectangle edges at +-alpha: the
+    # translated edge lies on the sector's edge line
+    for side in (1.0, -1.0):
+        t0 = 1.7 * cmath.exp(1j * side * alpha)
+        rects = [(0.0, 1.0, -alpha, alpha), (2.0, 2.6, 0.2 * alpha, alpha),
+                 (3.5, 4.0, -alpha, -0.3 * alpha)]
+        _check_against_oracle(rects, t0, direction, alpha)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_zero_offset_gives_the_untranslated_profile(alpha):
+    sector = Sector(alpha)
+    A = RectUnionSet([PolarRect(0.5, 2.0, -alpha, alpha),
+                      PolarRect(3.0, 4.5, -0.5 * alpha, 0.8 * alpha)])
+    radii = np.linspace(0.25, 6.0, 24)
+    base = density_profile(A, radii, sector).to_csv()
+    for direction in ("minus", "plus"):
+        assert density_profile(translate_set(A, 0j, sector, direction),
+                               radii, sector).to_csv() == base
+
+
+@pytest.mark.parametrize("direction", ("minus", "plus"))
+def test_translated_empty_union_measures_zero(direction):
+    sector = Sector(math.pi / 4)
+    vals, err = measure_profile(translate_set(RectUnionSet([]), 1 + 0.5j, sector, direction),
+                                [0.5, 3.0, 40.0], sector)
+    assert np.all(vals == 0.0) and np.all(err == 0.0)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_translated_member_equals_the_oracle_membership(alpha):
+    rng = np.random.default_rng(5)
+    sector = Sector(alpha)
+    A = RectUnionSet([PolarRect(k, k + 0.8, -alpha + 0.1 * k * alpha, alpha) for k in range(6)])
+    z0 = 1.3 * cmath.exp(0.6j * alpha)
+    z = rng.uniform(0.0, 8.0, 10_000) * np.exp(1j * rng.uniform(-1.6, 1.6, 10_000))
+    minus = OracleSet(lambda s: A.member(s + z0), "minus")
+    plus = OracleSet(lambda s: sector.membership_mask(s - z0) & A.member(s - z0), "plus")
+    for direction, oracle in (("minus", minus), ("plus", plus)):
+        got = translate_set(A, z0, sector, direction).member(z)
+        assert got.dtype == bool
+        assert np.array_equal(got, oracle.member(z))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sectorlab import (DomainError, GridConfig, IndexSet, PolarRect,
+from sectorlab import (DomainError, GridConfig, IndexSet, OracleSet, PolarRect,
                        RectUnionSet, annuli_density_bound, annuli_union,
                        density_estimates, density_profile, translate_set,
                        RadiusSchedule)
@@ -55,13 +55,21 @@ class TestDensityProfile:
         assert np.allclose(pa.ratios + pb.ratios, 1.0, atol=1e-12)
 
     def test_oracle_profile_reports_errors(self, sector):
+        # the translate as a plain membership oracle takes the grid path;
+        # translate_set gives the exact type, whose errors are 0
         A = annuli_union(range(0, 30, 2), sector)
-        shifted = translate_set(A, 1.0 + 0.5j, sector, "minus")
-        prof = density_profile(shifted, np.linspace(5, 25, 5), sector,
+        t0 = 1.0 + 0.5j
+        shifted = OracleSet(lambda z: A.member(z + t0), "evens - t0")
+        radii = np.linspace(5, 25, 5)
+        prof = density_profile(shifted, radii, sector,
                                GridConfig(n_r=200, n_theta=256))
         assert np.all(prof.errors > 0.0)
         assert np.all((prof.ratios >= -prof.errors)
                       & (prof.ratios <= 1 + prof.errors))
+        exact = density_profile(translate_set(A, t0, sector, "minus"), radii, sector,
+                                GridConfig(n_r=200, n_theta=256))
+        assert np.all(exact.errors == 0.0)
+        assert np.all(np.abs(exact.ratios - prof.ratios) <= prof.errors)
 
 
 class TestDensityEstimates:

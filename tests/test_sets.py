@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sectorlab import (DomainError, GridConfig, OracleSet, PolarRect,
-                       RectUnionSet, annuli_union, measure_in_truncation,
+                       RectUnionSet, Sector, annuli_union, measure_in_truncation,
                        measure_profile, normalize, translate_set,
                        truncated_measure)
 
@@ -101,6 +101,13 @@ class TestMeasureInTruncation:
             assert mb >= ms
             prev_s, prev_b = ms, mb
 
+    @pytest.mark.parametrize("bad", [dict(n_r=0), dict(n_r=2.5), dict(n_theta=-3),
+                                     dict(n_theta=0), dict(theta_step=0.0),
+                                     dict(theta_step=-0.01), dict(theta_step="0.01")])
+    def test_bad_grid_config_rejected(self, bad):
+        with pytest.raises(DomainError):
+            GridConfig(**bad)
+
     def test_bad_radius(self, sector):
         with pytest.raises(DomainError):
             measure_in_truncation(RectUnionSet([]), 0.0, sector)
@@ -123,6 +130,11 @@ class TestTranslateSet:
     def test_offset_outside_sector_rejected(self, sector):
         with pytest.raises(DomainError):
             translate_set(RectUnionSet([]), 1j, sector, "minus")
+
+    def test_measured_in_its_own_sector_only(self, sector):
+        shifted = translate_set(RectUnionSet([full_span(0, 2)]), 0.5, sector, "minus")
+        with pytest.raises(DomainError):
+            measure_profile(shifted, [1.0], Sector(0.3))
 
     def test_bad_direction(self, sector):
         with pytest.raises(DomainError):
