@@ -21,7 +21,6 @@ Two tiers of sets are supported, mirroring where exactness is possible:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -454,8 +453,8 @@ def measure_profile(A, radii, sector: Sector, config: GridConfig | None = None,
     """Measures of ``A ∩ Δ_r`` for each r in `radii`, with error bounds.
 
     Rect unions and their translates (`TranslatedRectUnion`) are measured
-    in closed form, and their errors are identically 0; `config` is not
-    used for them.  Oracle sets are classified once on a single midpoint
+    in closed form, exact up to rounding, and their errors are identically
+    0; `config` is not used for them.  Oracle sets are classified once on a single midpoint
     polar grid reaching max(radii), whose radial edges include every
     requested radius; per-radius values are cumulative sums over whole
     bands, so one classification serves the entire profile.  The
@@ -525,7 +524,7 @@ def translate_set(A, t0, sector: Sector, direction: str = "minus"):
         raise DomainError(f"direction must be 'minus' or 'plus', got {direction!r}")
     if isinstance(A, RectUnionSet):
         return TranslatedRectUnion(A, z0, direction, sector)
-    return OracleSet(functools.partial(_translated_member, A, z0, direction, sector),
+    return OracleSet(lambda z: _translated_member(A, z0, direction, sector, z),
                      f"({A!r}) {'-' if direction == 'minus' else '+'} {z0}")
 
 
