@@ -14,7 +14,6 @@ every reduction in the library runs in a fixed order.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -29,7 +28,7 @@ from .density import density_estimates, density_profile
 from .errors import ConfigError, DomainError, SectorLabError
 from .geometry import Sector
 from .lpspace import LpSpace
-from .sets import GridConfig, RectUnionSet, annuli_union, translate_set
+from .sets import RectUnionSet, annuli_union, translate_set
 from .weights import PairSampling, admissibility_check, weight_from_spec
 
 EXIT_OK = 0
@@ -113,13 +112,33 @@ def _parse_complex(text: str) -> complex:
     return complex(x, y)
 
 
-def _grid_config(spec) -> GridConfig:
+def _check_grid(spec) -> None:
+    """Validate a config's `grid`, which has no effect: it sized the
+    midpoint grid of set measures, and every measure is now exact.  Configs
+    that carry it keep running; a malformed one is still an error."""
     if not isinstance(spec, dict):
         raise ConfigError(f"grid must be an object, got {spec!r}")
-    unknown = sorted(set(spec) - {f.name for f in dataclasses.fields(GridConfig)})
+    unknown = sorted(set(spec) - {"n_r", "n_theta", "theta_step"})
     if unknown:
         raise ConfigError(f"unknown grid key(s) {', '.join(unknown)}")
-    return GridConfig(**spec)
+    for key, value in spec.items():
+        if key == "n_theta" and value is None:
+            continue
+        kinds = (int, float) if key == "theta_step" else int
+        if not isinstance(value, kinds) or isinstance(value, bool) or value <= 0:
+            raise ConfigError(f"grid {key} must be a positive "
+                              f"{'number' if key == 'theta_step' else 'integer'}, "
+                              f"got {value!r}")
+
+
+def _load_rects(raw: str) -> RectUnionSet:
+    """The rect union of --set-json: an inline JSON list or @path."""
+    try:
+        if raw.startswith("@"):
+            raw = Path(raw[1:]).read_text()
+        return RectUnionSet.from_json(raw)
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read --set-json: {type(exc).__name__}: {exc}") from exc
 
 
 def _emit(args, name: str, text: str) -> None:
@@ -156,10 +175,7 @@ def _cmd_density(args, cfg: dict) -> int:
     ]))
 
     if args.set_json:
-        raw = args.set_json
-        if raw.startswith("@"):
-            raw = Path(raw[1:]).read_text()
-        A = RectUnionSet.from_json(raw)
+        A = _load_rects(args.set_json)
     elif args.annuli:
         K = IndexSet.from_spec(args.annuli)
         kmax = args.kmax if args.kmax is not None else int(math.floor(horizon))
@@ -167,8 +183,8 @@ def _cmd_density(args, cfg: dict) -> int:
     else:
         raise ConfigError("density needs --annuli or --set-json")
 
-    grid = _grid_config(cfg.get("grid", {}))
-    profile = density_profile(A, radii, sector, grid)
+    _check_grid(cfg.get("grid", {}))
+    profile = density_profile(A, radii, sector)
     est = density_estimates(profile, args.window)
     summary = {"upper": est.upper, "lower": est.lower,
                "window": est.window, "trend": est.trend}
@@ -177,7 +193,7 @@ def _cmd_density(args, cfg: dict) -> int:
     if args.t0:
         t0 = _parse_complex(args.t0)
         translated = translate_set(A, t0, sector, "minus")
-        tprof = density_profile(translated, radii, sector, grid)
+        tprof = density_profile(translated, radii, sector)
         test = density_estimates(tprof, args.window)
         summary["translated"] = {"t0": [t0.real, t0.imag], "upper": test.upper,
                                  "lower": test.lower, "trend": test.trend,

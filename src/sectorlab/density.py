@@ -1,10 +1,11 @@
 """Finite-horizon density estimation for subsets of a sector.
 
 The density of a measurable set A, relative to the sector, is the limit
-behaviour of ``mu(A ∩ Δ_r) / mu(Δ_r)`` as r grows.  True limsup/liminf
-values are out of numerical reach, so this module computes the ratio
-profile along a radius schedule and reports sup/inf over a trailing
-window together with a trend diagnostic.  Every verdict derived from
+behaviour of ``mu(A ∩ Δ_r) / mu(Δ_r)`` as r grows.  Every measure is
+exact (errors identically 0), but true limsup/liminf values are out of
+numerical reach, so this module computes the ratio profile along a
+radius schedule and reports sup/inf over a trailing window together
+with a trend diagnostic.  Every verdict derived from
 these numbers is a heuristic about the tail, never a claim about the
 limit; callers are expected to surface the trend flag.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import RadiusSchedule, Sector, truncated_measure
-from .sets import GridConfig, measure_profile
+from .sets import measure_profile
 
 __all__ = [
     "DensityProfile", "DensityEstimate",
@@ -28,11 +29,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Sampled ratios mu(A ∩ Δ_r)/mu(Δ_r) with per-radius error bounds."""
+    """Sampled ratios mu(A ∩ Δ_r)/mu(Δ_r) with per-radius errors (0 for
+    every exact measure)."""
 
     radii: np.ndarray
     ratios: np.ndarray
     errors: np.ndarray
+
+    @classmethod
+    def from_measures(cls, radii, measures, errors, sector: Sector) -> "DensityProfile":
+        """Ratios of measures (and of their errors) to mu(Δ_r)."""
+        denom = np.array([truncated_measure(sector, r) for r in radii])
+        return cls(radii=radii, ratios=measures / denom, errors=errors / denom)
 
     def __len__(self):
         return len(self.radii)
@@ -66,13 +74,11 @@ class DensityEstimate:
         return self.trend == "settled"
 
 
-def density_profile(A, schedule, sector: Sector,
-                    config: GridConfig | None = None) -> DensityProfile:
+def density_profile(A, schedule, sector: Sector) -> DensityProfile:
     """Ratio profile of A over a schedule (or explicit radii array).
 
-    Rect unions and their translates are exact per radius (errors 0,
-    `config` unused); oracle sets share one midpoint grid, set by
-    `config`, for the whole profile (see `sets.measure_profile`).  Ratios
+    A rect union or its translate is exact per radius (errors 0); any
+    other set raises `DomainError` (see `sets.measure_profile`).  Ratios
     of a measure-zero set are zeros, not an error.
     """
     if isinstance(schedule, RadiusSchedule):
@@ -82,9 +88,8 @@ def density_profile(A, schedule, sector: Sector,
     if len(radii) == 0:
         raise DomainError("schedule must be nonempty")
 
-    measures, errors = measure_profile(A, radii, sector, config)
-    denom = np.array([truncated_measure(sector, r) for r in radii])
-    return DensityProfile(radii=radii, ratios=measures / denom, errors=errors / denom)
+    measures, errors = measure_profile(A, radii, sector)
+    return DensityProfile.from_measures(radii, measures, errors, sector)
 
 
 def density_estimates(profile: DensityProfile, window: int,

@@ -1,11 +1,12 @@
 """Finite-horizon orbit diagnostics for the translation semigroup.
 
-Everything here samples: orbit norms ``||T_t f||`` on a polar node grid
-over a truncated sector, level sets of that field as oracle sets, and
-density profiles of those level sets.  The node norms themselves are
-not sampled: each is the full norm of its translate from the s-polar
-ray engine of `quadrature` (`lpspace.orbit_norms`, all nodes in one
-batch).  None of it can certify a limit statement — every summary is
+Orbit norms ``||T_t f||`` are sampled on a polar node grid over a
+truncated sector and extended to the sector by nearest node, so each
+level set of that field is a union of whole grid cells and its density
+profile is a closed form with errors identically 0.  The node norms
+themselves are not sampled: each is the full norm of its translate from
+the s-polar ray engine of `quadrature` (`lpspace.orbit_norms`, all nodes
+in one batch).  None of it can certify a limit statement — every summary is
 labelled "consistent with" or "inconsistent with" the property on the
 sampled horizon, and callers must treat the verdicts as heuristics.
 """
@@ -13,15 +14,13 @@ sampled horizon, and callers must treat the verdicts as heuristics.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityProfile, density_estimates, density_profile
+from .density import DensityProfile, density_estimates
 from .errors import DomainError
 from .lpspace import LpSpace, SectorFunction, linear_combination, orbit_norms
-from .sets import GridConfig, OracleSet
 
 __all__ = [
     "OrbitResolution", "OrbitGrid", "LevelSetProfile", "PairDiagnostic",
@@ -39,7 +38,8 @@ class OrbitResolution:
     `mesh_per_unit`, `mesh_n_theta`, `mesh_max_cells_r`, `mesh_radius`
     and `chunk` are ignored.  They belonged to a midpoint mesh that is
     gone and are kept only so that existing callers which pass them, the
-    benchmark's workloads among them, keep working.
+    benchmark's workloads among them, keep working.  `n_r` must be an
+    integer >= 2 and `n_theta` an integer >= 1, else `DomainError`.
     """
 
     n_r: int = 400
@@ -50,6 +50,13 @@ class OrbitResolution:
     mesh_radius: float | None = None  # override for unbounded-support functions
     chunk: int = 256
 
+    def __post_init__(self):
+        for name, least in (("n_r", 2), ("n_theta", 1)):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                    or value < least):
+                raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class OrbitGrid:
@@ -57,7 +64,8 @@ class OrbitGrid:
 
     norms[i, j] approximates ``||T_t f||`` at t = radii[i]*exp(1j*thetas[j]);
     `nearest_norm` extends the field to arbitrary points by nearest-node
-    lookup (log-radius, linear angle).
+    lookup (log-radius, linear angle), constant on the cells that
+    `cell_edges` bounds.
     """
 
     radii: np.ndarray
@@ -67,16 +75,23 @@ class OrbitGrid:
     space: LpSpace = field(repr=False)
     fn: SectorFunction = field(repr=False)
 
+    def cell_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Inner edges of the nearest-node cells.
+
+        Radial edges are the log-midpoints sqrt(r_i r_{i+1}) of the node
+        radii (cell 0 reaches down to 0, the last cell out to infinity);
+        angular edges lie halfway between node angles, at
+        -alpha + j * 2 alpha / n_theta, so every cell spans the same angle.
+        Cell (i, j) holds node (i, j).
+        """
+        return (np.sqrt(self.radii[:-1] * self.radii[1:]),
+                0.5 * (self.thetas[:-1] + self.thetas[1:]))
+
     def nearest_norm(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        rho = np.maximum(np.abs(z), self.radii[0])
-        log_r0 = math.log(self.radii[0])
-        step = math.log(self.radii[-1] / self.radii[0]) / (len(self.radii) - 1)
-        i = np.clip(np.rint((np.log(rho) - log_r0) / step).astype(int),
-                    0, len(self.radii) - 1)
-        dth = self.thetas[1] - self.thetas[0] if len(self.thetas) > 1 else 1.0
-        j = np.clip(np.rint((np.angle(z) - self.thetas[0]) / dth).astype(int),
-                    0, len(self.thetas) - 1)
+        r_edges, th_edges = self.cell_edges()
+        i = np.searchsorted(r_edges, np.abs(z), side="right")
+        j = np.searchsorted(th_edges, np.angle(z), side="right")
         return self.norms[i, j]
 
     def to_csv(self) -> str:
@@ -120,8 +135,9 @@ class LevelSetProfile:
     """Density profile of an orbit-norm level set.
 
     side='super' measures {t : ||T_t f|| >= threshold}, side='sub'
-    measures {t : ||T_t f|| < threshold}; the two are exact complements,
-    so their ratios sum to 1 up to grid error at every radius.
+    measures {t : ||T_t f|| < threshold} of the nearest-node field; the
+    two are exact complements, each measured exactly, so their ratios sum
+    to 1 up to rounding at every radius.
     """
 
     threshold: float
@@ -132,9 +148,17 @@ class LevelSetProfile:
         return density_estimates(self.profile, window)
 
 
-def level_density(grid: OrbitGrid, threshold: float, side: str, schedule,
-                  config: GridConfig | None = None) -> LevelSetProfile:
-    """Density profile of a norm level set via nearest-node thresholding."""
+def level_density(grid: OrbitGrid, threshold: float, side: str,
+                  schedule) -> LevelSetProfile:
+    """Exact density profile of a level set of the nearest-node field.
+
+    The level set is the union of the grid cells whose node passes the
+    threshold.  With c_i such cells in the radial band [b_i, b_{i+1}) of
+    `OrbitGrid.cell_edges` (b_0 = 0, b_{n_r} = infinity), each of angle
+    2 alpha / n_theta,
+    ``mu(L ∩ Δ_r) = (alpha / n_theta) * sum_i c_i (clip(r, b_i, b_{i+1})^2 - b_i^2)``;
+    the errors are identically 0.
+    """
     if threshold <= 0:
         raise DomainError(f"threshold must be > 0, got {threshold}")
     if side not in ("super", "sub"):
@@ -145,14 +169,15 @@ def level_density(grid: OrbitGrid, threshold: float, side: str, schedule,
         raise DomainError(
             f"schedule reaches r={radii.max():g} beyond the grid radius {grid.R:g}")
 
-    if side == "super":
-        member = lambda z: grid.nearest_norm(z) >= threshold
-        desc = f"superlevel set ||T_t f|| >= {threshold:g} of orbit profile"
-    else:
-        member = lambda z: grid.nearest_norm(z) < threshold
-        desc = f"sublevel set ||T_t f|| < {threshold:g} of orbit profile"
-    oracle = OracleSet(member, desc)
-    profile = density_profile(oracle, radii, grid.space.sector, config)
+    inside = grid.norms >= threshold if side == "super" else grid.norms < threshold
+    counts = inside.sum(axis=1)
+    r_edges, _ = grid.cell_edges()
+    lo = np.concatenate([[0.0], r_edges])
+    hi = np.concatenate([r_edges, [np.inf]])
+    sector = grid.space.sector
+    bands = np.clip(radii[:, None], lo, hi) ** 2 - lo ** 2
+    measures = (sector.alpha / len(grid.thetas)) * (bands * counts).sum(axis=1)
+    profile = DensityProfile.from_measures(radii, measures, np.zeros_like(radii), sector)
     return LevelSetProfile(threshold=threshold, side=side, profile=profile)
 
 

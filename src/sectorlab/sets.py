@@ -1,22 +1,22 @@
 """Measurable subsets of a sector.
 
-Two tiers of sets are supported, mirroring where exactness is possible:
+Every measure here is exact, with errors identically 0:
 
-*   Exact sets, measured in closed form with errors identically 0:
-    `RectUnionSet`, a finite union of polar rectangles
+*   `RectUnionSet`, a finite union of polar rectangles
     ``{r_lo <= |t| <= r_hi, th_lo <= arg t <= th_hi}`` normalized to a
     disjoint canonical form, and `TranslatedRectUnion`, its translate
     along the semigroup (what `translate_set` returns for a rect union).
     A rectangle's measure inside a truncation is a closed form in its
-    parameters; a translated rectangle is an annular sector centred at
-    -t0 (or +t0), bounded by arcs and segments, and its measure inside a
-    truncation follows from Green's theorem with closed-form cuts.
-*   `OracleSet` — an arbitrary membership predicate, used for the sets
-    that leave this algebra: level sets of an orbit-norm field, and
-    translates of sets that are not rect unions.  Their measure inside a
-    truncation is a deterministic midpoint-grid estimate (`GridConfig`)
-    with a reported error heuristic proportional to boundary length times
-    cell size; the error is never hidden.
+    parameters and its span clipped to the sector; a translated rectangle
+    is an annular sector centred at -t0 (or +t0), bounded by arcs and
+    segments, and its measure inside a truncation follows from Green's
+    theorem with closed-form cuts.
+*   `OracleSet` — an arbitrary membership predicate, what `translate_set`
+    returns for a set that is not a rect union.  It is membership-only:
+    `measure_profile` has no exact measure for it and raises
+    `DomainError`.  (Level sets of an orbit-norm field are unions of whole
+    cells of the orbit grid; `dynamics.level_density` measures them in
+    closed form.)
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import DomainError
 from .geometry import Sector, as_complex, contains
 
 __all__ = [
-    "PolarRect", "RectUnionSet", "OracleSet", "TranslatedRectUnion", "GridConfig",
+    "PolarRect", "RectUnionSet", "OracleSet", "TranslatedRectUnion",
     "normalize", "measure_in_truncation", "measure_profile",
     "translate_set", "annuli_union",
 ]
@@ -120,9 +120,9 @@ class RectUnionSet:
 
     def __init__(self, rects: Iterable[PolarRect] = ()):
         self.rects: tuple[PolarRect, ...] = _normalize_rects(rects)
-        # (r_lo, r_hi, th_hi - th_lo) per rect, for the clipped measures
-        self._bounds = np.array([(t.r_lo, t.r_hi, t.th_hi - t.th_lo)
-                                 for t in self.rects]).reshape(-1, 3)
+        # (r_lo, r_hi, th_lo, th_hi) per rect, for the clipped measures
+        self._bounds = np.array([(t.r_lo, t.r_hi, t.th_lo, t.th_hi)
+                                 for t in self.rects]).reshape(-1, 4)
         # group radial intervals by identical angular span for fast lookup
         groups: dict[tuple[float, float], list[float]] = {}
         for t in self.rects:
@@ -160,8 +160,9 @@ class RectUnionSet:
         return bool(self.member(np.asarray([as_complex(z)]))[0])
 
     def clipped_measure(self, r: float) -> float:
-        """Exact measure of the union intersected with {|t| < r}."""
-        return float(_rect_profile(self, np.array([float(r)]))[0])
+        """Exact measure of the union intersected with {|t| < r}, whole
+        spans (not clipped to a sector)."""
+        return float(_rect_profile(self, np.array([float(r)]), math.inf)[0])
 
     def support_radius(self) -> float:
         return max((t.r_hi for t in self.rects), default=0.0)
@@ -192,8 +193,9 @@ class RectUnionSet:
 class OracleSet:
     """Membership-oracle set: a deterministic, total predicate on the sector.
 
+    Membership only: `measure_profile` raises `DomainError` for it.
     `description` records provenance (e.g. which set was translated by
-    what, or which orbit-norm level set this is).
+    what).
     """
 
     membership: Callable[[np.ndarray], np.ndarray]
@@ -206,46 +208,6 @@ class OracleSet:
 def normalize(u: RectUnionSet) -> RectUnionSet:
     """Return the canonical disjoint form (idempotent, measure-preserving)."""
     return RectUnionSet(u.rects)
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Midpoint-grid resolution for the measures of oracle sets.
-
-    Only `OracleSet`s (level sets of orbit grids, translates of sets that
-    are not rect unions) are measured on a grid; rect unions and their
-    translates are measured in closed form and ignore this config.
-    Defaults follow cell sizes of about 0.01*r at truncation radius r:
-    100 radial cells, angular step 0.01 rad (so the arc length of an
-    outer cell is about 0.01*r as well).  `n_theta`, when given,
-    overrides the angular step.  A non-positive count or step raises
-    `DomainError`.
-    """
-
-    n_r: int = 100
-    theta_step: float = 0.01
-    n_theta: int | None = None
-
-    def __post_init__(self):
-        if not (_is_int(self.n_r) and self.n_r >= 1):
-            raise DomainError(f"grid n_r must be an integer >= 1, got {self.n_r!r}")
-        if self.n_theta is not None and not (_is_int(self.n_theta) and self.n_theta >= 1):
-            raise DomainError(f"grid n_theta must be an integer >= 1, got {self.n_theta!r}")
-        if not (_is_real(self.theta_step) and self.theta_step > 0):
-            raise DomainError(f"grid theta_step must be > 0, got {self.theta_step!r}")
-
-    def resolve_n_theta(self, alpha: float) -> int:
-        if self.n_theta is not None:
-            return self.n_theta
-        return max(8, int(math.ceil(2 * alpha / self.theta_step)))
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -276,17 +238,20 @@ def _translated_member(A, z0: complex, direction: str, sector: Sector, z) -> np.
     return sector.membership_mask(shifted) & A.member(shifted)
 
 
-def _rect_profile(A: RectUnionSet, radii: np.ndarray) -> np.ndarray:
-    """Exact measures of ``A ∩ {|t| < r}`` for every r, one broadcast over
-    rects x radii.
+def _rect_profile(A: RectUnionSet, radii: np.ndarray, alpha: float) -> np.ndarray:
+    """Exact measures of ``A ∩ {|t| < r, |arg t| <= alpha}`` for every r,
+    one broadcast over rects x radii.
 
-    Each term is `PolarRect.clipped_measure`; the terms are summed one by
-    one in the canonical order of the rects (a running sum, never
-    pairwise), so the floats do not depend on how many radii are asked.
+    Each term is `PolarRect.clipped_measure` with the span clipped to
+    [-alpha, alpha] (a span inside it keeps its float); the terms are
+    summed one by one in the canonical order of the rects (a running sum,
+    never pairwise), so the floats do not depend on how many radii are
+    asked.
     """
     if not A.rects:
         return np.zeros_like(radii)
-    r_lo, r_hi, span = (col[:, None] for col in A._bounds.T)
+    r_lo, r_hi, th_lo, th_hi = (col[:, None] for col in A._bounds.T)
+    span = np.maximum(np.minimum(th_hi, alpha) - np.maximum(th_lo, -alpha), 0.0)
     hi = np.minimum(radii[None, :], r_hi)
     terms = np.where(hi > r_lo, span * (hi ** 2 - r_lo ** 2) / 2.0, 0.0)
     return np.cumsum(terms, axis=0)[-1]
@@ -427,9 +392,9 @@ def _translated_profile(T: TranslatedRectUnion, radii: np.ndarray) -> np.ndarray
     prefix sum; one that lies outside (r_lo - |t0| >= r) adds 0; only the
     pairs in between take the r-dependent cut.
     """
-    if T.t0 == 0:
-        return _rect_profile(T.base, radii)
     alpha = T.sector.alpha
+    if T.t0 == 0:
+        return _rect_profile(T.base, radii, alpha)
     rects = np.array([(t.r_lo, t.r_hi, max(t.th_lo, -alpha), min(t.th_hi, alpha))
                       for t in T.base.rects]).reshape(-1, 4)
     rects = rects[rects[:, 2] < rects[:, 3]]
@@ -448,63 +413,30 @@ def _translated_profile(T: TranslatedRectUnion, radii: np.ndarray) -> np.ndarray
     return vals + np.bincount(ir, weights=cut, minlength=len(radii))
 
 
-def measure_profile(A, radii, sector: Sector, config: GridConfig | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Measures of ``A ∩ Δ_r`` for each r in `radii`, with error bounds.
+def measure_profile(A, radii, sector: Sector) -> tuple[np.ndarray, np.ndarray]:
+    """Measures of ``A ∩ Δ_r`` for each r in `radii`, with their errors.
 
     Rect unions and their translates (`TranslatedRectUnion`) are measured
     in closed form, exact up to rounding, and their errors are identically
-    0; `config` is not used for them.  Oracle sets are classified once on a single midpoint
-    polar grid reaching max(radii), whose radial edges include every
-    requested radius; per-radius values are cumulative sums over whole
-    bands, so one classification serves the entire profile.  The
-    reported error is half the total area of cells whose membership
-    differs from a neighbour — a boundary-length-times-cell-size
-    heuristic, not a rigorous bound.
+    0.  Any other set (an `OracleSet`) has no exact measure and raises
+    `DomainError`.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
         raise DomainError("truncation radii must be > 0")
     if isinstance(A, RectUnionSet):
-        return _rect_profile(A, radii), np.zeros_like(radii)
+        return _rect_profile(A, radii, sector.alpha), np.zeros_like(radii)
     if isinstance(A, TranslatedRectUnion):
         if A.sector != sector:
             raise DomainError(f"set translated in {A.sector}, measured in {sector}")
         return _translated_profile(A, radii), np.zeros_like(radii)
-
-    config = config or GridConfig()
-    r_max = float(radii.max())
-    base = np.linspace(0.0, r_max, config.n_r + 1)
-    r_edges = np.unique(np.concatenate([base, radii]))
-    n_th = config.resolve_n_theta(sector.alpha)
-    th_edges = np.linspace(-sector.alpha, sector.alpha, n_th + 1)
-    rho_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
-    th_mid = 0.5 * (th_edges[:-1] + th_edges[1:])
-    zs = rho_mid[:, None] * np.exp(1j * th_mid[None, :])
-    member = A.member(zs)
-
-    dth = th_edges[1] - th_edges[0]
-    band_area = dth * (r_edges[1:] ** 2 - r_edges[:-1] ** 2) / 2.0  # per cell
-    covered = member.sum(axis=1) * band_area
-    cum = np.concatenate([[0.0], np.cumsum(covered)])
-
-    boundary = np.zeros_like(member)
-    boundary[:-1] |= member[1:] != member[:-1]
-    boundary[1:] |= member[1:] != member[:-1]
-    boundary[:, :-1] |= member[:, 1:] != member[:, :-1]
-    boundary[:, 1:] |= member[:, 1:] != member[:, :-1]
-    err_band = boundary.sum(axis=1) * band_area * 0.5
-    cum_err = np.concatenate([[0.0], np.cumsum(err_band)])
-
-    idx = np.searchsorted(r_edges, radii)
-    return cum[idx], cum_err[idx]
+    raise DomainError(f"no exact measure for a {type(A).__name__}: only rect unions "
+                      "and their translates are measurable")
 
 
-def measure_in_truncation(A, r: float, sector: Sector,
-                          config: GridConfig | None = None) -> float:
-    """Measure of ``A ∩ Δ_r``: exact for rect unions and their translates,
-    grid-estimated for oracle sets."""
-    vals, _ = measure_profile(A, [r], sector, config)
+def measure_in_truncation(A, r: float, sector: Sector) -> float:
+    """Exact measure of ``A ∩ Δ_r`` for a rect union or its translate."""
+    vals, _ = measure_profile(A, [r], sector)
     return float(vals[0])
 
 
@@ -514,8 +446,10 @@ def translate_set(A, t0, sector: Sector, direction: str = "minus"):
     direction="minus" gives membership(s) = A.member(s + t0);
     direction="plus" gives membership(s) = (s - t0 in sector) and
     A.member(s - t0).  A rect union gives a `TranslatedRectUnion`,
-    measured exactly; any other set gives an `OracleSet` with that
-    membership, measured on a grid.
+    measured exactly, and so does a translate of one in the same
+    direction and sector: offsets add, since (A -+ t0) -+ t1 = A -+ (t0 + t1)
+    (for "plus" because s - t1 - t0 in the sector puts s - t1 there too).
+    Any other set gives a membership-only `OracleSet`.
     """
     z0 = as_complex(t0)
     if not contains(sector, z0):
@@ -524,6 +458,9 @@ def translate_set(A, t0, sector: Sector, direction: str = "minus"):
         raise DomainError(f"direction must be 'minus' or 'plus', got {direction!r}")
     if isinstance(A, RectUnionSet):
         return TranslatedRectUnion(A, z0, direction, sector)
+    if (isinstance(A, TranslatedRectUnion) and A.direction == direction
+            and A.sector == sector):
+        return TranslatedRectUnion(A.base, A.t0 + z0, direction, sector)
     return OracleSet(lambda z: _translated_member(A, z0, direction, sector, z),
                      f"({A!r}) {'-' if direction == 'minus' else '+'} {z0}")
 

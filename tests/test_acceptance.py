@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from sectorlab import (GridConfig, IndexSet, LpSpace, OrbitResolution,
+from sectorlab import (IndexSet, LpSpace, OrbitResolution,
                        RectUnionSet, Sector, WitnessSampling, annuli_union,
                        build_witness, bump, dc_sufficient_series,
                        density_estimates, density_profile, devaney_ray_series,
@@ -66,7 +66,6 @@ def test_criterion_3_translation_invariance():
     radii = np.unique(np.concatenate(
         [np.geomspace(1.0, 200.0, 25), np.arange(1.0, 201.0)]))
     window = int((radii >= 140.0).sum())
-    cfg = GridConfig(n_r=800, n_theta=1024)
     t0 = time.perf_counter()
     worst_gap = 0.0
     worst_viol = -np.inf
@@ -76,7 +75,7 @@ def test_criterion_3_translation_invariance():
         t_shift = r0 * np.exp(1j * rng.uniform(-ALPHA, ALPHA))
         prof_a = density_profile(A, radii, SECTOR)
         prof_t = density_profile(translate_set(A, t_shift, SECTOR, "minus"),
-                                 radii, SECTOR, cfg)
+                                 radii, SECTOR)
         gap = abs(density_estimates(prof_a, window).upper
                   - density_estimates(prof_t, window).upper)
         worst_gap = max(worst_gap, gap)

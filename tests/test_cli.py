@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,8 +60,12 @@ class TestDensityCommand:
         rows = (tmp_path / "density_profile_translated.csv").read_text().splitlines()[1:]
         assert rows and all(row.split(",")[2] == "0.0" for row in rows)
 
-    # an unknown key, a value GridConfig rejects, not an object
-    @pytest.mark.parametrize("grid", [{"n_rr": 5}, {"n_theta": -3}, [400, 512]])
+    # the grid has no effect, but a malformed one is still rejected: an
+    # unknown key, a bad value, not an object
+    @pytest.mark.parametrize("grid", [{"n_rr": 5}, {"n_theta": -3}, [400, 512],
+                                      {"n_r": 0}, {"n_r": 2.5}, {"n_theta": 0},
+                                      {"theta_step": 0.0}, {"theta_step": -0.01},
+                                      {"theta_step": "0.01"}, {"n_r": True}])
     def test_bad_grid_config_is_config_error(self, capsys, tmp_path, grid):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": grid}))
@@ -74,12 +82,50 @@ class TestDensityCommand:
                              "--t0", "1,0", "--config", str(cfg))
         assert code == 0
 
+    @pytest.mark.parametrize("spec", ["@/missing.json", '[{"r_lo": 1}]', '[{"r_lo": 1',
+                                      '{"r_lo": 1}'])
+    def test_bad_set_json_is_config_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, "density", "--set-json", spec, "--horizon", "20")
+        assert code == 2
+        assert "config error" in err and "--set-json" in err
+        assert "Traceback" not in err and out == ""
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--annuli", "evens",
                                "--horizon", "30", "--format", "json")
         assert code == 0
         payload = json.loads(out.splitlines()[0])
         assert set(payload) == {"r", "ratio", "error"}
+
+
+def test_benchmark_harness_drives_the_library(tmp_path):
+    # perfbench/ patches the package and passes its own arguments; no other
+    # test imports it, so a renamed or deleted name would break it unseen
+    root = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"n_r": 400, "n_theta": 512}}))
+    script = """
+import json, sys
+import sectorlab
+import workloads
+from tracer import Tracer
+tracer = Tracer()
+tracer.install(sectorlab)
+tracer.op = 0
+from sectorlab.cli import main
+sectorlab.OrbitResolution(**workloads.ORBIT_RES)
+code = main(["density", "--annuli", "evens", "--horizon", "30", "--t0", "1,0.5",
+             "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps(sorted({span[0] for span in tracer.spans})))
+sys.exit(code)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(proc.stdout.splitlines()[-1])
+    assert {"cli.main", "density.density_profile.rect", "sets.measure_profile"} <= set(spans)
 
 
 class TestCheckCommand:

@@ -36,6 +36,12 @@ library) are checked against an s-polar oracle that shares no formula
 with them: scipy ``quad`` in phi between the ray breaks of the translated
 circles, the edge lines and |s| = r, with the rho-intervals in closed
 form, at generic radii, tangencies and corners, in both directions.
+
+The closed-form level densities of orbit grids are checked against a
+midpoint sum: the nearest-node field read at the midpoints of a finer
+polar grid whose radial edges include the log-midpoints of the node
+radii and every schedule radius, and whose angular count is a multiple
+of the grid's, so no fine cell straddles a level-set boundary.
 """
 
 import cmath
@@ -45,10 +51,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sectorlab import (IndexSet, LpSpace, OracleSet, PolarRect, RectUnionSet, Sector,
-                       TranslatedRectUnion, bump, constant_weight, custom_function,
-                       custom_weight, dc_sufficient_series, density_profile, exp_decay,
-                       indicator, linear_combination, measure_profile, orbit_norm,
+from sectorlab import (IndexSet, LpSpace, OracleSet, OrbitResolution, PolarRect,
+                       RectUnionSet, Sector, TranslatedRectUnion, bump, constant_weight,
+                       custom_function, custom_weight, dc_sufficient_series,
+                       density_profile, exp_decay, indicator, level_density,
+                       linear_combination, measure_profile, orbit_norm, orbit_profile,
                        poly_decay, translate_function, translate_set, vertical_exp,
                        weight_integral, weight_rect_integral)
 
@@ -646,3 +653,48 @@ def test_translated_member_equals_the_oracle_membership(alpha):
         got = translate_set(A, z0, sector, direction).member(z)
         assert got.dtype == bool
         assert np.array_equal(got, oracle.member(z))
+
+
+# ---------------------------------------------------------------------------
+# level densities of orbit grids
+
+
+def level_density_reference(grid, threshold, side, radii, alpha, refine=4):
+    """Ratios of the level set by a midpoint sum over a polar grid that no
+    level-set boundary crosses (see the module docstring)."""
+    nodes = grid.radii
+    log_mids = [math.sqrt(a * b) for a, b in zip(nodes[:-1], nodes[1:])]
+    edges = np.unique(np.concatenate([[0.0], log_mids, radii,
+                                      np.linspace(0.0, radii.max(), 65)]))
+    edges = edges[edges <= radii.max()]
+    angles = np.linspace(-alpha, alpha, refine * len(grid.thetas) + 1)
+    mid_r = 0.5 * (edges[1:] + edges[:-1])
+    mid_th = 0.5 * (angles[1:] + angles[:-1])
+    norms = grid.nearest_norm(mid_r[:, None] * np.exp(1j * mid_th[None, :]))
+    inside = norms >= threshold if side == "super" else norms < threshold
+    cell = (2.0 * alpha / (len(angles) - 1)) * (edges[1:] ** 2 - edges[:-1] ** 2) / 2.0
+    cum = np.concatenate([[0.0], np.cumsum(inside.sum(axis=1) * cell)])
+    return cum[np.searchsorted(edges, radii)] / (alpha * radii ** 2)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_level_density_is_exact_over_grid_cells(alpha):
+    sector = Sector(alpha)
+    space = LpSpace(exp_decay(), 2.0, sector)
+    f = indicator(RectUnionSet([PolarRect(0.0, 1.0, -alpha, alpha),
+                                PolarRect(2.0, 3.0, -0.5 * alpha, alpha)]))
+    R = 10.0
+    grid = orbit_profile(space, f, R, OrbitResolution(n_r=16, n_theta=6))
+    log_mids = np.sqrt(grid.radii[:-1] * grid.radii[1:])
+    # radii inside the first cell, on cell edges, between them and at R
+    radii = np.sort(np.concatenate([np.geomspace(R / 40.0, R, 9), log_mids[[3, 11]]]))
+    threshold = 0.5 * float(grid.norms.max())
+    ratios = {}
+    for side in ("super", "sub"):
+        prof = level_density(grid, threshold, side, radii).profile
+        assert np.all(prof.errors == 0.0)
+        ref = level_density_reference(grid, threshold, side, radii, alpha)
+        assert np.allclose(prof.ratios, ref, rtol=0.0, atol=1e-12), side
+        ratios[side] = prof.ratios
+    assert 0.0 < ratios["super"].max() and ratios["super"].min() < 1.0
+    assert np.allclose(ratios["super"] + ratios["sub"], 1.0, rtol=0.0, atol=1e-12)

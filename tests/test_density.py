@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sectorlab import (DomainError, GridConfig, IndexSet, OracleSet, PolarRect,
-                       RectUnionSet, annuli_density_bound, annuli_union,
-                       density_estimates, density_profile, translate_set,
-                       RadiusSchedule)
+from sectorlab import (DomainError, IndexSet, OracleSet, PolarRect,
+                       RectUnionSet, Sector, annuli_density_bound, annuli_union,
+                       density_estimates, density_profile, measure_profile,
+                       translate_set, RadiusSchedule)
 
 from conftest import ALPHA
 
@@ -54,22 +54,29 @@ class TestDensityProfile:
         pb = density_profile(B, radii, sector)
         assert np.allclose(pa.ratios + pb.ratios, 1.0, atol=1e-12)
 
-    def test_oracle_profile_reports_errors(self, sector):
-        # the translate as a plain membership oracle takes the grid path;
+    def test_oracle_profile_raises_translate_is_exact(self, sector):
+        # the translate as a plain membership oracle has no exact measure;
         # translate_set gives the exact type, whose errors are 0
         A = annuli_union(range(0, 30, 2), sector)
         t0 = 1.0 + 0.5j
         shifted = OracleSet(lambda z: A.member(z + t0), "evens - t0")
         radii = np.linspace(5, 25, 5)
-        prof = density_profile(shifted, radii, sector,
-                               GridConfig(n_r=200, n_theta=256))
-        assert np.all(prof.errors > 0.0)
-        assert np.all((prof.ratios >= -prof.errors)
-                      & (prof.ratios <= 1 + prof.errors))
-        exact = density_profile(translate_set(A, t0, sector, "minus"), radii, sector,
-                                GridConfig(n_r=200, n_theta=256))
+        with pytest.raises(DomainError):
+            density_profile(shifted, radii, sector)
+        exact = density_profile(translate_set(A, t0, sector, "minus"), radii, sector)
         assert np.all(exact.errors == 0.0)
-        assert np.all(np.abs(exact.ratios - prof.ratios) <= prof.errors)
+        assert np.all((exact.ratios > 0.0) & (exact.ratios < 1.0))
+
+    def test_rect_spans_are_clipped_to_the_sector(self):
+        # a span of [-1, 1] in a sector of half-angle pi/4 counts only
+        # its part inside the sector
+        A = RectUnionSet([PolarRect(0, 1, -1.0, 1.0)])
+        prof = density_profile(A, [1.0, 2.0], Sector(np.pi / 4))
+        assert np.allclose(prof.ratios, [1.0, 0.25], rtol=1e-15, atol=0.0)
+        # a span inside the sector keeps its floats
+        inside = RectUnionSet([PolarRect(0, 1, -0.5, 0.7)])
+        got, _ = measure_profile(inside, [0.5, 2.0], Sector(np.pi / 4))
+        assert got.tolist() == [inside.clipped_measure(0.5), inside.clipped_measure(2.0)]
 
 
 class TestDensityEstimates:
@@ -137,8 +144,7 @@ class TestTranslationInvariance:
             [np.geomspace(1.0, 100.0, 15), np.arange(1.0, 101.0)]))
         window = int((radii >= 70).sum())
         pa = density_profile(A, radii, sector)
-        pt = density_profile(translate_set(A, t0, sector, "minus"), radii, sector,
-                             GridConfig(n_r=600, n_theta=768))
+        pt = density_profile(translate_set(A, t0, sector, "minus"), radii, sector)
         ua = density_estimates(pa, window).upper
         ut = density_estimates(pt, window).upper
         assert abs(ua - ut) <= 0.03

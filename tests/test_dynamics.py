@@ -46,6 +46,21 @@ class TestOrbitProfile:
         with pytest.raises(DomainError):
             orbit_profile(exp_space, bump(1 + 0j, 0.5), 0.0, FAST)
 
+    @pytest.mark.parametrize("bad", [dict(n_r=0), dict(n_r=1), dict(n_r=2.5),
+                                     dict(n_r=True), dict(n_theta=0), dict(n_theta=-3)])
+    def test_bad_resolution_rejected(self, bad):
+        with pytest.raises(DomainError):
+            OrbitResolution(**bad)
+
+    def test_coarsest_resolution_measures_exactly(self, exp_space, sector):
+        f = indicator(annuli_union([0, 1], sector))
+        grid = orbit_profile(exp_space, f, 6.0, OrbitResolution(n_r=np.int64(2), n_theta=1))
+        sched = np.array([1.0, 3.0, 6.0])
+        sub = level_density(grid, 0.3, "sub", sched).profile
+        sup = level_density(grid, 0.3, "super", sched).profile
+        assert np.all(sub.errors == 0.0) and np.all(sup.errors == 0.0)
+        assert np.allclose(sub.ratios + sup.ratios, 1.0, rtol=0.0, atol=1e-15)
+
     def test_csv_export_shape(self, exp_space, sector):
         grid = orbit_profile(exp_space, indicator(annuli_union([0], sector)),
                              5.0, OrbitResolution(n_r=4, n_theta=3))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sectorlab import (DomainError, GridConfig, OracleSet, PolarRect,
+from sectorlab import (DomainError, OracleSet, PolarRect,
                        RectUnionSet, Sector, annuli_union, measure_in_truncation,
                        measure_profile, normalize, translate_set,
                        truncated_measure)
@@ -85,10 +85,15 @@ class TestMeasureInTruncation:
     def test_empty_set(self, sector):
         assert measure_in_truncation(RectUnionSet([]), 3.0, sector) == 0.0
 
-    def test_full_sector_oracle_grid(self, sector):
+    def test_oracle_set_has_no_measure(self, sector):
         oracle = OracleSet(lambda z: np.ones(z.shape, dtype=bool), "full sector")
-        got = measure_in_truncation(oracle, 2.0, sector)
-        assert got == pytest.approx(truncated_measure(sector, 2.0), rel=1e-12)
+        with pytest.raises(DomainError):
+            measure_in_truncation(oracle, 2.0, sector)
+        with pytest.raises(DomainError):
+            measure_profile(oracle, [1.0, 2.0], sector)
+        full = RectUnionSet([full_span(0, 3)])
+        assert measure_in_truncation(full, 2.0, sector) == pytest.approx(
+            truncated_measure(sector, 2.0), rel=1e-15)
 
     def test_monotone_in_radius_and_inclusion(self, rng, sector):
         small = RectUnionSet(random_small_rects(rng))
@@ -100,13 +105,6 @@ class TestMeasureInTruncation:
             assert ms >= prev_s and mb >= prev_b
             assert mb >= ms
             prev_s, prev_b = ms, mb
-
-    @pytest.mark.parametrize("bad", [dict(n_r=0), dict(n_r=2.5), dict(n_theta=-3),
-                                     dict(n_theta=0), dict(theta_step=0.0),
-                                     dict(theta_step=-0.01), dict(theta_step="0.01")])
-    def test_bad_grid_config_rejected(self, bad):
-        with pytest.raises(DomainError):
-            GridConfig(**bad)
 
     def test_bad_radius(self, sector):
         with pytest.raises(DomainError):
@@ -127,6 +125,24 @@ class TestTranslateSet:
         z = rng.uniform(0, 5, 400) * np.exp(1j * rng.uniform(-ALPHA, ALPHA, 400))
         assert np.array_equal(back.member(z), A.member(z))
 
+    @pytest.mark.parametrize("direction", ["minus", "plus"])
+    def test_same_direction_translates_compose(self, sector, rng, direction):
+        A = RectUnionSet(random_small_rects(rng))
+        t0, t1 = 0.8 + 0.2j, 0.5 - 0.3j
+        twice = translate_set(translate_set(A, t0, sector, direction), t1, sector,
+                              direction)
+        assert twice == translate_set(A, t0 + t1, sector, direction)
+        z = rng.uniform(0, 5, 400) * np.exp(1j * rng.uniform(-ALPHA, ALPHA, 400))
+        inner = translate_set(A, t0, sector, direction).member
+        if direction == "minus":
+            composed = inner(z + t1)
+        else:
+            composed = sector.membership_mask(z - t1) & inner(z - t1)
+        assert np.array_equal(twice.member(z), composed)
+        mixed = translate_set(translate_set(A, t0, sector, "plus"), t1, sector, "minus")
+        with pytest.raises(DomainError):
+            measure_profile(mixed, [1.0], sector)
+
     def test_offset_outside_sector_rejected(self, sector):
         with pytest.raises(DomainError):
             translate_set(RectUnionSet([]), 1j, sector, "minus")
@@ -143,7 +159,6 @@ class TestTranslateSet:
     def test_translation_sandwich(self, sector, rng):
         # mu(A ∩ D_{r+r0}) - mu(D_{r+r0}) + mu(D_r) <= mu((A-t0) ∩ D_r)
         #                                           <= mu(A ∩ D_{r+r0})
-        cfg = GridConfig(n_r=400, n_theta=512)
         for _ in range(5):
             A = RectUnionSet([full_span(k, k + 1)
                               for k in range(20) if rng.uniform() < 0.5]
@@ -152,7 +167,7 @@ class TestTranslateSet:
             t0 = r0 * np.exp(1j * rng.uniform(-ALPHA, ALPHA))
             shifted = translate_set(A, t0, sector, "minus")
             radii = np.linspace(2.0, 18.0, 9)
-            est, _ = measure_profile(shifted, radii, sector, cfg)
+            est, _ = measure_profile(shifted, radii, sector)
             for r, m in zip(radii, est):
                 mu_r = truncated_measure(sector, r)
                 mu_rr = truncated_measure(sector, r + r0)
