@@ -9,7 +9,8 @@ import math
 
 from sectorlab import (IndexSet, PolarRect, RadiusSchedule, RectUnionSet,
                        Sector, annuli_union, density_estimates,
-                       density_profile, translate_set, truncated_measure)
+                       density_profile, measure_in_truncation, translate_set,
+                       truncated_measure)
 
 sector = Sector(math.pi / 4)
 print(f"sector half-angle alpha = pi/4; mu(D_r) = alpha*r^2")
@@ -53,5 +54,5 @@ for n in (10, 100):
     members = [k for k in K.members_up_to(n) if k >= 1]
     bound = (len(members) / n) ** 2
     B = annuli_union([k - 1 for k in members], sector)
-    ratio = B.clipped_measure(n) / truncated_measure(sector, n)
+    ratio = measure_in_truncation(B, n, sector) / truncated_measure(sector, n)
     print(f"n={n}: exact ratio {ratio:.4f} >= counting bound {bound:.4f}")

@@ -113,6 +113,12 @@ def orbit_profile(space: LpSpace, f: SectorFunction, R: float,
     it equals ``orbit_norm(space, f, t)`` up to rounding; nodes whose
     translate has left the sector read exactly 0.  A function without a
     support bound raises `DomainError`, as `lp_norm` does.
+
+    The node angles are ``dth * (j - (n_theta - 1) / 2)`` with
+    dth = 2 alpha / n_theta, so columns j and n_theta - 1 - j are exact
+    conjugates; for a radial weight and a function equal to its mirror
+    image in the real axis, `orbit_norms` computes one column of each such
+    pair and the two columns are equal bit for bit.
     """
     if R <= 0:
         raise DomainError(f"grid radius must be > 0, got {R}")
@@ -120,7 +126,7 @@ def orbit_profile(space: LpSpace, f: SectorFunction, R: float,
     sector = space.sector
     radii = np.geomspace(R / res.n_r, R, res.n_r)
     dth = 2 * sector.alpha / res.n_theta
-    thetas = -sector.alpha + dth * (np.arange(res.n_theta) + 0.5)
+    thetas = dth * (np.arange(res.n_theta) - (res.n_theta - 1) / 2)
 
     g = f.simplified()
     nodes = (radii[:, None] * np.exp(1j * thetas[None, :])).ravel()

@@ -18,7 +18,10 @@ the engine integrates the weight alone on them (its closed-form ray
 primitive for the built-in families), one row per (step, piece).  Other
 functions run as one row per step.  A batch of steps (`orbit_norms`,
 behind every orbit grid) skips the rows whose translate misses the
-sector, which read exactly 0; a single norm (`lp_norm`) has one step.
+sector, which read exactly 0, and, when the weight is radial and f equals
+its mirror image in the real axis, computes one step of each conjugate
+pair t, conj t (their norms are equal); a single norm (`lp_norm`) has
+one step.
 """
 
 from __future__ import annotations
@@ -345,6 +348,27 @@ def _steps(sector: Sector, ts) -> np.ndarray:
     return taus
 
 
+def _mirror_symmetric(space: LpSpace, g: SectorFunction) -> bool:
+    """Whether ||T_t g|| = ||T_{conj t} g|| for every step t, decided from
+    g's terms: the weight is radial and every term equals its mirror image
+    in the real axis (a real offset, and a rect set closed under
+    (th_lo, th_hi) -> (-th_hi, -th_lo) or a bump with a real centre).
+    Then s -> conj s maps the integral of |g(s + t)|^p v(s) onto that at
+    conj t.  Sufficient, not necessary: other functions read False."""
+    if not space.weight.radial:
+        return False
+    for _, f in (g.base.terms if g.kind == "linear-combination" else [(1.0, g)]):
+        if f.offset.imag != 0.0:
+            return False
+        if f.kind == "indicator":
+            rects = {(t.r_lo, t.r_hi, t.th_lo, t.th_hi) for t in f.base.rects.rects}
+            if rects != {(r_lo, r_hi, -th_hi, -th_lo) for r_lo, r_hi, th_lo, th_hi in rects}:
+                return False
+        elif f.kind != "bump" or f.base.center.imag != 0.0:
+            return False
+    return True
+
+
 def _norms(space: LpSpace, g: SectorFunction, ts: np.ndarray, R: float | None,
            rows=quad.ray_rows) -> np.ndarray:
     """||T_t g|| truncated at R for every step t of ts, g simplified,
@@ -385,6 +409,11 @@ def orbit_norms(space: LpSpace, f: SectorFunction, ts, R: float | None = None) -
     ``orbit_norm(space, f, t, R)`` up to rounding; rows that miss the
     sector are skipped and read exactly 0.  A step outside the sector
     raises `DomainError`, as `orbit_norm` does.
+
+    When `_mirror_symmetric` holds, ||T_t f|| = ||T_{conj t} f||: the steps
+    are keyed by (Re t, |Im t|), the first step of each key, in the given
+    order, goes to the engine, and every other step of that key receives a
+    copy of its value, so a step and its conjugate read the same float.
     """
     taus = _steps(space.sector, ts)
     if R is not None and R <= 0:
@@ -394,7 +423,14 @@ def orbit_norms(space: LpSpace, f: SectorFunction, ts, R: float | None = None) -
         return np.zeros(len(taus))
     if R is None and g.support_radius(space.sector.alpha) is None:
         raise DomainError("function has unbounded support; a truncation radius is required")
-    return _norms(space, g, taus, R, quad.live_ray_rows)
+    if not _mirror_symmetric(space, g):
+        return _norms(space, g, taus, R, quad.live_ray_rows)
+    # one step of each conjugate pair, the first in the given order
+    _, first, pair = np.unique(np.stack([taus.real, np.abs(taus.imag)], axis=1), axis=0,
+                               return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    norms = _norms(space, g, taus[keep], R, quad.live_ray_rows)
+    return norms[np.searchsorted(keep, first[pair.ravel()])]
 
 
 def indicator_orbit_norms(space: LpSpace, f: SectorFunction, ts,

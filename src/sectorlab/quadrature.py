@@ -8,7 +8,10 @@ s = rho e^{i phi}, |phi| <= alpha.  A function is made of pieces (the
 polar rectangles of an indicator, the disc of a bump: a rectangle
 [0, r] about its centre with no angular span), and a piece cuts a ray in
 at most two rho-intervals, solved in closed form: circle roots for the
-radii, half-plane cuts for the span, rho <= R for a truncation.
+radii, half-plane cuts for the span, rho <= R for a truncation.  The
+span cuts are skipped when they cannot bind: every span holds
+[-alpha, alpha] and every offset with a span lies in the closed sector
+(full-span annuli at in-sector steps), so s + tau never leaves the span.
 Gauss-Legendre panels split at integer radii run on those intervals, so
 no discontinuity is ever sampled; for v alone and a built-in weight the
 rho-integral over an interval is the weight's closed-form ray primitive
@@ -55,6 +58,7 @@ _PHI_NODES, _MIN_PHI_PANELS, _RHO_NODES = 20, 6, 12
 _CUSTOM_PHI = (12, 8)  # no breakpoints: the generic grid, 12 nodes on >= 8 panels
 _ROW_BLOCK = 256  # pieces (over all rows) whose ray intervals are held at once
 _PANEL_BLOCK = 1 << 15  # radial panels evaluated at once
+_EDGE_SLACK = 4 * np.finfo(float).eps  # angle of a step on an edge, up to rounding
 
 _rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -166,12 +170,22 @@ def _piece_angles(tau, rc, R) -> tuple[np.ndarray, np.ndarray]:
     return angles.reshape(len(angles), -1), flat.reshape(len(angles), -1)
 
 
-def _piece_intervals(tau, rc, phi, R) -> tuple[np.ndarray, np.ndarray]:
+def _piece_intervals(tau, rc, phi, alpha: float, R) -> tuple[np.ndarray, np.ndarray]:
     """The rho-intervals (rows, n_phi, 2m) where s + tau lies in the pieces
-    rc: the annulus chord, cut by the span's two half-planes."""
+    rc: the annulus chord, cut by the span's two half-planes.
+
+    The cuts cannot bind, and are skipped, when every span holds
+    [-alpha, alpha] and every tau with a span lies in the closed sector
+    (within _EDGE_SLACK, where the cut itself is rounding): the sector is
+    a convex cone, so s + tau stays in it and in the span.  Nan spans
+    (discs) never cut.  Only rho <= R is applied then."""
+    spans = rc[..., 2:]
+    free = np.all(np.isnan(spans[..., 0]) | (
+        (spans[..., 0] <= -alpha) & (spans[..., 1] >= alpha)
+        & (np.abs(np.angle(tau)) <= alpha + _EDGE_SLACK)))
     tau, rc = tau[:, None, :], rc[:, None]
     # |rho e^{i phi} + tau| <= r  reads  rho^2 + 2 d rho + |tau|^2 <= r^2
-    d = (tau * np.exp(-1j * phi)[..., None]).real
+    d = tau.real * np.cos(phi)[..., None] + tau.imag * np.sin(phi)[..., None]
     disc = (d * d - np.abs(tau) ** 2)[..., None] + rc[..., :2] ** 2
     root = np.sqrt(np.maximum(disc, 0.0))
     lo, hi = np.maximum(-d[..., None] - root, 0.0), -d[..., None] + root
@@ -179,18 +193,22 @@ def _piece_intervals(tau, rc, phi, R) -> tuple[np.ndarray, np.ndarray]:
     # the annulus: the outer chord minus the inner one
     lo, hi = (np.stack([lo[..., 1], np.maximum(lo[..., 1], hi[..., 0])], axis=-1),
               np.stack([np.minimum(hi[..., 1], lo[..., 0]), hi[..., 1]], axis=-1))
-    # s + tau stays in the sector, so clipping the span to [-pi/2, pi/2]
-    # changes nothing and keeps the wedge an intersection of half-planes;
-    # sgn * Im((s + tau) e^{-i th}) >= 0 bounds rho below where k >= 0
-    cut_lo, cut_hi = 0.0, np.inf if R is None else R
-    for th, sgn in ((rc[..., 2], 1.0), (rc[..., 3], -1.0)):
-        th = np.clip(th, -np.pi / 2, np.pi / 2)
-        k = sgn * np.sin(phi[..., None] - th)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = -sgn * (tau * np.exp(-1j * th)).imag / k
-        cut_lo = np.fmax(cut_lo, np.where(k >= 0, bound, 0.0))
-        cut_hi = np.fmin(cut_hi, np.where(k < 0, bound, np.inf))
-    lo, hi = np.maximum(lo, cut_lo[..., None]), np.minimum(hi, cut_hi[..., None])
+    if free:
+        if R is not None:
+            hi = np.minimum(hi, R)
+    else:
+        # s + tau stays in the sector, so clipping the span to [-pi/2, pi/2]
+        # changes nothing and keeps the wedge an intersection of half-planes;
+        # sgn * Im((s + tau) e^{-i th}) >= 0 bounds rho below where k >= 0
+        cut_lo, cut_hi = 0.0, np.inf if R is None else R
+        for th, sgn in ((rc[..., 2], 1.0), (rc[..., 3], -1.0)):
+            th = np.clip(th, -np.pi / 2, np.pi / 2)
+            k = sgn * np.sin(phi[..., None] - th)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = -sgn * (tau * np.exp(-1j * th)).imag / k
+            cut_lo = np.fmax(cut_lo, np.where(k >= 0, bound, 0.0))
+            cut_hi = np.fmin(cut_hi, np.where(k < 0, bound, np.inf))
+        lo, hi = np.maximum(lo, cut_lo[..., None]), np.minimum(hi, cut_hi[..., None])
     empty = hi <= lo
     shape = phi.shape + (2 * rc.shape[-2],)
     return np.where(empty, 0.0, lo).reshape(shape), np.where(empty, 0.0, hi).reshape(shape)
@@ -347,7 +365,8 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
     reach = np.max(rc[..., 1] + np.abs(tau), axis=1, initial=max(caps, default=0.0))
     phi, wphi = phi_rule(v, alpha, reach if R is None else np.minimum(reach, R), angles, flat,
                          *((_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks)) if angles.size else _CUSTOM_PHI))
-    lo, hi = _piece_intervals(tau, rc, phi, R) if rc.shape[1] else (np.zeros(phi.shape + (0,)),) * 2
+    lo, hi = (_piece_intervals(tau, rc, phi, alpha, R) if rc.shape[1]
+              else (np.zeros(phi.shape + (0,)),) * 2)
     lo = np.concatenate([lo, np.zeros(phi.shape + (len(caps),))], axis=-1)
     hi = np.concatenate([hi, np.broadcast_to(caps, phi.shape + (len(caps),))], axis=-1)
     scale = 1.0

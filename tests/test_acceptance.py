@@ -15,7 +15,7 @@ from sectorlab import (IndexSet, LpSpace, OrbitResolution,
                        build_witness, bump, dc_sufficient_series,
                        density_estimates, density_profile, devaney_ray_series,
                        exp_decay, indicator, indicator_orbit_norms, level_density,
-                       lp_norm, orbit_norm, orbit_profile,
+                       lp_norm, measure_in_truncation, orbit_norm, orbit_profile,
                        poly_decay, translate_function, translate_set,
                        truncated_measure, vertical_exp, weight_integral,
                        constant_weight)
@@ -83,7 +83,7 @@ def test_criterion_3_translation_invariance():
         # mu(A ∩ D_{r+r0}) - mu(D_{r+r0}) + mu(D_r) <= mu((A-t0) ∩ D_r)
         #                                           <= mu(A ∩ D_{r+r0})
         mu_r = ALPHA * radii ** 2
-        upper = np.array([A.clipped_measure(r + r0) for r in radii]) / mu_r
+        upper = np.array([measure_in_truncation(A, r + r0, SECTOR) for r in radii]) / mu_r
         lower = upper - (ALPHA * (radii + r0) ** 2 - mu_r) / mu_r
         worst_viol = max(worst_viol,
                          float(np.max(lower - prof_t.ratios)),
@@ -249,7 +249,8 @@ def test_criterion_9_density_bound_formula():
             A = RectUnionSet([])
             if members:
                 A = annuli_union([k - 1 for k in members], SECTOR)
-            ratio = A.clipped_measure(float(n)) / truncated_measure(SECTOR, float(n))
+            ratio = (measure_in_truncation(A, float(n), SECTOR)
+                     / truncated_measure(SECTOR, float(n)))
             bound = (len(members) / n) ** 2
             worst_margin = min(worst_margin, ratio - bound)
     ok = worst_margin >= -1e-9

@@ -54,10 +54,10 @@ from scipy import integrate
 from sectorlab import (IndexSet, LpSpace, OracleSet, OrbitResolution, PolarRect,
                        RectUnionSet, Sector, TranslatedRectUnion, bump, constant_weight,
                        custom_function, custom_weight, dc_sufficient_series,
-                       density_profile, exp_decay, indicator, level_density,
-                       linear_combination, measure_profile, orbit_norm, orbit_profile,
-                       poly_decay, translate_function, translate_set, vertical_exp,
-                       weight_integral, weight_rect_integral)
+                       density_profile, exp_decay, function_from_spec, indicator,
+                       level_density, linear_combination, measure_profile, orbit_norm,
+                       orbit_profile, poly_decay, translate_function, translate_set,
+                       vertical_exp, weight_integral, weight_rect_integral)
 
 ALPHAS = (0.3, math.pi / 4, 1.4)
 FAMILIES = ("exp_decay", "poly_decay", "vertical_exp", "constant")
@@ -439,6 +439,50 @@ def test_mixed_combination_matches_s_polar_oracle(alpha, family, p, t_edge, term
         ref = s_polar_oracle(family, terms, t, alpha, p)
         assert orbit_norm(space, f, t) ** p == pytest.approx(
             ref, rel=KINK_RTOL if kink else MIXED_RTOL, abs=1e-300), f"t={t}"
+
+
+# Full-span annuli at steps in the closed sector skip the span cuts (they
+# cannot bind); steps exactly on an edge are where the cut was rounding
+EDGE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_full_span_annuli_at_edge_steps_match_s_polar_oracle(alpha):
+    sector = Sector(alpha)
+    family = "exp_decay"
+    space = LpSpace(WEIGHTS[family][0](), 2.0, sector)
+    rects = [(0.0, 1.0, -alpha, alpha), (1.5, 2.5, -alpha, alpha)]
+    f = indicator(RectUnionSet(PolarRect(*r) for r in rects))
+    for k in (0.4, 1.0, 2.0, 3.0):
+        for side in (1.0, -1.0):
+            t = k * cmath.exp(1j * side * alpha)
+            ref = s_polar_oracle(family, [("rects", 1.0, 0j, rects)], t, alpha, 2.0)
+            assert orbit_norm(space, f, t) ** 2 == pytest.approx(ref, rel=EDGE_RTOL, abs=0.0), t
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_binding_span_cuts_are_kept(alpha):
+    """A partial-span rect, and a full-span indicator whose offset lies
+    outside the sector, are cut by their spans: the norms match the
+    oracle, and they differ from those of the uncut annuli."""
+    sector = Sector(alpha)
+    family = "poly_decay"
+    space = LpSpace(WEIGHTS[family][0](), 1.0, sector)
+    partial = [(1.0, 2.0, -alpha / 2, alpha / 3)]
+    full = [(0.5, 3.0, -alpha, alpha)]
+    offset = 2.0 * cmath.exp(-1j * (alpha + 0.4))
+    cases = [(indicator(RectUnionSet(PolarRect(*r) for r in partial)), partial, 0j),
+             (function_from_spec({"kind": "indicator", "params": {"rects": [
+                 dict(zip(("r_lo", "r_hi", "th_lo", "th_hi"), full[0]))]},
+                 "offset": [offset.real, offset.imag]}), full, offset)]
+    for f, rects, o in cases:
+        for t in (0.5 * cmath.exp(1j * alpha), 0.8 * cmath.exp(-0.3j * alpha)):
+            ref = s_polar_oracle(family, [("rects", 1.0, o, rects)], t, alpha, 1.0)
+            uncut = s_polar_oracle(family, [("rects", 1.0, o, [(lo, hi, -math.pi, math.pi)
+                                                               for lo, hi, _, _ in rects])],
+                                   t, alpha, 1.0)
+            assert abs(uncut - ref) > 1e-3 * ref
+            assert orbit_norm(space, f, t) == pytest.approx(ref, rel=EDGE_RTOL, abs=0.0), t
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import pytest
 
 from sectorlab import (DomainError, IndexSet, LpSpace, OrbitResolution,
                        PolarRect, RectUnionSet, Sector, annuli_union,
-                       build_witness, bump, custom_function, density_estimates,
-                       exp_decay, indicator, level_density, linear_combination,
-                       lp_norm, orbit_norm, orbit_profile, pair_diagnostic,
-                       poly_decay, translate_function, unboundedness_diagnostic,
-                       vertical_exp)
+                       build_witness, bump, custom_function, custom_weight,
+                       density_estimates, exp_decay, indicator, level_density,
+                       linear_combination, lp_norm, orbit_norm, orbit_norms,
+                       orbit_profile, pair_diagnostic, poly_decay, translate_function,
+                       unboundedness_diagnostic, vertical_exp)
+from sectorlab import quadrature
 
 FAST = OrbitResolution(n_r=64, n_theta=24)
 
@@ -117,6 +118,110 @@ class TestGridFromEngine:
         nodes = grid.radii[:, None] * np.exp(1j * grid.thetas[None, :])
         singles = np.array([[orbit_norm(exp_space, f, t) for t in row] for row in nodes])
         assert np.allclose(grid.norms, singles, rtol=1e-12, atol=0.0)
+
+
+def _rows_sent(monkeypatch):
+    """Record the number of engine rows each batch of orbit norms sends."""
+    sent = []
+    live = quadrature.live_ray_rows
+
+    def counted(v, alpha, p, tau, *args):
+        sent.append(len(tau))
+        return live(v, alpha, p, tau, *args)
+
+    monkeypatch.setattr(quadrature, "live_ray_rows", counted)
+    return sent
+
+
+def _mirror_kinds(sector):
+    annuli = indicator(annuli_union([0, 2], sector))
+    cap = bump(1.5 + 0j, 0.7)
+    return {"indicator": annuli, "bump": cap,
+            "indicator-minus-bump": linear_combination([(1.0, annuli), (-1.0, cap)])}
+
+
+def _asymmetric_kinds(sector):
+    """Inputs that are not their own mirror image, each one engine row per
+    step: one rectangle, or the general path."""
+    a = sector.alpha
+    ring = indicator(annuli_union([1], sector))
+    partial = indicator(RectUnionSet([PolarRect(1.0, 2.5, -a / 2, a / 3)]))
+    off_axis = bump(1.5 * np.exp(0.1j), 0.7)
+    return {"partial-span": (poly_decay(), partial),
+            "off-axis-bump": (poly_decay(), off_axis),
+            "offset-off-axis": (poly_decay(), translate_function(ring, 0.6 + 0.1j, sector)),
+            "vertical-exp": (vertical_exp(), ring),
+            "non-radial-weight": (custom_weight(lambda z: np.exp(-np.abs(z))), ring),
+            "one-asymmetric-term": (poly_decay(),
+                                    linear_combination([(1.0, ring), (-1.0, off_axis)]))}
+
+
+def _singles(space, f, grid):
+    nodes = grid.radii[:, None] * np.exp(1j * grid.thetas[None, :])
+    return np.array([[orbit_norm(space, f, t) for t in row] for row in nodes])
+
+
+class TestMirror:
+    """A radial weight and a function equal to its mirror image give
+    ||T_t f|| = ||T_{conj t} f||: one step of each pair is computed."""
+
+    @pytest.mark.parametrize("alpha", [0.3, math.pi / 4, 1.4])
+    @pytest.mark.parametrize("n_theta", [5, 6])
+    @pytest.mark.parametrize("kind", ["indicator", "bump", "indicator-minus-bump"])
+    def test_symmetric_grid_columns_pair(self, alpha, n_theta, kind):
+        sector = Sector(alpha)
+        space = LpSpace(poly_decay(), 3.0, sector)
+        f = _mirror_kinds(sector)[kind]
+        grid = orbit_profile(space, f, 6.0, OrbitResolution(n_r=3, n_theta=n_theta))
+        assert np.array_equal(grid.thetas, -grid.thetas[::-1])
+        assert np.array_equal(grid.norms, grid.norms[:, ::-1])
+        singles = _singles(space, f, grid)
+        assert np.any(singles > 0)
+        assert np.allclose(grid.norms, singles, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, math.pi / 4, 1.4])
+    @pytest.mark.parametrize("kind", ["partial-span", "off-axis-bump", "offset-off-axis",
+                                      "vertical-exp", "non-radial-weight",
+                                      "one-asymmetric-term"])
+    def test_asymmetric_input_takes_every_step(self, monkeypatch, alpha, kind):
+        sector = Sector(alpha)
+        v, f = _asymmetric_kinds(sector)[kind]
+        space = LpSpace(v, 2.0, sector)
+        sent = _rows_sent(monkeypatch)
+        grid = orbit_profile(space, f, 3.0, OrbitResolution(n_r=3, n_theta=4))
+        assert sum(sent) == grid.norms.size
+        singles = _singles(space, f, grid)
+        assert np.any(singles > 0)
+        assert np.allclose(grid.norms, singles, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_theta, columns", [(16, 8), (15, 8)])
+    def test_symmetric_grid_sends_one_step_per_pair(self, monkeypatch, sector, n_theta,
+                                                    columns):
+        space = LpSpace(exp_decay(), 2.0, sector)
+        sent = _rows_sent(monkeypatch)
+        orbit_profile(space, indicator(annuli_union([1], sector)), 20.0,
+                      OrbitResolution(n_r=48, n_theta=n_theta))
+        assert sum(sent) == 48 * columns
+
+    def test_asymmetric_grid_sends_every_step(self, monkeypatch, sector):
+        space = LpSpace(exp_decay(), 2.0, sector)
+        f = indicator(RectUnionSet([PolarRect(1.0, 2.0, -sector.alpha, 0.5 * sector.alpha)]))
+        sent = _rows_sent(monkeypatch)
+        orbit_profile(space, f, 20.0, OrbitResolution(n_r=48, n_theta=16))
+        assert sum(sent) == 48 * 16
+
+    def test_steps_pair_in_any_order(self, monkeypatch, sector):
+        space = LpSpace(exp_decay(), 2.0, sector)
+        f = _mirror_kinds(sector)["indicator"]
+        base = np.array([1.0 + 0.5j, 2.0 - 0.3j, 0.7 + 0j, 3.0 + 1.0j])
+        ts = np.concatenate([base, base.conj(), base[::-1]])
+        ts = ts[[5, 0, 11, 2, 7, 9, 1, 4, 3, 6, 8, 10]]
+        sent = _rows_sent(monkeypatch)
+        got = orbit_norms(space, f, ts)
+        # 0.7 is its own conjugate; each piece of the two annuli is a row
+        assert sum(sent) == 2 * 4
+        expect = [orbit_norm(space, f, t) for t in ts]
+        assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
 
 
 class TestLevelDensity:

@@ -171,7 +171,7 @@ class TestTranslateSet:
             for r, m in zip(radii, est):
                 mu_r = truncated_measure(sector, r)
                 mu_rr = truncated_measure(sector, r + r0)
-                upper = A.clipped_measure(r + r0)
+                upper = measure_in_truncation(A, r + r0, sector)
                 lower = upper - mu_rr + mu_r
                 assert m >= lower - 1e-3 * mu_r
                 assert m <= upper + 1e-3 * mu_r
