@@ -425,7 +425,6 @@ def orbit_norms(space: LpSpace, f: SectorFunction, ts, R: float | None = None) -
         raise DomainError("function has unbounded support; a truncation radius is required")
     if not _mirror_symmetric(space, g):
         return _norms(space, g, taus, R, quad.live_ray_rows)
-    # one step of each conjugate pair, the first in the given order
     _, first, pair = np.unique(np.stack([taus.real, np.abs(taus.imag)], axis=1), axis=0,
                                return_index=True, return_inverse=True)
     keep = np.sort(first)
