@@ -351,6 +351,12 @@ class WitnessVerification:
     passed: bool
 
 
+def _band_angles(alpha: float, n: int) -> np.ndarray:
+    """n even angles from -alpha to alpha, th == -th[::-1] bit for bit ([0.0] for n = 1)."""
+    j = np.arange(n) - (n - 1) / 2
+    return alpha * (j / j[-1]) if n > 1 else np.zeros(n)
+
+
 def verify_witness(space: LpSpace, pkg: WitnessPackage, K: IndexSet, R: float,
                    sampling: WitnessSampling | None = None,
                    tol: float = 1e-4) -> WitnessVerification:
@@ -372,10 +378,10 @@ def verify_witness(space: LpSpace, pkg: WitnessPackage, K: IndexSet, R: float,
             f"witness cap k_cap={pkg.k_cap} is below the verification horizon; "
             f"rebuild with k_cap >= {max(ks) + 1}")
 
+    th = _band_angles(alpha, sampling.per_band_theta)
     pts = []
     for k in ks:
         rr = np.linspace(k - 1, k, sampling.per_band_r + 1)[1:]
-        th = np.linspace(-alpha, alpha, sampling.per_band_theta)
         pts.append((rr[:, None] * np.exp(1j * th[None, :])).ravel())
     rng = np.random.default_rng(sampling.seed)
     band = rng.choice(len(ks), size=sampling.n_random)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import RadiusSchedule, Sector, truncated_measure
+from .geometry import Sector, schedule_radii, truncated_measure
 from .sets import measure_profile
 
 __all__ = [
@@ -75,27 +75,21 @@ class DensityEstimate:
 
 
 def density_profile(A, schedule, sector: Sector) -> DensityProfile:
-    """Ratio profile of A over a schedule (or explicit radii array).
+    """Ratio profile of A over a schedule (or radii), see `schedule_radii`.
 
     A rect union or its translate is exact per radius (errors 0); any
     other set raises `DomainError` (see `sets.measure_profile`).  Ratios
     of a measure-zero set are zeros, not an error.
     """
-    if isinstance(schedule, RadiusSchedule):
-        radii = schedule.radii
-    else:
-        radii = np.atleast_1d(np.asarray(schedule, dtype=float))
-    if len(radii) == 0:
-        raise DomainError("schedule must be nonempty")
-
+    radii = schedule_radii(schedule)
     measures, errors = measure_profile(A, radii, sector)
     return DensityProfile.from_measures(radii, measures, errors, sector)
 
 
 def density_estimates(profile: DensityProfile, window: int,
                       settle_tol: float = 0.05) -> DensityEstimate:
-    """Sup/inf of the trailing `window` ratios plus a trend flag."""
-    if window == 0:
+    """Sup/inf of the trailing `window` (1 to len) ratios plus a trend flag."""
+    if window < 1:
         raise DomainError("window must be >= 1")
     if window > len(profile):
         raise DomainError(f"window {window} exceeds profile length {len(profile)}")
@@ -116,7 +110,8 @@ def density_estimates(profile: DensityProfile, window: int,
 
 
 def annuli_density_bound(K, n: int) -> float:
-    """Lower-bound term ``(#(K ∩ [1, n]) / n)**2`` at horizon n.
+    """Lower-bound term ``IndexSet.counting_ratio(n)**2`` at horizon n; an
+    iterable K is read as `IndexSet.finite(K)`.
 
     The density of a union of unit annuli indexed by K dominates this
     squared counting ratio; see the acceptance suite for the comparison
@@ -124,6 +119,6 @@ def annuli_density_bound(K, n: int) -> float:
     """
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
-    count = len([k for k in K.members_up_to(n) if 1 <= k <= n]) if hasattr(K, "members_up_to") \
-        else len([k for k in K if 1 <= k <= n])
-    return (count / n) ** 2
+    from .criteria import IndexSet  # criteria imports this module
+    K = K if isinstance(K, IndexSet) else IndexSet.finite(K)
+    return K.counting_ratio(n) ** 2

@@ -20,6 +20,7 @@ import numpy as np
 
 from .density import DensityProfile, density_estimates
 from .errors import DomainError
+from .geometry import schedule_radii
 from .lpspace import LpSpace, SectorFunction, linear_combination, orbit_norms
 
 __all__ = [
@@ -163,14 +164,13 @@ def level_density(grid: OrbitGrid, threshold: float, side: str,
     `OrbitGrid.cell_edges` (b_0 = 0, b_{n_r} = infinity), each of angle
     2 alpha / n_theta,
     ``mu(L ∩ Δ_r) = (alpha / n_theta) * sum_i c_i (clip(r, b_i, b_{i+1})^2 - b_i^2)``;
-    the errors are identically 0.
+    the errors are identically 0.  The schedule is read by `schedule_radii`.
     """
     if threshold <= 0:
         raise DomainError(f"threshold must be > 0, got {threshold}")
     if side not in ("super", "sub"):
         raise DomainError(f"side must be 'super' or 'sub', got {side!r}")
-    radii = np.atleast_1d(np.asarray(
-        schedule.radii if hasattr(schedule, "radii") else schedule, dtype=float))
+    radii = schedule_radii(schedule)
     if radii.max() > grid.R * (1 + 1e-12):
         raise DomainError(
             f"schedule reaches r={radii.max():g} beyond the grid radius {grid.R:g}")

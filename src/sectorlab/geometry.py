@@ -160,3 +160,13 @@ class RadiusSchedule:
         """Sorted union of the ladder with integer radii up to the horizon."""
         integers = np.arange(1.0, np.floor(self.horizon) + 1.0)
         return np.unique(np.concatenate([self.radii, integers]))
+
+
+def schedule_radii(schedule) -> np.ndarray:
+    """The radii of a `RadiusSchedule` or of a radii array, as a float array;
+    `DomainError` unless there is at least one and all are > 0."""
+    radii = np.atleast_1d(np.asarray(
+        schedule.radii if isinstance(schedule, RadiusSchedule) else schedule, dtype=float))
+    if len(radii) == 0 or np.any(radii <= 0):
+        raise DomainError(f"a schedule needs one or more radii, all > 0; got {radii}")
+    return radii

@@ -16,12 +16,11 @@ offset, are first cut into level pieces: disjoint rectangles on which
 |f|^p is one constant, found by an angular and then a radial sweep, so
 the engine integrates the weight alone on them (its closed-form ray
 primitive for the built-in families), one row per (step, piece).  Other
-functions run as one row per step.  A batch of steps (`orbit_norms`,
-behind every orbit grid) skips the rows whose translate misses the
-sector, which read exactly 0, and, when the weight is radial and f equals
-its mirror image in the real axis, computes one step of each conjugate
-pair t, conj t (their norms are equal); a single norm (`lp_norm`) has
-one step.
+functions run as one row per step.  Rows whose translate misses the
+sector read exactly 0.  `lp_norm` (one step) and `orbit_norms` (a batch,
+behind every orbit grid) share the front end `_front`; when the weight is
+radial and f equals its mirror image in the real axis, `orbit_norms`
+computes one step of each conjugate pair t, conj t (their norms are equal).
 """
 
 from __future__ import annotations
@@ -289,10 +288,15 @@ class NormResult:
         return self.value
 
 
+def _terms(g: SectorFunction):
+    """The (coefficient, function) terms of g: one, unless g is a combination."""
+    return g.base.terms if g.kind == "linear-combination" else ((1.0, g),)
+
+
 def _pieces(g: SectorFunction, alpha: float, R: float | None):
     """tau (1, m), rc (1, m, 4) and custom caps of the terms of g."""
     tau, rc, caps = [], [], []
-    for _, f in (g.base.terms if g.kind == "linear-combination" else [(1.0, g)]):
+    for _, f in _terms(g):
         if f.kind == "indicator":
             tau += [f.offset] * len(f.base.rects.rects)
             rc += [[t.r_lo, t.r_hi, t.th_lo, t.th_hi] for t in f.base.rects.rects]
@@ -341,7 +345,9 @@ def _level_pieces(g: SectorFunction, p: float):
 
 
 def _steps(sector: Sector, ts) -> np.ndarray:
-    taus = np.array([as_complex(t) for t in np.atleast_1d(ts)], dtype=complex)
+    ts = np.atleast_1d(ts)  # numbers convert at once, `SectorPoint`s one by one
+    taus = (ts.astype(complex) if ts.dtype.kind in "biufc"
+            else np.array([as_complex(t) for t in ts], dtype=complex))
     outside = ~sector.membership_mask(taus)
     if np.any(outside):
         raise DomainError(f"translation step {taus[outside][0]} lies outside the sector")
@@ -357,7 +363,7 @@ def _mirror_symmetric(space: LpSpace, g: SectorFunction) -> bool:
     conj t.  Sufficient, not necessary: other functions read False."""
     if not space.weight.radial:
         return False
-    for _, f in (g.base.terms if g.kind == "linear-combination" else [(1.0, g)]):
+    for _, f in _terms(g):
         if f.offset.imag != 0.0:
             return False
         if f.kind == "indicator":
@@ -369,34 +375,44 @@ def _mirror_symmetric(space: LpSpace, g: SectorFunction) -> bool:
     return True
 
 
-def _norms(space: LpSpace, g: SectorFunction, ts: np.ndarray, R: float | None,
-           rows=quad.ray_rows) -> np.ndarray:
-    """||T_t g|| truncated at R for every step t of ts, g simplified,
-    nonzero and bounded by its support or R; rows runs the engine."""
+def _front(space: LpSpace, f: SectorFunction, R: float | None):
+    """(f simplified, its support bound), None for the zero function; R <= 0,
+    or no R for an unbounded support, raises `DomainError`."""
+    if R is not None and R <= 0:
+        raise DomainError(f"truncation radius must be > 0, got {R}")
+    g = f.simplified()
+    if g.is_zero:
+        return None
+    sup = g.support_radius(space.sector.alpha)
+    if R is None and sup is None:
+        raise DomainError("function has unbounded support; a truncation radius is required")
+    return g, sup
+
+
+def _norms(space: LpSpace, g: SectorFunction, ts: np.ndarray, R: float | None) -> np.ndarray:
+    """||T_t g|| truncated at R for every step t of ts, g as `_front`
+    returns it."""
     v, alpha, p = space.weight, space.sector.alpha, space.p
     levels = _level_pieces(g, p)
     if levels is not None:  # disjoint pieces: the weight alone, one row per (step, piece)
         offset, rc, w, amp = levels
         tau = np.repeat(ts + offset, len(rc))[:, None]
-        total = rows(v, alpha, p, tau, np.tile(rc, (len(ts), 1))[:, None], R)
+        total = quad.ray_rows(v, alpha, p, tau, np.tile(rc, (len(ts), 1))[:, None], R)
         total = (total.reshape(len(ts), -1) * w).sum(axis=1)
         return amp * np.maximum(total, 0.0) ** (1.0 / p)
     tau, rc, caps = _pieces(g, alpha, R)
-    total = rows(v, alpha, p, ts[:, None] + tau, rc, R, g, caps, ts if ts.any() else None)
+    total = quad.ray_rows(v, alpha, p, ts[:, None] + tau, rc, R, g, caps,
+                          ts if ts.any() else None)
     return np.maximum(total, 0.0) ** (1.0 / space.p)
 
 
 def lp_norm(space: LpSpace, f: SectorFunction, R: float | None = None) -> NormResult:
     """Weighted p-norm of f, truncated at radius R (None = full support),
     by the s-polar ray engine (see the module docstring)."""
-    if R is not None and R <= 0:
-        raise DomainError(f"truncation radius must be > 0, got {R}")
-    g = f.simplified()
-    if g.is_zero:
+    front = _front(space, f, R)
+    if front is None:
         return NormResult(0.0, 0.0, float(R if R is not None else 0.0))
-    sup = g.support_radius(space.sector.alpha)
-    if R is None and sup is None:
-        raise DomainError("function has unbounded support; a truncation radius is required")
+    g, sup = front
     tail = 0.0 if sup is not None and (R is None or sup <= R) else None
     value = float(_norms(space, g, np.zeros(1), R)[0])
     return NormResult(value=value, tail=tail, R=float(min(x for x in (R, sup) if x is not None)))
@@ -416,19 +432,16 @@ def orbit_norms(space: LpSpace, f: SectorFunction, ts, R: float | None = None) -
     copy of its value, so a step and its conjugate read the same float.
     """
     taus = _steps(space.sector, ts)
-    if R is not None and R <= 0:
-        raise DomainError(f"truncation radius must be > 0, got {R}")
-    g = f.simplified()
-    if g.is_zero:
+    front = _front(space, f, R)
+    if front is None:
         return np.zeros(len(taus))
-    if R is None and g.support_radius(space.sector.alpha) is None:
-        raise DomainError("function has unbounded support; a truncation radius is required")
+    g, _ = front
     if not _mirror_symmetric(space, g):
-        return _norms(space, g, taus, R, quad.live_ray_rows)
+        return _norms(space, g, taus, R)
     _, first, pair = np.unique(np.stack([taus.real, np.abs(taus.imag)], axis=1), axis=0,
                                return_index=True, return_inverse=True)
     keep = np.sort(first)
-    norms = _norms(space, g, taus[keep], R, quad.live_ray_rows)
+    norms = _norms(space, g, taus[keep], R)
     return norms[np.searchsorted(keep, first[pair.ravel()])]
 
 

@@ -34,12 +34,10 @@ integral over polar rectangles is one row per rectangle at tau = 0; a
 batch of norms is one row per step (per step and level piece, where
 `lpspace` cuts a function into pieces of constant |g|^p).  Combinations
 cut the ray at every interval end and integrate |g(s + t)|^p on radial
-panels between the cuts.  `live_ray_rows` skips a row whose pieces all
-lie in discs |s + tau| <= r_hi that miss the sector: it is exactly zero;
-the test is the distance from -tau to the sector, |tau| sin(beta) with
-beta the angle to the nearer edge (|tau| once beta >= pi/2).  All
-reductions run in a fixed order, so repeated runs produce bit-identical
-results.
+panels between the cuts.  `ray_rows`, the one entry, skips a row whose
+pieces all lie in discs |s + tau| <= r_hi that miss the sector (`_misses`):
+it is exactly zero and reads 0.0.  All reductions run in a fixed order,
+so repeated runs produce bit-identical results.
 
 `panel_nodes`, `integrate_polar` and `interval_gl` are no longer called
 by the library; the per-module trace of the benchmark looks them up by
@@ -379,21 +377,6 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
     return _ray_integrate(v, p, lo, hi, phi, wphi, g, scale, shift)
 
 
-def ray_rows(v, alpha: float, p: float, tau, rc, R: float | None,
-             g=None, caps=(), shift=None) -> np.ndarray:
-    """The engine over the rows of tau (rows, m), in blocks of at most
-    _ROW_BLOCK pieces (of their squares when they are cut against each
-    other); the arguments as in `_engine`."""
-    m = tau.shape[1] + len(caps)
-    block = max(1, _ROW_BLOCK // (m if g is None else m * m))
-    if len(tau) <= block:
-        return _engine(v, alpha, p, tau, rc, R, g, caps, shift)
-    return np.concatenate([
-        _engine(v, alpha, p, tau[i:i + block], rc[i:i + block] if len(rc) > 1 else rc, R, g,
-                caps, None if shift is None else shift[i:i + block])
-        for i in range(0, len(tau), block)])
-
-
 def _misses(alpha: float, tau, r_hi) -> np.ndarray:
     """Where the disc |s + tau| <= r_hi misses the sector: the distance from
     -tau to the sector, |tau| sin(beta) with beta the angle from arg(-tau)
@@ -402,13 +385,19 @@ def _misses(alpha: float, tau, r_hi) -> np.ndarray:
     return np.abs(tau) * np.sin(np.minimum(np.maximum(beta, 0.0), np.pi / 2)) > r_hi
 
 
-def live_ray_rows(v, alpha: float, p: float, tau, rc, R: float | None,
-                  g=None, caps=(), shift=None) -> np.ndarray:
-    """`ray_rows`, skipping every row whose pieces all miss the sector and
-    that has no custom interval: it is exactly zero."""
+def ray_rows(v, alpha: float, p: float, tau, rc, R: float | None,
+             g=None, caps=(), shift=None) -> np.ndarray:
+    """The engine over the rows of tau (rows, m), the arguments as in
+    `_engine`.  A row whose pieces all miss the sector and that has no
+    custom interval is skipped and reads 0.0 (a row at tau = 0 never
+    misses); the others run in blocks of at most _ROW_BLOCK pieces (of
+    their squares when they are cut against each other)."""
     total = np.zeros(len(tau))
-    live = ~_misses(alpha, tau, rc[..., 1]).all(axis=1) | bool(caps)
-    if live.any():
-        total[live] = ray_rows(v, alpha, p, tau[live], rc[live] if len(rc) > 1 else rc, R, g,
-                               caps, None if shift is None else shift[live])
+    live = np.flatnonzero(~_misses(alpha, tau, rc[..., 1]).all(axis=1) | bool(caps))
+    m = tau.shape[1] + len(caps)
+    block = max(1, _ROW_BLOCK // (m if g is None else m * m))
+    for i in range(0, len(live), block):
+        rows = live[i:i + block]
+        total[rows] = _engine(v, alpha, p, tau[rows], rc[rows] if len(rc) > 1 else rc, R, g,
+                              caps, None if shift is None else shift[rows])
     return total

@@ -22,14 +22,13 @@ Every measure here is exact, with errors identically 0:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Sector, as_complex, contains
+from .geometry import Sector, as_complex, contains, schedule_radii
 
 __all__ = [
     "PolarRect", "RectUnionSet", "OracleSet", "TranslatedRectUnion",
@@ -59,13 +58,6 @@ class PolarRect:
     @property
     def measure(self) -> float:
         return (self.th_hi - self.th_lo) * (self.r_hi**2 - self.r_lo**2) / 2.0
-
-    def clipped_measure(self, r: float) -> float:
-        """Exact measure of the rectangle intersected with {|t| < r}."""
-        hi = min(r, self.r_hi)
-        if hi <= self.r_lo:
-            return 0.0
-        return (self.th_hi - self.th_lo) * (hi**2 - self.r_lo**2) / 2.0
 
 
 def _merge_intervals(ivs: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -120,7 +112,7 @@ class RectUnionSet:
 
     def __init__(self, rects: Iterable[PolarRect] = ()):
         self.rects: tuple[PolarRect, ...] = _normalize_rects(rects)
-        # (r_lo, r_hi, th_lo, th_hi) per rect, for the clipped measures
+        # (r_lo, r_hi, th_lo, th_hi) per rect, for the exact measures
         self._bounds = np.array([(t.r_lo, t.r_hi, t.th_lo, t.th_hi)
                                  for t in self.rects]).reshape(-1, 4)
         # group radial intervals by identical angular span for fast lookup
@@ -158,11 +150,6 @@ class RectUnionSet:
 
     def contains_point(self, z) -> bool:
         return bool(self.member(np.asarray([as_complex(z)]))[0])
-
-    def clipped_measure(self, r: float) -> float:
-        """Exact measure of the union intersected with {|t| < r}, whole
-        spans (not clipped to a sector)."""
-        return float(_rect_profile(self, np.array([float(r)]), math.inf)[0])
 
     def support_radius(self) -> float:
         return max((t.r_hi for t in self.rects), default=0.0)
@@ -242,8 +229,9 @@ def _rect_profile(A: RectUnionSet, radii: np.ndarray, alpha: float) -> np.ndarra
     """Exact measures of ``A ∩ {|t| < r, |arg t| <= alpha}`` for every r,
     one broadcast over rects x radii.
 
-    Each term is `PolarRect.clipped_measure` with the span clipped to
-    [-alpha, alpha] (a span inside it keeps its float); the terms are
+    Each term is a rectangle's closed form (th_hi - th_lo) *
+    (min(r, r_hi)^2 - r_lo^2) / 2 with the span clipped to [-alpha, alpha]
+    (a span inside it keeps its float); the terms are
     summed one by one in the canonical order of the rects (a running sum,
     never pairwise), so the floats do not depend on how many radii are
     asked.
@@ -416,14 +404,12 @@ def _translated_profile(T: TranslatedRectUnion, radii: np.ndarray) -> np.ndarray
 def measure_profile(A, radii, sector: Sector) -> tuple[np.ndarray, np.ndarray]:
     """Measures of ``A ∩ Δ_r`` for each r in `radii`, with their errors.
 
-    Rect unions and their translates (`TranslatedRectUnion`) are measured
-    in closed form, exact up to rounding, and their errors are identically
-    0.  Any other set (an `OracleSet`) has no exact measure and raises
-    `DomainError`.
+    `radii` is read by `geometry.schedule_radii`.  Rect unions and their
+    translates (`TranslatedRectUnion`) are measured in closed form, exact
+    up to rounding, and their errors are identically 0.  Any other set (an
+    `OracleSet`) has no exact measure and raises `DomainError`.
     """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if np.any(radii <= 0):
-        raise DomainError("truncation radii must be > 0")
+    radii = schedule_radii(radii)
     if isinstance(A, RectUnionSet):
         return _rect_profile(A, radii, sector.alpha), np.zeros_like(radii)
     if isinstance(A, TranslatedRectUnion):

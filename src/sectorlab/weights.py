@@ -273,8 +273,6 @@ def weight_rect_integrals(v: Weight, rc, sector: Sector) -> np.ndarray:
         raise DomainError(f"a rectangle's angular span leaves the sector (alpha={sector.alpha})")
     if v.primitive is not None and v.radial:
         return (rc[:, 3] - rc[:, 2]) * v.primitive(0.0, rc[:, 0], rc[:, 1])
-    if not len(rc):
-        return np.zeros(0)
     return quad.ray_rows(v, sector.alpha, 1.0, np.zeros((len(rc), 1), complex), rc[:, None], None)
 
 

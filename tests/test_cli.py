@@ -27,6 +27,12 @@ class TestDensityCommand:
         csv = (tmp_path / "density_profile.csv").read_text()
         assert csv.splitlines()[0] == "r,ratio,error"
 
+    def test_negative_window_is_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "density", "--annuli", "evens",
+                               "--horizon", "20", "--window", "-3")
+        assert code == 2
+        assert "window" in err
+
     def test_full_annuli_is_one(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--annuli", "all",
                                "--horizon", "40")

@@ -13,7 +13,8 @@ from sectorlab import (ConfigError, DomainError, IndexSet, LpSpace,
                        indicator, load_scenario, lp_norm, poly_decay,
                        run_example, verify_witness, vertical_exp,
                        EXAMPLE_IDS)
-from sectorlab.criteria import validate_scenario
+from sectorlab import criteria
+from sectorlab.criteria import _band_angles, validate_scenario
 
 SCHEMA = resources.files("sectorlab") / "data" / "scenario.schema.json"
 
@@ -176,6 +177,38 @@ class TestWitness:
         ver = verify_witness(LpSpace(v, 2.0, sector), pkg, K, 20.0,
                              WitnessSampling(n_random=50), tol=1e-4)
         assert ver.passed
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, math.pi / 4, 1.4, 1.5])
+    def test_band_angles_are_symmetric(self, alpha):
+        assert _band_angles(alpha, 1).tolist() == [0.0]
+        for n in range(2, 9):
+            th = _band_angles(alpha, n)
+            assert np.array_equal(th, -th[::-1])
+            assert th[0] == -alpha and th[-1] == alpha
+            assert np.allclose(np.diff(th), 2 * alpha / (n - 1), rtol=1e-14, atol=0.0)
+
+    def test_default_band_grid_pairs_conjugates(self, monkeypatch, sector):
+        # a radial weight and full-span annuli: a sample and its conjugate
+        # read one float
+        seen = {}
+        batch = criteria.indicator_orbit_norms
+
+        def record(space, f, ts):
+            seen["ts"], seen["norms"] = ts, batch(space, f, ts)
+            return seen["norms"]
+
+        monkeypatch.setattr(criteria, "indicator_orbit_norms", record)
+        v = exp_decay()
+        pkg = build_witness(v, IndexSet.all_naturals(), 2.0, sector, k_cap=12)
+        sampling = WitnessSampling(n_random=4)
+        verify_witness(LpSpace(v, 2.0, sector), pkg, IndexSet.all_naturals(), 10.0,
+                       sampling)
+        n = sampling.per_band_theta * sampling.per_band_r * 10
+        ts = seen["ts"][:n].reshape(10, sampling.per_band_r, -1)
+        norms = seen["norms"][:n].reshape(ts.shape)
+        assert np.array_equal(ts, ts[..., ::-1].conj())
+        assert np.array_equal(norms, norms[..., ::-1])
+        assert norms.min() > 0.0
 
     def test_empty_bands_rejected(self, sector):
         v = exp_decay()

@@ -76,7 +76,9 @@ class TestDensityProfile:
         # a span inside the sector keeps its floats
         inside = RectUnionSet([PolarRect(0, 1, -0.5, 0.7)])
         got, _ = measure_profile(inside, [0.5, 2.0], Sector(np.pi / 4))
-        assert got.tolist() == [inside.clipped_measure(0.5), inside.clipped_measure(2.0)]
+        # (th_hi - th_lo) * (min(r, r_hi)^2 - r_lo^2) / 2
+        assert got.tolist() == [(0.7 - -0.5) * (0.5 ** 2 - 0.0 ** 2) / 2.0,
+                                (0.7 - -0.5) * (1.0 ** 2 - 0.0 ** 2) / 2.0]
 
 
 class TestDensityEstimates:
@@ -101,10 +103,9 @@ class TestDensityEstimates:
     def test_window_validation(self, sector):
         prof = density_profile(RectUnionSet([full_span(0, 2)]),
                                RadiusSchedule(1.0, 1.5, 5), sector)
-        with pytest.raises(DomainError):
-            density_estimates(prof, 0)
-        with pytest.raises(DomainError):
-            density_estimates(prof, 6)
+        for window in (0, -3, 6):
+            with pytest.raises(DomainError):
+                density_estimates(prof, window)
 
     def test_trend_flags_unsettled_tail(self, sector):
         A = RectUnionSet([full_span(0, 5)])

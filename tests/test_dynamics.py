@@ -123,13 +123,13 @@ class TestGridFromEngine:
 def _rows_sent(monkeypatch):
     """Record the number of engine rows each batch of orbit norms sends."""
     sent = []
-    live = quadrature.live_ray_rows
+    rows = quadrature.ray_rows
 
     def counted(v, alpha, p, tau, *args):
         sent.append(len(tau))
-        return live(v, alpha, p, tau, *args)
+        return rows(v, alpha, p, tau, *args)
 
-    monkeypatch.setattr(quadrature, "live_ray_rows", counted)
+    monkeypatch.setattr(quadrature, "ray_rows", counted)
     return sent
 
 
@@ -257,6 +257,13 @@ class TestLevelDensity:
                              10.0, FAST)
         with pytest.raises(DomainError):
             level_density(grid, 0.5, "super", np.array([5.0, 11.0]))
+
+    @pytest.mark.parametrize("schedule", [[], [0.0, 1.0], [-1.0]])
+    def test_bad_schedule_rejected(self, exp_space, sector, schedule):
+        grid = orbit_profile(exp_space, indicator(annuli_union([0], sector)),
+                             10.0, OrbitResolution(n_r=4, n_theta=2))
+        with pytest.raises(DomainError):
+            level_density(grid, 0.5, "super", schedule)
 
     def test_threshold_validation(self, exp_space, sector):
         grid = orbit_profile(exp_space, indicator(annuli_union([0], sector)),

@@ -12,6 +12,7 @@ from sectorlab import (ConfigError, DomainError, EvaluationError, IndexSet,
                        function_from_spec, indicator, indicator_orbit_norms,
                        linear_combination, lp_norm, orbit_norm, orbit_norms,
                        poly_decay, translate_function, vertical_exp)
+from sectorlab import quadrature
 from sectorlab.lpspace import _cone_factor
 
 from conftest import ALPHA, random_small_rects
@@ -179,6 +180,32 @@ class TestTranslation:
         z = np.linspace(0, 5, 50) * np.exp(1j * np.linspace(-ALPHA, ALPHA, 50))
         assert np.all(g.evaluate(z) == 0.0)
         assert lp_norm(space, g).value == 0.0
+
+    def test_missed_translate_reads_zero_without_the_engine(self, sector, monkeypatch):
+        # |s + 10| >= 10 on the sector, so the translate of 1_{1 <= |z| <= 2} vanishes
+        calls = []
+        engine = quadrature._engine
+        monkeypatch.setattr(quadrature, "_engine",
+                            lambda *a: calls.append(len(a[3])) or engine(*a))
+        space = exp_space()
+        f = indicator(RectUnionSet([PolarRect(1.0, 2.0, -ALPHA, ALPHA)]))
+        assert orbit_norm(space, f, 10.0) == 0.0
+        assert calls == []
+        assert orbit_norm(space, f, 0.5) > 0.0 and calls == [1]
+
+    def test_steps_as_arrays_lists_and_points(self, sector):
+        space = exp_space()
+        f = indicator(annuli_union([0, 1], sector))
+        ts = np.array([0.5, 1.0 + 0.2j, 2.0 - 0.3j])
+        got = orbit_norms(space, f, ts)
+        assert np.array_equal(orbit_norms(space, f, ts.tolist()), got)
+        assert np.array_equal(orbit_norms(space, f, [sector.from_complex(t) for t in ts]), got)
+        assert np.array_equal(orbit_norms(space, f, np.array([0.5, 1.0, 2.0])),
+                              orbit_norms(space, f, [0.5, 1.0, 2.0]))
+        with pytest.raises(DomainError):
+            orbit_norms(space, f, np.array([0.5, 1j]))
+        with pytest.raises(DomainError):
+            orbit_norms(space, f, [sector.from_complex(0.5), 1j])
 
     def test_orbit_norm_at_zero_is_the_norm(self, sector):
         space = exp_space()
