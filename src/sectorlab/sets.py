@@ -112,7 +112,7 @@ class RectUnionSet:
 
     def __init__(self, rects: Iterable[PolarRect] = ()):
         self.rects: tuple[PolarRect, ...] = _normalize_rects(rects)
-        # (r_lo, r_hi, th_lo, th_hi) per rect, for the exact measures
+        # (r_lo, r_hi, th_lo, th_hi) per rect, for the clipped measures
         self._bounds = np.array([(t.r_lo, t.r_hi, t.th_lo, t.th_hi)
                                  for t in self.rects]).reshape(-1, 4)
         # group radial intervals by identical angular span for fast lookup
