@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules and the s-polar ray engine.
+"""Gauss-Legendre and Gauss-Kronrod rules and the s-polar ray engine.
 
 Every integral of a weight v over a part of the sector runs here: the
 norms of `lpspace` (||T_t g||^p is the integral of |g(s + t)|^p v(s))
@@ -17,15 +17,30 @@ no discontinuity is ever sampled; for v alone and a built-in weight the
 rho-integral over an interval is the weight's closed-form ray primitive
 instead (see `weights`), so only the phi integral is numerical.
 
-The phi panels are equal panels over the sector, as many as the weight's
-angular variation needs out to the row's reach, split where an interval
-end changes branch: tangent rays, corners, rays parallel to a span edge,
-crossings of two circles or of the truncation circle and, in a
-combination, where a span edge of one piece crosses a circle or a span
-edge of another, since two interval ends swap there.  Splits closer than
-a quarter panel get panels graded towards them.  At a tangent ray an
-interval end behaves like a square root in phi; a quadratic map with a
-flat end there makes the integrand smooth again.
+The phi panels (`_phi_edges`) are equal base panels over the sector, as
+many as the weight's angular variation needs out to the row's reach,
+split where an interval end changes branch: tangent rays, corners, rays
+parallel to a span edge, crossings of two circles or of the truncation
+circle and, in a combination, where a span edge of one piece crosses a
+circle or a span edge of another, since two interval ends swap there.
+Splits closer than a quarter panel get panels graded towards them.  At a
+tangent ray an interval end behaves like a square root in phi; a
+quadratic map with a flat end there makes the integrand smooth again.
+
+The phi rule depends on the row.  A closed-form row (v alone with a ray
+primitive: the level pieces of indicators, weight integrals) has every
+breakpoint known and an exact value at every phi node, so its rule is
+error-controlled (`_kronrod_rows`): 2 base panels of the 10-point Gauss
+/ 21-point Kronrod pair of QUADPACK (G10K21), laid out as one flat list
+of panels over all rows, and in each row whose sum of |K21 - G10|
+exceeds _PHI_RTOL = 1e-10 of its value the panels whose estimates are
+at least half their share of that tolerance are bisected, at most
+_MAX_ROUNDS = 8 times.  A general row
+(a function g evaluated at the nodes, or a weight without a primitive)
+keeps the fixed rule `phi_rule`: 20 Gauss-Legendre nodes on at least 6
+base panels, padded to the widest row, with no estimate; there the
+Kronrod estimate is not a bound (kinks of |g|^p that are not
+breakpoints, and the radial panels' own error).
 
 The engine works on rows: per row, pieces at offsets tau (rows, m) and
 their rectangles rc (rows or 1, m, 4) = [r_lo, r_hi, th_lo, th_hi], nan
@@ -53,6 +68,8 @@ import numpy as np
 from .errors import InvalidWeightError
 
 _PHI_NODES, _MIN_PHI_PANELS, _RHO_NODES = 20, 6, 12
+# closed-form rows: 2 base G10K21 panels, refined to this relative estimate
+_MIN_KRONROD_PANELS, _PHI_RTOL, _MAX_ROUNDS = 2, 1e-10, 8
 _CUSTOM_PHI = (12, 8)  # no breakpoints: the generic grid, 12 nodes on >= 8 panels
 _ROW_BLOCK = 256  # pieces (over all rows) whose ray intervals are held at once
 _PANEL_BLOCK = 1 << 15  # radial panels evaluated at once
@@ -66,6 +83,38 @@ def gl_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     if npts not in _rules:
         _rules[npts] = np.polynomial.legendre.leggauss(npts)
     return _rules[npts]
+
+
+# QUADPACK's qk21 (Piessens et al., 1983): the nonnegative nodes of the
+# 21-point Kronrod rule, largest first, their weights, and the weights of
+# the 10-point Gauss rule, whose nodes are the 2nd, 4th, ..., 10th of them
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+
+
+def kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 21 nodes of the Gauss-Kronrod rule on [-1, 1], ascending, their
+    Kronrod weights and the weights of the embedded 10-point Gauss rule
+    (0 at the 11 Kronrod-only nodes)."""
+    wg = np.zeros(len(_XGK))
+    wg[1::2] = _WG
+    return (np.concatenate([-_XGK[:-1], _XGK[::-1]]), np.concatenate([_WGK[:-1], _WGK[::-1]]),
+            np.concatenate([wg[:-1], wg[::-1]]))
 
 
 def panel_nodes(edges: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -119,13 +168,29 @@ def interval_gl(lo: np.ndarray, hi: np.ndarray, n_panels: int, npts: int
 # the ray engine
 
 
+def _maps(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u on [-1, 1] mapped to [0, 1] and the map's derivative, indexed
+    by flat-left + 2 * flat-right: linear, quadratic with a flat end on
+    either side, and cubic with two."""
+    t = np.array([(1 + u) / 2, (1 + u) ** 2 / 4, 1 - (1 - u) ** 2 / 4, (2 + 3 * u - u ** 3) / 4])
+    dt = np.array([np.full_like(u, 0.5), (1 + u) / 2, (1 - u) / 2, 0.75 * (1 - u * u)])
+    return t, dt
+
+
 @functools.cache
 def _panel_maps(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1], indexed by flat-left + 2 * flat-right."""
     u, w = gl_rule(npts)
-    t = np.array([(1 + u) / 2, (1 + u) ** 2 / 4, 1 - (1 - u) ** 2 / 4, (2 + 3 * u - u ** 3) / 4])
-    dt = np.array([np.full_like(u, 0.5), (1 + u) / 2, (1 - u) / 2, 0.75 * (1 - u * u)])
+    t, dt = _maps(u)
     return t, dt * w
+
+
+@functools.cache
+def _kronrod_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`kronrod_rule` on [0, 1] as `_panel_maps`: nodes, K21 and G10 weights."""
+    u, wk, wg = kronrod_rule()
+    t, dt = _maps(u)
+    return t, dt * wk, dt * wg
 
 
 def _angular_panels(v, span: float, r_hi) -> np.ndarray:
@@ -212,14 +277,14 @@ def _piece_intervals(tau, rc, phi, alpha: float, R) -> tuple[np.ndarray, np.ndar
     return np.where(empty, 0.0, lo).reshape(shape), np.where(empty, 0.0, hi).reshape(shape)
 
 
-def phi_rule(v, alpha: float, reach, angles=None, flat=None, npts: int = _PHI_NODES,
-             n_min: int = _MIN_PHI_PANELS) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row phi nodes and weights (rows, n) over [-alpha, alpha]: equal
+def _phi_edges(v, alpha: float, reach, angles, flat, n_min: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the phi panel edges (rows, k) over [-alpha, alpha], sorted,
+    and the flags (rows, k) of the edges that are tangent rays: equal base
     panels, at least n_min and as many as the weight v needs out to the
     row's reach (rows,), split at the row's angles (rows, k) inside the
-    sector (None: no splits); flat marks the tangent rays."""
-    if angles is None:
-        angles, flat = np.zeros((len(reach), 0)), np.zeros((len(reach), 0), bool)
+    sector, and graded towards splits that lie close together.  Columns
+    past a row's last panel repeat alpha (empty panels)."""
     n = np.maximum(n_min, _angular_panels(v, 2.0 * alpha, reach))
     a = np.angle(np.exp(1j * angles))
     # two angles closer than a quarter panel bracket a near-singular spot
@@ -243,12 +308,26 @@ def phi_rule(v, alpha: float, reach, angles=None, flat=None, npts: int = _PHI_NO
                            np.zeros(graded.shape, bool)], axis=1)
     order = np.argsort(edges, axis=1, kind="stable")
     keep = np.sum(edges < alpha, axis=1).max() + 1  # the rest are empty panels at alpha
-    edges, flat = (np.take_along_axis(x, order, axis=1)[:, :keep] for x in (edges, flat))
+    return tuple(np.take_along_axis(x, order, axis=1)[:, :keep] for x in (edges, flat))
+
+
+def phi_rule(v, alpha: float, reach, angles=None, flat=None, npts: int = _PHI_NODES,
+             n_min: int = _MIN_PHI_PANELS) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row phi nodes and weights (rows, n) over [-alpha, alpha]: an
+    npts-point Gauss-Legendre rule on every panel of `_phi_edges` (n_min
+    base panels, split at the row's angles (rows, k), None: no splits;
+    flat marks the tangent rays), fixed, with no error estimate.  Every
+    row has as many nodes as the row with the most panels; the nodes of
+    its empty panels carry weight 0.  The rule of the general rows and of
+    `weights`' radial density; closed-form rows use `_kronrod_rows`."""
+    if angles is None:
+        angles, flat = np.zeros((len(reach), 0)), np.zeros((len(reach), 0), bool)
+    edges, flat = _phi_edges(v, alpha, reach, angles, flat, n_min)
     t, w = (x[flat[:, :-1] + 2 * flat[:, 1:]] for x in _panel_maps(npts))
     width = edges[:, 1:, None] - edges[:, :-1, None]
     width = np.where(width > 1e-12, width, 0.0)  # rounding duplicates
-    return ((edges[:, :-1, None] + width * t).reshape(len(n), -1),
-            (width * w).reshape(len(n), -1))
+    return ((edges[:, :-1, None] + width * t).reshape(len(edges), -1),
+            (width * w).reshape(len(edges), -1))
 
 
 def _checked(v, vals: np.ndarray) -> np.ndarray:
@@ -258,20 +337,67 @@ def _checked(v, vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _kronrod_sums(v, alpha: float, tau, rc, R, row, a, b, code) -> tuple[np.ndarray, np.ndarray]:
+    """The K21 and G10 sums over the phi panels [a, b] (flat ends `code`)
+    of rows `row`: the integral of v over the row's ray intervals, taken
+    in rho by the weight's ray primitive.  tau and rc are gathered per
+    panel, not per node."""
+    t, wk, wg = (x[code] for x in _kronrod_maps())
+    width = (b - a)[:, None]
+    phi = a[:, None] + width * t
+    lo, hi = _piece_intervals(tau[row], rc[row] if len(rc) > 1 else rc, phi, alpha, R)
+    live = hi > lo
+    ray = np.zeros(lo.shape)
+    ray[live] = _checked(v, v.primitive(
+        np.broadcast_to(phi[..., None], lo.shape)[live], lo[live], hi[live]))
+    vals = np.sum(ray, axis=2) * width
+    return np.sum(vals * wk, axis=1), np.sum(vals * wg, axis=1)
+
+
+def _kronrod_rows(v, alpha: float, tau, rc, R, edges, flat) -> np.ndarray:
+    """Per row, the integral of v over the pieces, closed form in rho and
+    G10K21 in phi to a relative error estimate of _PHI_RTOL.
+
+    The panels of `_phi_edges` form one flat list (row, a, b, code) in
+    row and phi order, empty ones dropped.  While a row's estimate, the sum
+    of |K21 - G10| over its panels, exceeds _PHI_RTOL times its value, its
+    panels whose |K21 - G10| is at least half their share of that
+    tolerance (by width) are bisected in place, a flat end staying with
+    the half that holds it, at most _MAX_ROUNDS times.  Rows are summed by
+    `bincount` over that list, so a row's value depends on its own panels
+    only and repeated runs are bit-identical."""
+    rows = len(tau)
+    code = flat[:, :-1] + 2 * flat[:, 1:]
+    keep = edges[:, 1:] - edges[:, :-1] > 1e-12  # rounding duplicates, empty panels
+    row = np.nonzero(keep)[0]
+    a, b, code = edges[:, :-1][keep], edges[:, 1:][keep], code[keep]
+    k, g = _kronrod_sums(v, alpha, tau, rc, R, row, a, b, code)
+    for _ in range(_MAX_ROUNDS):
+        err = np.abs(k - g)
+        tol = _PHI_RTOL * np.bincount(row, k, minlength=rows)
+        hard = np.bincount(row, err, minlength=rows) > tol
+        if not hard.any():
+            break
+        split = hard[row] & (err >= 0.5 * tol[row] * (b - a) / (2.0 * alpha))
+        at = np.repeat(np.arange(len(row)), 1 + split)
+        left = (np.cumsum(1 + split) - 1 - split)[split]
+        mid = 0.5 * (a + b)[split]
+        row, a, b, code, k, g = (x[at] for x in (row, a, b, code, k, g))
+        b[left], a[left + 1] = mid, mid
+        code[left], code[left + 1] = code[left] & 1, code[left + 1] & 2
+        new = np.concatenate([left, left + 1])
+        k[new], g[new] = _kronrod_sums(v, alpha, tau, rc, R, row[new], a[new], b[new], code[new])
+    return np.bincount(row, k, minlength=rows)
+
+
 def _ray_integrate(v, p: float, lo, hi, phi, wphi, g=None, scale=1.0, shift=None) -> np.ndarray:
     """Per row, the integral of |g(s + shift)|^p v(s) (v alone when g is
     None) over the ray intervals [lo, hi] (rows, n_phi, k), shift (rows,)
-    the row's step (None: 0).  v alone with a weight primitive (the
-    built-in families) is integrated in rho in closed form; otherwise on
-    panels split at multiples of 1/scale.  Either way an overflow gives
-    inf with no warning, which `_checked` refuses."""
+    the row's step (None: 0), on radial panels split at multiples of
+    1/scale.  An overflow gives inf with no warning, which `_checked`
+    refuses."""
     rows, n_phi, k = lo.shape
     live = (hi > lo) & (wphi[..., None] > 0)
-    if g is None and v.primitive is not None:
-        ray = np.zeros(lo.shape)
-        ray[live] = _checked(v, v.primitive(
-            np.broadcast_to(phi[..., None], lo.shape)[live], lo[live], hi[live]))
-        return np.sum(np.sum(ray, axis=2) * wphi, axis=1)
     phase = np.exp(1j * phi).ravel()
     scale = np.broadcast_to(scale, lo.shape).ravel()
     lo, hi = lo.ravel(), hi.ravel()
@@ -361,7 +487,11 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
             a = _edge_crossings(c, r, np.broadcast_to(rc[..., 2:], tau.shape + (2,)).reshape(rows, -1))
             angles, flat = np.hstack([angles, a]), np.hstack([flat, np.zeros(a.shape, bool)])
     reach = np.max(rc[..., 1] + np.abs(tau), axis=1, initial=max(caps, default=0.0))
-    phi, wphi = phi_rule(v, alpha, reach if R is None else np.minimum(reach, R), angles, flat,
+    reach = reach if R is None else np.minimum(reach, R)
+    if g is None and v.primitive is not None and not caps:
+        return _kronrod_rows(v, alpha, tau, rc, R,
+                             *_phi_edges(v, alpha, reach, angles, flat, _MIN_KRONROD_PANELS))
+    phi, wphi = phi_rule(v, alpha, reach, angles, flat,
                          *((_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks)) if angles.size else _CUSTOM_PHI))
     lo, hi = (_piece_intervals(tau, rc, phi, alpha, R) if rc.shape[1]
               else (np.zeros(phi.shape + (0,)),) * 2)

@@ -20,8 +20,10 @@ weight checks at construction that it agrees with its evaluator.  An
 integral of v over polar rectangles (`weight_rect_integrals`: series
 terms, sector integrals) is (th_hi - th_lo) P(lo, hi) for a radial
 weight with a primitive P, exact with no quadrature; any other weight
-takes one call of the engine, which integrates the primitive (or radial
-panels of the evaluator) along the rays and Gauss-Legendre in the angle.
+takes one call of the engine, which integrates the primitive along the
+rays and Gauss-Kronrod in the angle to a relative estimate of 1e-10 (a
+weight without a primitive: radial panels of the evaluator and the fixed
+Gauss-Legendre rule in the angle).
 
 Built-in families::
 
@@ -261,9 +263,10 @@ def weight_rect_integrals(v: Weight, rc, sector: Sector) -> np.ndarray:
 
     A radial weight with a ray primitive P gives (th_hi - th_lo) P(lo, hi)
     in closed form.  Any other weight takes one call of the ray engine at
-    tau = 0, one row per rectangle: the primitive along the rays (radial
-    panels of the evaluator without one) and Gauss-Legendre in the angle,
-    split at the rectangle's span.  The norm engine computes the same
+    tau = 0, one row per rectangle: the primitive along the rays and
+    Gauss-Kronrod panels in the angle, refined to a relative estimate of
+    1e-10 (radial panels of the evaluator and Gauss-Legendre in the angle
+    without a primitive), split at the rectangle's span.  The norm engine computes the same
     integral as ||1_A||^p.  A span that leaves the sector (beyond the
     1e-12 slack of `contains`) raises `DomainError`: the engine integrates
     over the sector only.
