@@ -35,12 +35,11 @@ error-controlled (`_kronrod_rows`): 2 base panels of the 10-point Gauss
 of panels over all rows, and in each row whose sum of |K21 - G10|
 exceeds _PHI_RTOL = 1e-10 of its value the panels whose estimates are
 at least half their share of that tolerance are bisected, at most
-_MAX_ROUNDS = 8 times.  A general row
-(a function g evaluated at the nodes, or a weight without a primitive)
-keeps the fixed rule `phi_rule`: 20 Gauss-Legendre nodes on at least 6
-base panels, padded to the widest row, with no estimate; there the
-Kronrod estimate is not a bound (kinks of |g|^p that are not
-breakpoints, and the radial panels' own error).
+_MAX_ROUNDS = 8 times.  A general row (a function g evaluated at the
+nodes, or a weight without a primitive) keeps the fixed rule `phi_rule`:
+20 Gauss-Legendre nodes on at least 6 base panels, padded to the widest
+row, with no estimate; there the Kronrod estimate is not a bound (kinks
+of |g|^p that are not breakpoints, and the radial panels' own error).
 
 The engine works on rows: per row, pieces at offsets tau (rows, m) and
 their rectangles rc (rows or 1, m, 4) = [r_lo, r_hi, th_lo, th_hi], nan
@@ -461,8 +460,10 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
     of |g(s + shift)|^p v(s) (of v alone when g is None: disjoint pieces)
     over the pieces {s + tau[:, j] in rc[:, j]}, rc (rows or 1, m, 4) =
     [r_lo, r_hi, th_lo, th_hi] with nan spans for discs, and the custom
-    intervals [0, cap]; shift (rows,) is the row's step (None: 0).  g is
-    a function of `lpspace`: its `evaluate` and its `kind`."""
+    intervals [0, cap] of the custom terms of g; shift (rows,) is the
+    row's step (None: 0).  g is a function of `lpspace`: its `evaluate`
+    and its `kind`.  Rows of v alone with a ray primitive are closed-form
+    rows (`_kronrod_rows`); the others take `phi_rule`."""
     rows = len(tau)
     # custom functions alone have no pieces
     angles, flat = (_piece_angles(tau, rc, R) if rc.shape[1]
@@ -488,7 +489,7 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
             angles, flat = np.hstack([angles, a]), np.hstack([flat, np.zeros(a.shape, bool)])
     reach = np.max(rc[..., 1] + np.abs(tau), axis=1, initial=max(caps, default=0.0))
     reach = reach if R is None else np.minimum(reach, R)
-    if g is None and v.primitive is not None and not caps:
+    if g is None and v.primitive is not None:  # closed-form rows
         return _kronrod_rows(v, alpha, tau, rc, R,
                              *_phi_edges(v, alpha, reach, angles, flat, _MIN_KRONROD_PANELS))
     phi, wphi = phi_rule(v, alpha, reach, angles, flat,

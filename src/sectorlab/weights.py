@@ -266,8 +266,8 @@ def weight_rect_integrals(v: Weight, rc, sector: Sector) -> np.ndarray:
     tau = 0, one row per rectangle: the primitive along the rays and
     Gauss-Kronrod panels in the angle, refined to a relative estimate of
     1e-10 (radial panels of the evaluator and Gauss-Legendre in the angle
-    without a primitive), split at the rectangle's span.  The norm engine computes the same
-    integral as ||1_A||^p.  A span that leaves the sector (beyond the
+    without a primitive), split at the rectangle's span.  The norm engine
+    computes the same integral as ||1_A||^p.  A span that leaves the sector (beyond the
     1e-12 slack of `contains`) raises `DomainError`: the engine integrates
     over the sector only.
     """

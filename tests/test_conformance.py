@@ -52,7 +52,8 @@ import pytest
 from scipy import integrate
 
 from sectorlab import (IndexSet, LpSpace, OracleSet, OrbitResolution, PolarRect,
-                       RectUnionSet, Sector, TranslatedRectUnion, bump, constant_weight,
+                       RectUnionSet, Sector, TranslatedRectUnion, annuli_union, bump,
+                       constant_weight,
                        custom_function, custom_weight, dc_sufficient_series,
                        density_profile, exp_decay, function_from_spec, indicator,
                        level_density, linear_combination, measure_profile, orbit_norm,
@@ -246,6 +247,48 @@ def test_norm_matches_u_polar_oracle(kind, alpha, family, p, t_edge, spec):
             ref = smooth_oracle(family, spec["terms"], t, alpha, p,
                                 epsrel=1e-6 if kind == "custom" else 1e-11)
         assert got == pytest.approx(ref, rel=RTOL[kind], abs=1e-300), f"t={t}"
+
+
+# alpha = 1.4, where the phi panels meet tangent rays far from the steps'
+# angles: two single annuli at steps where a fixed 20-node phi rule missed
+# by 1.1e-7 and 3.2e-7, and the orbit grids of the benchmark's alpha = 1.4
+# cells (48 x 16 nodes out to 20, full-span annuli), at every node within
+# 0.3 of an annulus radius
+WIDE = 1.4
+WIDE_STEPS = (("poly_decay", 11.0, 2.870 - 10.864j), ("exp_decay", 3.0, 1.907 - 4.121j))
+WIDE_GRIDS = (("poly_decay", 2.0, (0, 1, 2, 3, 7, 8, 9, 12, 13, 14, 15)),
+              ("exp_decay", 3.0, (3, 6, 7, 8, 9)),
+              ("poly_decay", 2.0, (0, 4, 5, 7, 8, 9, 11, 13, 14, 15)))
+
+
+@pytest.mark.parametrize("family, r_lo, t", WIDE_STEPS)
+def test_single_annulus_at_wide_alpha_matches_u_polar_oracle(family, r_lo, t):
+    space = LpSpace(WEIGHTS[family][0](), 2.0, Sector(WIDE))
+    rects = [(r_lo, r_lo + 1.0, -WIDE, WIDE)]
+    f = indicator(RectUnionSet(PolarRect(*r) for r in rects))
+    ref = indicator_oracle(family, rects, t, WIDE)
+    assert orbit_norm(space, f, t) ** 2 == pytest.approx(ref, rel=RTOL["indicator"], abs=0.0)
+
+
+@pytest.mark.parametrize("family, p, annuli", WIDE_GRIDS)
+def test_wide_orbit_grid_near_annulus_radii_matches_u_polar_oracle(family, p, annuli):
+    sector = Sector(WIDE)
+    space = LpSpace(WEIGHTS[family][0](), p, sector)
+    union = annuli_union(annuli, sector)
+    rects = [(r.r_lo, r.r_hi, r.th_lo, r.th_hi) for r in union.rects]
+    grid = orbit_profile(space, indicator(union), 20.0, OrbitResolution(n_r=48, n_theta=16))
+    # a radial weight and full-span annuli: the grid is its own mirror image,
+    # so the oracle checks one half of the columns
+    assert np.array_equal(grid.norms, grid.norms[:, ::-1])
+    radii = np.array(sorted({x for r in rects for x in r[:2]}))
+    near = np.flatnonzero(np.min(np.abs(grid.radii[:, None] - radii), axis=1) < 0.3)
+    assert len(near) >= 4
+    for i in near:
+        for j in range(len(grid.thetas) // 2):
+            t = grid.radii[i] * cmath.exp(1j * grid.thetas[j])
+            ref = indicator_oracle(family, rects, t, WIDE)
+            assert grid.norms[i, j] ** p == pytest.approx(
+                ref, rel=RTOL["indicator"], abs=0.0), f"t={t}"
 
 
 # ---------------------------------------------------------------------------
