@@ -43,7 +43,9 @@ of |g|^p that are not breakpoints, and the radial panels' own error).
 
 The engine works on rows: per row, pieces at offsets tau (rows, m) and
 their rectangles rc (rows or 1, m, 4) = [r_lo, r_hi, th_lo, th_hi], nan
-spans for discs.  Each row carries its own phi panels.  A weight
+spans for discs.  Each row carries its own phi panels.  Per-node arrays
+put the node axis last (the ray intervals are (2m, rows, n_phi)), so
+numpy's inner loops run over the phi nodes, not over a row's few pieces.  A weight
 integral over polar rectangles is one row per rectangle at tau = 0; a
 batch of norms is one row per step (per step and level piece, where
 `lpspace` cuts a function into pieces of constant |g|^p).  Combinations
@@ -233,8 +235,9 @@ def _piece_angles(tau, rc, R) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _piece_intervals(tau, rc, phi, alpha: float, R) -> tuple[np.ndarray, np.ndarray]:
-    """The rho-intervals (rows, n_phi, 2m) where s + tau lies in the pieces
-    rc: the annulus chord, cut by the span's two half-planes.
+    """The rho-intervals (2m, rows, n_phi) where s + tau lies in the pieces
+    rc, interval 2 * piece + part: the annulus chord before and after the
+    inner disc, cut by the span's two half-planes; empty ones read [0, 0].
 
     The cuts cannot bind, and are skipped, when every span holds
     [-alpha, alpha] and every tau with a span lies in the closed sector
@@ -245,16 +248,15 @@ def _piece_intervals(tau, rc, phi, alpha: float, R) -> tuple[np.ndarray, np.ndar
     free = np.all(np.isnan(spans[..., 0]) | (
         (spans[..., 0] <= -alpha) & (spans[..., 1] >= alpha)
         & (np.abs(np.angle(tau)) <= alpha + _EDGE_SLACK)))
-    tau, rc = tau[:, None, :], rc[:, None]
+    tau, rc = tau.T[..., None], rc.T[..., None]  # (m, rows, 1), (4, m, rows or 1, 1)
     # |rho e^{i phi} + tau| <= r  reads  rho^2 + 2 d rho + |tau|^2 <= r^2
-    d = tau.real * np.cos(phi)[..., None] + tau.imag * np.sin(phi)[..., None]
-    disc = (d * d - np.abs(tau) ** 2)[..., None] + rc[..., :2] ** 2
-    root = np.sqrt(np.maximum(disc, 0.0))
-    lo, hi = np.maximum(-d[..., None] - root, 0.0), -d[..., None] + root
-    lo, hi = np.where(disc > 0, lo, 0.0), np.where(disc > 0, hi, 0.0)
+    d = tau.real * np.cos(phi) + tau.imag * np.sin(phi)
+    disc = d * d - np.abs(tau) ** 2 + rc[:2] ** 2
+    root, cut = np.sqrt(np.maximum(disc, 0.0)), disc > 0
+    lo, hi = np.where(cut, np.maximum(-d - root, 0.0), 0.0), np.where(cut, root - d, 0.0)
     # the annulus: the outer chord minus the inner one
-    lo, hi = (np.stack([lo[..., 1], np.maximum(lo[..., 1], hi[..., 0])], axis=-1),
-              np.stack([np.minimum(hi[..., 1], lo[..., 0]), hi[..., 1]], axis=-1))
+    lo, hi = (np.stack([lo[1], np.maximum(lo[1], hi[0])], axis=1),
+              np.stack([np.minimum(hi[1], lo[0]), hi[1]], axis=1))
     if free:
         if R is not None:
             hi = np.minimum(hi, R)
@@ -263,16 +265,16 @@ def _piece_intervals(tau, rc, phi, alpha: float, R) -> tuple[np.ndarray, np.ndar
         # changes nothing and keeps the wedge an intersection of half-planes;
         # sgn * Im((s + tau) e^{-i th}) >= 0 bounds rho below where k >= 0
         cut_lo, cut_hi = 0.0, np.inf if R is None else R
-        for th, sgn in ((rc[..., 2], 1.0), (rc[..., 3], -1.0)):
+        for th, sgn in ((rc[2], 1.0), (rc[3], -1.0)):
             th = np.clip(th, -np.pi / 2, np.pi / 2)
-            k = sgn * np.sin(phi[..., None] - th)
+            k = sgn * np.sin(phi - th)
             with np.errstate(divide="ignore", invalid="ignore"):
                 bound = -sgn * (tau * np.exp(-1j * th)).imag / k
             cut_lo = np.fmax(cut_lo, np.where(k >= 0, bound, 0.0))
             cut_hi = np.fmin(cut_hi, np.where(k < 0, bound, np.inf))
-        lo, hi = np.maximum(lo, cut_lo[..., None]), np.minimum(hi, cut_hi[..., None])
+        lo, hi = np.maximum(lo, cut_lo[:, None]), np.minimum(hi, cut_hi[:, None])
     empty = hi <= lo
-    shape = phi.shape + (2 * rc.shape[-2],)
+    shape = (2 * rc.shape[1],) + phi.shape
     return np.where(empty, 0.0, lo).reshape(shape), np.where(empty, 0.0, hi).reshape(shape)
 
 
@@ -283,7 +285,10 @@ def _phi_edges(v, alpha: float, reach, angles, flat, n_min: int
     panels, at least n_min and as many as the weight v needs out to the
     row's reach (rows,), split at the row's angles (rows, k) inside the
     sector, and graded towards splits that lie close together.  Columns
-    past a row's last panel repeat alpha (empty panels)."""
+    past a row's last panel repeat alpha (empty panels); a row's edges and
+    flags depend on its batch only through them.  The angles and graded
+    edges outside the sector read alpha: the sorted ends and graded edges
+    are cut to the most any row has inside before the one argsort."""
     n = np.maximum(n_min, _angular_panels(v, 2.0 * alpha, reach))
     a = np.angle(np.exp(1j * angles))
     # two angles closer than a quarter panel bracket a near-singular spot
@@ -292,7 +297,8 @@ def _phi_edges(v, alpha: float, reach, angles, flat, n_min: int
     # width, at most 12 (closer pairs, down to rounding duplicates, are too
     # close to bridge); 5 steps bridge every gap of 1/1024 panel or more
     a = np.where(np.abs(a) < alpha, a, alpha)
-    ends = np.concatenate([np.full((len(a), 1), -alpha), np.sort(a, axis=1)], axis=1)
+    ends = np.sort(a, axis=1)[:, :np.sum(a < alpha, axis=1).max()]
+    ends = np.concatenate([np.full((len(a), 1), -alpha), ends], axis=1)
     gap = np.diff(ends, axis=1, append=alpha)[..., None]
     width = 2.0 * alpha / n[:, None, None]
     bridge = (gap > width / 4.0 ** 12) & (gap < width / 4.0 ** 5)
@@ -300,7 +306,8 @@ def _phi_edges(v, alpha: float, reach, angles, flat, n_min: int
     near = (gap > width / 4.0 ** 12) & (step < width)
     graded = np.concatenate([np.where(near, ends[..., None] - step, alpha),
                              np.where(near, ends[..., None] + gap + step, alpha)], axis=1)
-    graded = np.where(np.abs(graded) < alpha, graded, alpha).reshape(len(a), -1)
+    graded = np.sort(np.where(np.abs(graded) < alpha, graded, alpha).reshape(len(a), -1), axis=1)
+    graded = graded[:, :np.sum(graded < alpha, axis=1).max()]
     base = -alpha + 2.0 * alpha * np.minimum(np.arange(n.max() + 1) / n[:, None], 1.0)
     edges = np.concatenate([base, a, graded], axis=1)
     flat = np.concatenate([np.zeros(base.shape, bool), flat & (a < alpha),
@@ -340,16 +347,16 @@ def _kronrod_sums(v, alpha: float, tau, rc, R, row, a, b, code) -> tuple[np.ndar
     """The K21 and G10 sums over the phi panels [a, b] (flat ends `code`)
     of rows `row`: the integral of v over the row's ray intervals, taken
     in rho by the weight's ray primitive.  tau and rc are gathered per
-    panel, not per node."""
+    panel, not per node, and the intervals (2m, panels, 21) keep the node
+    axis last."""
     t, wk, wg = (x[code] for x in _kronrod_maps())
     width = (b - a)[:, None]
     phi = a[:, None] + width * t
     lo, hi = _piece_intervals(tau[row], rc[row] if len(rc) > 1 else rc, phi, alpha, R)
     live = hi > lo
     ray = np.zeros(lo.shape)
-    ray[live] = _checked(v, v.primitive(
-        np.broadcast_to(phi[..., None], lo.shape)[live], lo[live], hi[live]))
-    vals = np.sum(ray, axis=2) * width
+    ray[live] = _checked(v, v.primitive(np.broadcast_to(phi, lo.shape)[live], lo[live], hi[live]))
+    vals = np.sum(ray, axis=0) * width
     return np.sum(vals * wk, axis=1), np.sum(vals * wg, axis=1)
 
 
@@ -494,8 +501,7 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
                              *_phi_edges(v, alpha, reach, angles, flat, _MIN_KRONROD_PANELS))
     phi, wphi = phi_rule(v, alpha, reach, angles, flat,
                          *((_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks)) if angles.size else _CUSTOM_PHI))
-    lo, hi = (_piece_intervals(tau, rc, phi, alpha, R) if rc.shape[1]
-              else (np.zeros(phi.shape + (0,)),) * 2)
+    lo, hi = (np.moveaxis(x, 0, -1) for x in _piece_intervals(tau, rc, phi, alpha, R))
     lo = np.concatenate([lo, np.zeros(phi.shape + (len(caps),))], axis=-1)
     hi = np.concatenate([hi, np.broadcast_to(caps, phi.shape + (len(caps),))], axis=-1)
     scale = 1.0
