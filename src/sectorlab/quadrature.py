@@ -296,10 +296,11 @@ def _phi_edges(v, alpha: float, reach, angles, flat, n_min: int
     # towards them by factors of 4, as many as bridge the gap to a panel's
     # width, at most 12 (closer pairs, down to rounding duplicates, are too
     # close to bridge); 5 steps bridge every gap of 1/1024 panel or more
-    a = np.where(np.abs(a) < alpha, a, alpha)
-    ends = np.sort(a, axis=1)[:, :np.sum(a < alpha, axis=1).max()]
-    ends = np.concatenate([np.full((len(a), 1), -alpha), ends], axis=1)
-    gap = np.diff(ends, axis=1, append=alpha)[..., None]
+    inside = np.abs(a) < alpha
+    a = np.where(inside, a, alpha)
+    ends = np.sort(a, axis=1)[:, :inside.sum(axis=1).max()]
+    ends = np.concatenate([np.full((len(a), 1), -alpha), ends, np.full((len(a), 1), alpha)], axis=1)
+    gap, ends = (ends[:, 1:] - ends[:, :-1])[..., None], ends[:, :-1]
     width = 2.0 * alpha / n[:, None, None]
     bridge = (gap > width / 4.0 ** 12) & (gap < width / 4.0 ** 5)
     step = gap * 4.0 ** np.arange(1, 13 if bridge.any() else 6)
@@ -310,11 +311,11 @@ def _phi_edges(v, alpha: float, reach, angles, flat, n_min: int
     graded = graded[:, :np.sum(graded < alpha, axis=1).max()]
     base = -alpha + 2.0 * alpha * np.minimum(np.arange(n.max() + 1) / n[:, None], 1.0)
     edges = np.concatenate([base, a, graded], axis=1)
-    flat = np.concatenate([np.zeros(base.shape, bool), flat & (a < alpha),
+    flat = np.concatenate([np.zeros(base.shape, bool), flat & inside,
                            np.zeros(graded.shape, bool)], axis=1)
-    order = np.argsort(edges, axis=1, kind="stable")
     keep = np.sum(edges < alpha, axis=1).max() + 1  # the rest are empty panels at alpha
-    return tuple(np.take_along_axis(x, order, axis=1)[:, :keep] for x in (edges, flat))
+    order = np.arange(len(edges))[:, None], np.argsort(edges, axis=1, kind="stable")[:, :keep]
+    return edges[order], flat[order]
 
 
 def phi_rule(v, alpha: float, reach, angles=None, flat=None, npts: int = _PHI_NODES,
@@ -501,7 +502,8 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
                              *_phi_edges(v, alpha, reach, angles, flat, _MIN_KRONROD_PANELS))
     phi, wphi = phi_rule(v, alpha, reach, angles, flat,
                          *((_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks)) if angles.size else _CUSTOM_PHI))
-    lo, hi = (np.moveaxis(x, 0, -1) for x in _piece_intervals(tau, rc, phi, alpha, R))
+    lo, hi = (np.moveaxis(x, 0, -1) for x in (_piece_intervals(tau, rc, phi, alpha, R) if rc.shape[1]
+                                              else (np.zeros((0,) + phi.shape),) * 2))
     lo = np.concatenate([lo, np.zeros(phi.shape + (len(caps),))], axis=-1)
     hi = np.concatenate([hi, np.broadcast_to(caps, phi.shape + (len(caps),))], axis=-1)
     scale = 1.0
