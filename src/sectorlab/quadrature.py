@@ -45,15 +45,16 @@ The engine works on rows: per row, pieces at offsets tau (rows, m) and
 their rectangles rc (rows or 1, m, 4) = [r_lo, r_hi, th_lo, th_hi], nan
 spans for discs.  Each row carries its own phi panels.  Per-node arrays
 put the node axis last (the ray intervals are (2m, rows, n_phi)), so
-numpy's inner loops run over the phi nodes, not over a row's few pieces.  A weight
-integral over polar rectangles is one row per rectangle at tau = 0; a
-batch of norms is one row per step (per step and level piece, where
-`lpspace` cuts a function into pieces of constant |g|^p).  Combinations
-cut the ray at every interval end and integrate |g(s + t)|^p on radial
-panels between the cuts.  `ray_rows`, the one entry, skips a row whose
-pieces all lie in discs |s + tau| <= r_hi that miss the sector (`_misses`):
-it is exactly zero and reads 0.0.  All reductions run in a fixed order,
-so repeated runs produce bit-identical results.
+numpy's inner loops run over the phi nodes, not over a row's few
+pieces.  A weight integral over polar rectangles is one row per
+rectangle at tau = 0; a batch of norms is one row per step (per step and
+level piece, where `lpspace` cuts a function into pieces of constant
+|g|^p).  Combinations cut the ray at every interval end and integrate
+|g(s + t)|^p on radial panels between the cuts.  `ray_rows`, the one
+entry, skips a row whose pieces all lie in discs |s + tau| <= r_hi that
+miss the sector (`_misses`): it is exactly zero and reads 0.0.  All
+reductions run in a fixed order, so repeated runs produce bit-identical
+results.
 
 `panel_nodes`, `integrate_polar` and `interval_gl` are no longer called
 by the library; the per-module trace of the benchmark looks them up by

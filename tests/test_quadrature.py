@@ -1,6 +1,7 @@
-"""The phi rules of the ray engine: the Gauss-Kronrod table, and the
-error-controlled refinement of closed-form rows (v alone with a ray
-primitive: level pieces of indicators, weight integrals)."""
+"""The ray engine's building blocks: the Gauss-Kronrod table, the phi
+panel edges, the rho-intervals of the pieces against a scalar reference,
+and the error-controlled refinement of closed-form rows (v alone with a
+ray primitive: level pieces of indicators, weight integrals)."""
 
 import cmath
 import math
@@ -16,6 +17,8 @@ from sectorlab import (IndexSet, LpSpace, OrbitResolution, Sector, annuli_union,
 from sectorlab import quadrature
 
 from test_conformance import indicator_oracle
+
+ALPHA = 1.4
 
 # ---------------------------------------------------------------------------
 # the G10K21 table
@@ -53,9 +56,138 @@ def test_the_library_does_not_import_scipy():
 
 
 # ---------------------------------------------------------------------------
+# phi panel edges
+
+
+def test_rows_with_no_angle_inside_get_exactly_their_base_edges():
+    alpha = 1.0
+    # nan, both edges, beyond an edge, and angles that wrap to outside
+    angles = np.array([[np.nan, alpha, -alpha, 1.3, 2.0 * np.pi + 1.2, -3.0]])
+    flat = np.ones(angles.shape, bool)
+    for v, reach in ((exp_decay(), 5.0), (vertical_exp(), 1.0), (vertical_exp(), 30.0)):
+        n = max(2, int(quadrature._angular_panels(v, 2.0 * alpha, np.array([reach]))[0]))
+        edges, flags = quadrature._phi_edges(v, alpha, np.array([reach]), angles, flat, 2)
+        assert edges.shape == flags.shape == (1, n + 1)
+        assert np.array_equal(edges[0], -alpha + 2.0 * alpha * (np.arange(n + 1) / n))
+        assert not flags.any()
+
+
+def test_a_rows_edges_and_flags_do_not_depend_on_its_batch():
+    rng = np.random.default_rng(7)
+    alpha = 0.9
+    angles = rng.uniform(-1.5, 1.5, (6, 8))
+    angles[rng.random(angles.shape) < 0.3] = np.nan
+    angles[1] = 2.0  # no angle inside
+    angles[2, 1] = angles[2, 0] + 1e-5  # a close pair, 5-step grading
+    angles[3, 1] = angles[3, 0] + 1e-7  # a closer pair, the 12-step bridge
+    flat = rng.random(angles.shape) < 0.5
+    reach = np.array([0.5, 3.0, 1.0, 8.0, 12.0, 2.0])
+    for v in (exp_decay(), vertical_exp()):
+        edges, flags = quadrature._phi_edges(v, alpha, reach, angles, flat, 2)
+        assert np.all(np.diff(edges, axis=1) >= 0)
+        for i in range(len(angles)):
+            e, f = quadrature._phi_edges(v, alpha, reach[i:i + 1], angles[i:i + 1], flat[i:i + 1], 2)
+            k = e.shape[1]
+            assert np.array_equal(edges[i, :k], e[0]) and np.array_equal(flags[i, :k], f[0])
+            assert np.all(edges[i, k:] == alpha) and not flags[i, k:].any()
+
+
+def test_a_close_tangent_and_corner_pair_gets_the_twelve_step_bridge():
+    alpha = 1.0
+    width = 2.0 * alpha / 2  # exp_decay is radial: the 2 base panels
+    x0 = 0.1
+    gap = width / 4.0 ** 7  # closer than width / 4^5: 5 steps do not bridge it
+    x1 = x0 + gap
+    edges, flags = quadrature._phi_edges(exp_decay(), alpha, np.array([4.0]), np.array([[x1, x0]]),
+                                         np.array([[False, True]]), 2)
+    g = x1 - x0
+    steps = g * 4.0 ** np.arange(1, 7)  # the steps shorter than a panel, 6 > 5
+    expect = np.sort(np.concatenate([[-alpha, 0.0, alpha, x0, x1], x0 - steps, x1 + steps]))
+    assert edges.shape == (1, len(expect))
+    # to rounding: the angles are wrapped to (-pi, pi] first, and 4^6 scales that
+    np.testing.assert_allclose(edges[0], expect, rtol=0.0, atol=1e-12)
+    # only the tangent ray is flagged
+    assert np.array_equal(np.flatnonzero(flags[0]), [np.argmin(np.abs(expect - x0))])
+
+
+# ---------------------------------------------------------------------------
+# the rho-intervals of the pieces
+
+
+def _reference_intervals(tau: complex, rect, phi: float, R):
+    """The rho-intervals of {rho >= 0 : rho e^{i phi} + tau in rect,
+    rho <= R}, one node at a time: every circle root (math.sqrt) and span
+    crossing is a breakpoint, and the midpoint of each piece between
+    breakpoints decides by |z| and atan2 whether it is inside."""
+    r_lo, r_hi, th_lo, th_hi = rect
+    e = complex(math.cos(phi), math.sin(phi))
+    d = tau.real * e.real + tau.imag * e.imag
+    top = R if R is not None else r_hi + abs(tau) + 1.0
+    cuts = [0.0, top]
+    for r in (r_lo, r_hi):
+        disc = d * d - abs(tau) ** 2 + r * r
+        if disc > 0:
+            cuts += [-d - math.sqrt(disc), -d + math.sqrt(disc)]
+    if not math.isnan(th_lo):
+        for th in (th_lo, th_hi):
+            k = math.sin(phi - th)
+            if k != 0.0:
+                cuts.append(-(tau * cmath.exp(-1j * th)).imag / k)
+    cuts = sorted(c for c in cuts if 0.0 <= c <= top)
+    out = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        z = tau + 0.5 * (a + b) * e
+        inside = r_lo <= abs(z) <= r_hi and (
+            math.isnan(th_lo) or th_lo <= math.atan2(z.imag, z.real) <= th_hi)
+        if inside and b > a:
+            if out and out[-1][1] == a:
+                out[-1] = (out[-1][0], b)
+            else:
+                out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize("rects, centres, taus, R", [
+    # a full-span annulus at in-sector steps: the span cuts are skipped
+    ([(1.0, 3.0, -ALPHA, ALPHA)], [0.0], [0.0, 2.0 * cmath.exp(0.3j), 0.4 - 0.9j], None),
+    # a partial span: the half-plane cuts bind
+    ([(1.0, 3.0, -0.2, 0.5)], [0.0], [0.0, 1.5 * cmath.exp(0.7j), 0.8 - 0.2j], None),
+    # a disc (nan span) about a centre off the sector
+    ([(0.0, 1.5, math.nan, math.nan)], [0.0], [-1.0 + 0.5j, 0.3, 2.0 - 2.5j], None),
+    # truncation at R
+    ([(1.0, 5.0, -ALPHA, ALPHA)], [0.0], [0.0, 0.5 + 0.2j, 1.2 * cmath.exp(-1.1j)], 3.5),
+    # a rectangle and a disc about 1.2 + 0.4i in one row: interval 2 * piece + part
+    ([(1.0, 3.0, -0.2, 0.5), (0.0, 1.5, math.nan, math.nan)], [0.0, 1.2 + 0.4j],
+     [0.0, 1.5 * cmath.exp(0.7j), 0.8 - 0.2j], 4.0),
+], ids=["free-annulus", "partial-rect", "disc", "truncated", "rect-and-disc"])
+def test_piece_intervals_match_a_scalar_reference(rects, centres, taus, R):
+    rng = np.random.default_rng(3)
+    rows, m, n_phi = len(taus), len(rects), 9
+    tau = np.array(taus, dtype=complex)[:, None] - np.array(centres)
+    rc = np.array(rects)[None]
+    phi = np.sort(rng.uniform(-ALPHA, ALPHA, (rows, n_phi)), axis=1)
+    lo, hi = quadrature._piece_intervals(tau, rc, phi, ALPHA, R)
+    assert lo.shape == hi.shape == (2 * m, rows, n_phi)
+    empty = hi <= lo
+    assert np.all(lo[empty] == 0.0) and np.all(hi[empty] == 0.0)
+    live = 0
+    for i in range(rows):
+        for j in range(n_phi):
+            for piece in range(m):
+                got = [(lo[2 * piece + c, i, j], hi[2 * piece + c, i, j]) for c in (0, 1)
+                       if not empty[2 * piece + c, i, j]]
+                ref = _reference_intervals(complex(tau[i, piece]), rects[piece], phi[i, j], R)
+                assert len(got) == len(ref), (i, j, piece, got, ref)
+                for (a, b), (ra, rb) in zip(got, ref):
+                    assert a == pytest.approx(ra, rel=1e-13, abs=1e-13 * rb)
+                    assert b == pytest.approx(rb, rel=1e-13)
+                live += len(ref)
+    assert live > rows * n_phi * m // 2  # most nodes cross the pieces
+
+
+# ---------------------------------------------------------------------------
 # refinement
 
-ALPHA = 1.4
 # exp_decay, annulus [3, 4], at a step of the alpha = 1.4 orbit grids: the
 # initial G10K21 panels alone miss the oracle by 7.5e-9
 HARD_STEP = 1.617 - 3.495j
