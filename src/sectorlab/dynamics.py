@@ -36,19 +36,16 @@ class OrbitResolution:
     Nodes are geometric in radius (density ratios are radius-heavy since
     the truncation measure grows like r^2) and uniform in angle.  Each
     node's norm comes from the ray engine, which sets its own panels, so
-    `mesh_per_unit`, `mesh_n_theta`, `mesh_max_cells_r`, `mesh_radius`
-    and `chunk` are ignored.  They belonged to a midpoint mesh that is
-    gone and are kept only so that existing callers which pass them, the
-    benchmark's workloads among them, keep working.  `n_r` must be an
-    integer >= 2 and `n_theta` an integer >= 1, else `DomainError`.
+    `mesh_per_unit`, `mesh_n_theta` and `chunk` are ignored: they belonged
+    to a midpoint mesh that is gone, and the benchmark's workloads still
+    pass them.  `n_r` must be an integer >= 2 and `n_theta` an integer
+    >= 1, else `DomainError`.
     """
 
     n_r: int = 400
     n_theta: int = 64
     mesh_per_unit: float = 8.0
     mesh_n_theta: int = 48
-    mesh_max_cells_r: int = 1500
-    mesh_radius: float | None = None  # override for unbounded-support functions
     chunk: int = 256
 
     def __post_init__(self):

@@ -27,34 +27,39 @@ Splits closer than a quarter panel get panels graded towards them.  At a
 tangent ray an interval end behaves like a square root in phi; a
 quadratic map with a flat end there makes the integrand smooth again.
 
-The phi rule depends on the row.  A closed-form row (v alone with a ray
-primitive: the level pieces of indicators, weight integrals) has every
-breakpoint known and an exact value at every phi node, so its rule is
-error-controlled (`_kronrod_rows`): 2 base panels of the 10-point Gauss
-/ 21-point Kronrod pair of QUADPACK (G10K21), laid out as one flat list
-of panels over all rows, and in each row whose sum of |K21 - G10|
-exceeds _PHI_RTOL = 1e-10 of its value the panels whose estimates are
-at least half their share of that tolerance are bisected, at most
-_MAX_ROUNDS = 8 times.  A general row (a function g evaluated at the
-nodes, or a weight without a primitive) keeps the fixed rule `phi_rule`:
-20 Gauss-Legendre nodes on at least 6 base panels, padded to the widest
-row, with no estimate; there the Kronrod estimate is not a bound (kinks
-of |g|^p that are not breakpoints, and the radial panels' own error).
+Every row's phi panels come from `_phi_edges`, and `_panels` lays the
+panels of all rows out as one flat list (row, a, b, flat ends) in row
+and phi order, the empty ones dropped.  One evaluator, `_panel_rays`,
+gathers each panel's offsets and rectangles, solves the ray intervals at
+its phi nodes and integrates rho along each ray; every row is the
+`bincount` of its panels' sums, so its value depends on its own panels
+only, whatever the batch.  The phi rule depends on the row.  A
+closed-form row (v alone with a ray primitive: the level pieces of
+indicators, weight integrals) has every breakpoint known and an exact
+value at every phi node, so its rule is error-controlled
+(`_kronrod_rows`): 2 base panels of the 10-point Gauss / 21-point
+Kronrod pair of QUADPACK (G10K21), and in each row whose sum of
+|K21 - G10| exceeds _PHI_RTOL = 1e-10 of its value the panels whose
+estimates are at least half their share of that tolerance are bisected,
+at most _MAX_ROUNDS = 8 times.  A general row (a function g evaluated at
+the nodes, or a weight without a primitive) takes the fixed rule
+`phi_rule`: 20 Gauss-Legendre nodes on at least 6 base panels, with no
+estimate; there the Kronrod estimate is not a bound (kinks of |g|^p that
+are not breakpoints, and the radial panels' own error).
 
 The engine works on rows: per row, pieces at offsets tau (rows, m) and
 their rectangles rc (rows or 1, m, 4) = [r_lo, r_hi, th_lo, th_hi], nan
-spans for discs.  Each row carries its own phi panels.  Per-node arrays
-put the node axis last (the ray intervals are (2m, rows, n_phi)), so
-numpy's inner loops run over the phi nodes, not over a row's few
-pieces.  A weight integral over polar rectangles is one row per
-rectangle at tau = 0; a batch of norms is one row per step (per step and
-level piece, where `lpspace` cuts a function into pieces of constant
-|g|^p).  Combinations cut the ray at every interval end and integrate
-|g(s + t)|^p on radial panels between the cuts.  `ray_rows`, the one
-entry, skips a row whose pieces all lie in discs |s + tau| <= r_hi that
-miss the sector (`_misses`): it is exactly zero and reads 0.0.  All
-reductions run in a fixed order, so repeated runs produce bit-identical
-results.
+spans for discs.  Per-node arrays put the node axis last (the ray
+intervals are (k, panels, n)), so numpy's inner loops run over the phi
+nodes, not over a row's few pieces.  A weight integral over polar
+rectangles is one row per rectangle at tau = 0; a batch of norms is one
+row per step (per step and level piece, where `lpspace` cuts a function
+into pieces of constant |g|^p).  Combinations cut the ray at every
+interval end and integrate |g(s + t)|^p on radial panels between the
+cuts.  `ray_rows`, the one entry, skips a row whose pieces all lie in
+discs |s + tau| <= r_hi that miss the sector (`_misses`): it is exactly
+zero and reads 0.0.  All reductions run in a fixed order, so repeated
+runs produce bit-identical results.
 
 `panel_nodes`, `integrate_polar` and `interval_gl` are no longer called
 by the library; the per-module trace of the benchmark looks them up by
@@ -319,23 +324,32 @@ def _phi_edges(v, alpha: float, reach, angles, flat, n_min: int
     return edges[order], flat[order]
 
 
+def _panels(edges, flat) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The panels of per-row edges and flags (rows, k) of `_phi_edges` as
+    one flat list in row and phi order: each panel's row, its ends a and
+    b, and its flat ends, code = flat-left + 2 * flat-right.  Panels no
+    wider than 1e-12 (rounding duplicates, the empty panels at alpha) are
+    dropped."""
+    code = flat[:, :-1] + 2 * flat[:, 1:]
+    keep = edges[:, 1:] - edges[:, :-1] > 1e-12
+    return np.nonzero(keep)[0], edges[:, :-1][keep], edges[:, 1:][keep], code[keep]
+
+
 def phi_rule(v, alpha: float, reach, angles=None, flat=None, npts: int = _PHI_NODES,
-             n_min: int = _MIN_PHI_PANELS) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row phi nodes and weights (rows, n) over [-alpha, alpha]: an
-    npts-point Gauss-Legendre rule on every panel of `_phi_edges` (n_min
-    base panels, split at the row's angles (rows, k), None: no splits;
-    flat marks the tangent rays), fixed, with no error estimate.  Every
-    row has as many nodes as the row with the most panels; the nodes of
-    its empty panels carry weight 0.  The rule of the general rows and of
-    `weights`' radial density; closed-form rows use `_kronrod_rows`."""
+             n_min: int = _MIN_PHI_PANELS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed phi rule of the general rows and of `weights`' radial
+    density: an npts-point Gauss-Legendre rule on every panel of `_panels`
+    (n_min base panels of `_phi_edges`, split at the row's angles (rows,
+    k), None: no splits; flat marks the tangent rays), with no error
+    estimate.  Returns each panel's row (panels,) and its phi nodes and
+    weights (panels, npts); a row's panels depend on its own reach and
+    angles only.  Closed-form rows use `_kronrod_rows`."""
     if angles is None:
         angles, flat = np.zeros((len(reach), 0)), np.zeros((len(reach), 0), bool)
-    edges, flat = _phi_edges(v, alpha, reach, angles, flat, n_min)
-    t, w = (x[flat[:, :-1] + 2 * flat[:, 1:]] for x in _panel_maps(npts))
-    width = edges[:, 1:, None] - edges[:, :-1, None]
-    width = np.where(width > 1e-12, width, 0.0)  # rounding duplicates
-    return ((edges[:, :-1, None] + width * t).reshape(len(edges), -1),
-            (width * w).reshape(len(edges), -1))
+    row, a, b, code = _panels(*_phi_edges(v, alpha, reach, angles, flat, n_min))
+    t, w = (x[code] for x in _panel_maps(npts))
+    width = (b - a)[:, None]
+    return row, a[:, None] + width * t, width * w
 
 
 def _checked(v, vals: np.ndarray) -> np.ndarray:
@@ -345,40 +359,57 @@ def _checked(v, vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _panel_rays(v, alpha: float, p: float, tau, rc, R, row, phi, g=None, caps=(), shift=None
+                ) -> np.ndarray:
+    """The rho-integrals along the rays at the phi nodes (panels, n) of
+    panels of the rows `row` (the arguments as in `_engine`): of
+    |g(s + shift)|^p v(s), or of v alone when g is None, over the row's
+    pieces and custom intervals [0, cap].  tau, rc and the step are
+    gathered per panel, and the ray intervals (k, panels, n) keep the node
+    axis last.  v alone with a ray primitive takes it in rho; the rest
+    takes the radial panels of `_ray_integrate`."""
+    lo, hi = (_piece_intervals(tau[row], rc[row] if len(rc) > 1 else rc, phi, alpha, R) if rc.shape[1]
+              else (np.zeros((0,) + phi.shape),) * 2)
+    if g is None and v.primitive is not None:
+        live = hi > lo
+        ray = np.zeros(lo.shape)
+        ray[live] = _checked(v, v.primitive(np.broadcast_to(phi, lo.shape)[live], lo[live], hi[live]))
+        return np.sum(ray, axis=0)
+    lo = np.concatenate([lo, np.zeros((len(caps),) + phi.shape)])
+    hi = np.concatenate([hi, np.broadcast_to(np.reshape(caps, (-1, 1, 1)), (len(caps),) + phi.shape)])
+    scale = 1.0
+    if g is not None and g.kind == "linear-combination":
+        # cut at every interval end; |g|^p is smooth in between, but for odd
+        # p it may have a kink where two terms overlap (see `_engine`)
+        cut = np.sort(np.concatenate([lo, hi]), axis=0)
+        mid = (cut[:-1] + cut[1:]) / 2.0
+        cover = np.sum((lo < mid[:, None]) & (mid[:, None] < hi), axis=1)
+        lo, hi = np.where(cover > 0, cut[:-1], 0.0), np.where(cover > 0, cut[1:], 0.0)
+        scale = np.where((cover > 1) & (p % 2 != 0), 16.0, 1.0)
+    return _ray_integrate(v, p, lo, hi, phi, g, scale, None if shift is None else shift[row])
+
+
 def _kronrod_sums(v, alpha: float, tau, rc, R, row, a, b, code) -> tuple[np.ndarray, np.ndarray]:
     """The K21 and G10 sums over the phi panels [a, b] (flat ends `code`)
     of rows `row`: the integral of v over the row's ray intervals, taken
-    in rho by the weight's ray primitive.  tau and rc are gathered per
-    panel, not per node, and the intervals (2m, panels, 21) keep the node
-    axis last."""
+    in rho by the weight's ray primitive (`_panel_rays`)."""
     t, wk, wg = (x[code] for x in _kronrod_maps())
     width = (b - a)[:, None]
-    phi = a[:, None] + width * t
-    lo, hi = _piece_intervals(tau[row], rc[row] if len(rc) > 1 else rc, phi, alpha, R)
-    live = hi > lo
-    ray = np.zeros(lo.shape)
-    ray[live] = _checked(v, v.primitive(np.broadcast_to(phi, lo.shape)[live], lo[live], hi[live]))
-    vals = np.sum(ray, axis=0) * width
+    vals = _panel_rays(v, alpha, 1.0, tau, rc, R, row, a[:, None] + width * t) * width
     return np.sum(vals * wk, axis=1), np.sum(vals * wg, axis=1)
 
 
-def _kronrod_rows(v, alpha: float, tau, rc, R, edges, flat) -> np.ndarray:
+def _kronrod_rows(v, alpha: float, tau, rc, R, row, a, b, code) -> np.ndarray:
     """Per row, the integral of v over the pieces, closed form in rho and
     G10K21 in phi to a relative error estimate of _PHI_RTOL.
 
-    The panels of `_phi_edges` form one flat list (row, a, b, code) in
-    row and phi order, empty ones dropped.  While a row's estimate, the sum
-    of |K21 - G10| over its panels, exceeds _PHI_RTOL times its value, its
-    panels whose |K21 - G10| is at least half their share of that
-    tolerance (by width) are bisected in place, a flat end staying with
-    the half that holds it, at most _MAX_ROUNDS times.  Rows are summed by
-    `bincount` over that list, so a row's value depends on its own panels
-    only and repeated runs are bit-identical."""
+    The panels (row, a, b, code) of `_panels` start the flat list.  While
+    a row's estimate, the sum of |K21 - G10| over its panels, exceeds
+    _PHI_RTOL times its value, its panels whose |K21 - G10| is at least
+    half their share of that tolerance (by width) are bisected in place, a
+    flat end staying with the half that holds it, at most _MAX_ROUNDS
+    times.  Rows are summed by `bincount` over that list."""
     rows = len(tau)
-    code = flat[:, :-1] + 2 * flat[:, 1:]
-    keep = edges[:, 1:] - edges[:, :-1] > 1e-12  # rounding duplicates, empty panels
-    row = np.nonzero(keep)[0]
-    a, b, code = edges[:, :-1][keep], edges[:, 1:][keep], code[keep]
     k, g = _kronrod_sums(v, alpha, tau, rc, R, row, a, b, code)
     for _ in range(_MAX_ROUNDS):
         err = np.abs(k - g)
@@ -398,22 +429,21 @@ def _kronrod_rows(v, alpha: float, tau, rc, R, edges, flat) -> np.ndarray:
     return np.bincount(row, k, minlength=rows)
 
 
-def _ray_integrate(v, p: float, lo, hi, phi, wphi, g=None, scale=1.0, shift=None) -> np.ndarray:
-    """Per row, the integral of |g(s + shift)|^p v(s) (v alone when g is
-    None) over the ray intervals [lo, hi] (rows, n_phi, k), shift (rows,)
-    the row's step (None: 0), on radial panels split at multiples of
-    1/scale.  An overflow gives inf with no warning, which `_checked`
-    refuses."""
-    rows, n_phi, k = lo.shape
-    live = (hi > lo) & (wphi[..., None] > 0)
+def _ray_integrate(v, p: float, lo, hi, phi, g=None, scale=1.0, shift=None) -> np.ndarray:
+    """Per phi node (panels, n), the integral of |g(s + shift)|^p v(s) (v
+    alone when g is None) over the ray intervals [lo, hi] (k, panels, n),
+    shift (panels,) the panel's step (None: 0), on radial panels split at
+    multiples of 1/scale.  A node sums its radial panels in interval
+    order by one `bincount`, so its value does not depend on the blocks.
+    An overflow gives inf with no warning, which `_checked` refuses."""
     phase = np.exp(1j * phi).ravel()
     scale = np.broadcast_to(scale, lo.shape).ravel()
     lo, hi = lo.ravel(), hi.ravel()
     floor = np.floor(lo * scale)
-    n = np.where(live.ravel(), np.ceil(hi * scale) - floor, 0).astype(np.int64)
+    n = np.where(hi > lo, np.ceil(hi * scale) - floor, 0).astype(np.int64)
     first = np.cumsum(n) - n
     x, w = (r[0] for r in _panel_maps(_RHO_NODES))
-    ray = np.zeros(rows * n_phi)
+    parts = []
     cuts = np.flatnonzero(np.diff(first // _PANEL_BLOCK)) + 1
     for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(n)]):
         ids = np.repeat(np.arange(a, b), n[a:b])
@@ -422,15 +452,17 @@ def _ray_integrate(v, p: float, lo, hi, phi, wphi, g=None, scale=1.0, shift=None
         start = np.maximum(lo[ids], j / scale[ids])
         width = np.minimum(hi[ids], (j + 1.0) / scale[ids]) - start
         rho = start[:, None] + width[:, None] * x
-        z = rho * phase[ids // k, None]
+        node = ids % phi.size
+        z = rho * phase[node, None]
         with np.errstate(over="ignore", invalid="ignore"):
             vals = _checked(v, v.eval(z))
             if g is not None:
                 if shift is not None:
-                    z = z + shift[ids // (k * n_phi), None]
+                    z = z + shift[node // phi.shape[1], None]
                 vals = vals * np.abs(g.evaluate(z)) ** p
-        ray += np.bincount(ids // k, (vals * rho) @ w * width, minlength=len(ray))
-    return np.sum(ray.reshape(rows, n_phi) * wphi, axis=1)
+        parts.append((vals * rho) @ w * width)
+    node = np.repeat(np.arange(len(n)) % phi.size, n)
+    return np.bincount(node, np.concatenate(parts), minlength=phi.size).reshape(phi.shape)
 
 
 def _edge_crossings(c, r, th) -> np.ndarray:
@@ -472,7 +504,8 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
     intervals [0, cap] of the custom terms of g; shift (rows,) is the
     row's step (None: 0).  g is a function of `lpspace`: its `evaluate`
     and its `kind`.  Rows of v alone with a ray primitive are closed-form
-    rows (`_kronrod_rows`); the others take `phi_rule`."""
+    rows (`_kronrod_rows`); the others take `phi_rule`.  Both are summed
+    per row over one flat panel list (`_panels`, `_panel_rays`)."""
     rows = len(tau)
     # custom functions alone have no pieces
     angles, flat = (_piece_angles(tau, rc, R) if rc.shape[1]
@@ -500,21 +533,11 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
     reach = reach if R is None else np.minimum(reach, R)
     if g is None and v.primitive is not None:  # closed-form rows
         return _kronrod_rows(v, alpha, tau, rc, R,
-                             *_phi_edges(v, alpha, reach, angles, flat, _MIN_KRONROD_PANELS))
-    phi, wphi = phi_rule(v, alpha, reach, angles, flat,
-                         *((_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks)) if angles.size else _CUSTOM_PHI))
-    lo, hi = (np.moveaxis(x, 0, -1) for x in (_piece_intervals(tau, rc, phi, alpha, R) if rc.shape[1]
-                                              else (np.zeros((0,) + phi.shape),) * 2))
-    lo = np.concatenate([lo, np.zeros(phi.shape + (len(caps),))], axis=-1)
-    hi = np.concatenate([hi, np.broadcast_to(caps, phi.shape + (len(caps),))], axis=-1)
-    scale = 1.0
-    if several:  # cut at every interval end; |g|^p is smooth in between
-        cut = np.sort(np.concatenate([lo, hi], axis=-1), axis=-1)
-        mid = (cut[..., :-1, None] + cut[..., 1:, None]) / 2.0
-        cover = np.sum((lo[..., None, :] < mid) & (mid < hi[..., None, :]), axis=-1)
-        lo, hi = np.where(cover > 0, cut[..., :-1], 0.0), np.where(cover > 0, cut[..., 1:], 0.0)
-        scale = np.where((cover > 1) & kinks, 16.0, 1.0)
-    return _ray_integrate(v, p, lo, hi, phi, wphi, g, scale, shift)
+                             *_panels(*_phi_edges(v, alpha, reach, angles, flat, _MIN_KRONROD_PANELS)))
+    row, phi, wphi = phi_rule(v, alpha, reach, angles, flat,
+                              *((_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks)) if angles.size else _CUSTOM_PHI))
+    ray = _panel_rays(v, alpha, p, tau, rc, R, row, phi, g, caps, shift)
+    return np.bincount(row, np.sum(ray * wphi, axis=1), minlength=rows)
 
 
 def _misses(alpha: float, tau, r_hi) -> np.ndarray:

@@ -347,7 +347,7 @@ _TAIL_MODELS = ("none", "exp", "power")
 def _radial_density(v: Weight, rho: float, sector: Sector) -> float:
     """g(rho) = rho * integral of v(rho e^{i th}) over the angular span, on
     the phi nodes of the ray engine."""
-    th, wt = quad.phi_rule(v, sector.alpha, np.array([rho]))
+    _, th, wt = quad.phi_rule(v, sector.alpha, np.array([rho]))
     return float(rho * np.sum(wt * v.eval(rho * np.exp(1j * th))))
 
 

@@ -249,6 +249,26 @@ def test_norm_matches_u_polar_oracle(kind, alpha, family, p, t_edge, spec):
         assert got == pytest.approx(ref, rel=RTOL[kind], abs=1e-300), f"t={t}"
 
 
+# exp_decay as a custom weight has no ray primitive, so an indicator under
+# it is a row of v alone that takes the general phi rule and radial panels
+CUSTOM_V_RTOL = {"indicator": 1e-12, "bump": 1e-10}
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_custom_weight_rows_at_a_step_match_u_polar_oracle(alpha):
+    space = LpSpace(custom_weight(lambda z: np.exp(-np.abs(z))), 2.0, Sector(alpha))
+    rects = [(0.6, 1.4, -alpha, alpha), (2.0, 2.9, -0.6 * alpha, 0.8 * alpha)]
+    ring = indicator(RectUnionSet(PolarRect(*r) for r in rects))
+    for t in (1.2 * cmath.exp(0.5j * alpha), 0.7 * cmath.exp(-0.95j * alpha), 2.5 + 0j):
+        c = 2.0 * cmath.exp(0.4j * alpha)
+        ref = indicator_oracle("exp_decay", rects, t, alpha)
+        assert orbit_norm(space, ring, t) ** 2 == pytest.approx(
+            ref, rel=CUSTOM_V_RTOL["indicator"], abs=0.0), f"t={t}"
+        ref = smooth_oracle("exp_decay", [(1.0, ("bump", c, 1.1, 1.3))], t, alpha, 2.0, 1e-13)
+        assert orbit_norm(space, bump(c, 1.1, 1.3), t) ** 2 == pytest.approx(
+            ref, rel=CUSTOM_V_RTOL["bump"], abs=0.0), f"t={t}"
+
+
 # alpha = 1.4, where the phi panels meet tangent rays far from the steps'
 # angles: two single annuli at steps where a fixed 20-node phi rule missed
 # by 1.1e-7 and 3.2e-7, and the orbit grids of the benchmark's alpha = 1.4

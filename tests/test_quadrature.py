@@ -1,7 +1,8 @@
 """The ray engine's building blocks: the Gauss-Kronrod table, the phi
 panel edges, the rho-intervals of the pieces against a scalar reference,
-and the error-controlled refinement of closed-form rows (v alone with a
-ray primitive: level pieces of indicators, weight integrals)."""
+the error-controlled refinement of closed-form rows (v alone with a ray
+primitive: level pieces of indicators, weight integrals), and that a
+row's value, closed-form or general, does not depend on its batch."""
 
 import cmath
 import math
@@ -11,9 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from sectorlab import (IndexSet, LpSpace, OrbitResolution, Sector, annuli_union,
-                       dc_sufficient_series, exp_decay, indicator, orbit_norm, orbit_norms,
-                       orbit_profile, vertical_exp)
+from sectorlab import (IndexSet, LpSpace, OrbitResolution, Sector, annuli_union, bump,
+                       custom_function, custom_weight, dc_sufficient_series, exp_decay,
+                       indicator, linear_combination, orbit_norm, orbit_norms, orbit_profile,
+                       vertical_exp)
 from sectorlab import quadrature
 
 from test_conformance import indicator_oracle
@@ -247,9 +249,31 @@ def test_orbit_grid_and_series_reruns_are_bit_identical():
         assert terms[0].tobytes() == terms[1].tobytes()
 
 
-def test_a_rows_value_does_not_depend_on_its_batch():
-    space, f = _hard_case()
+def _batch_case(case):
+    """An LpSpace and a function at alpha = 1.4 whose rows take each path:
+    closed-form level pieces, and general rows of a bump, an
+    indicator-minus-bump combination, a custom function, and an indicator
+    under a weight with no ray primitive."""
+    sector = Sector(ALPHA)
+    ring = indicator(annuli_union([3], sector))
+    v, f = {
+        "indicator": (exp_decay(), ring),
+        "bump": (exp_decay(), bump(2.0 + 0.3j, 0.8)),
+        "indicator-minus-bump": (exp_decay(), linear_combination(
+            [(1.0, ring), (-1.0, bump(3.2 + 0.4j, 0.8))])),
+        "custom-function": (exp_decay(), custom_function(
+            lambda z: np.maximum(0.0, 1.0 - np.abs(z - 2.5) / 1.2) ** 2, support_radius=3.7)),
+        "custom-weight": (custom_weight(lambda z: np.exp(-np.abs(z))), ring),
+    }[case]
+    return LpSpace(v, 2.0, sector), f
+
+
+@pytest.mark.parametrize("case", ["indicator", "bump", "indicator-minus-bump",
+                                  "custom-function", "custom-weight"])
+def test_a_rows_value_does_not_depend_on_its_batch(case):
+    space, f = _batch_case(case)
     ts = np.array([HARD_STEP, 0.5, 2.0 * cmath.exp(1.2j), 6.0 - 1.0j])
     batch = orbit_norms(space, f, ts)
     singles = np.concatenate([orbit_norms(space, f, ts[i:i + 1]) for i in range(len(ts))])
+    assert np.count_nonzero(batch) >= 2
     assert batch.tobytes() == singles.tobytes()
