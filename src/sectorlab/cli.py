@@ -99,9 +99,12 @@ def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(path.read_text())
+        cfg = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def _parse_complex(text: str) -> complex:

@@ -109,6 +109,8 @@ class IndexSet:
         raise ConfigError(f"unknown index-set kind {self.kind!r}")
 
     def counting_ratio(self, n: int) -> float:
+        if n < 1:
+            raise DomainError(f"the counting ratio needs n >= 1, got {n}")
         ms = self.members_up_to(n)
         return len(ms[(ms >= 1) & (ms <= n)]) / n
 
@@ -126,7 +128,8 @@ class IndexSet:
 
         Strings: ``all | evens | odds | nonsquares | finite:1,2,3 |
         arith:start:step``.  Dicts: ``{"kind", "members", "start",
-        "step"}`` as in ``scenario.schema.json``.
+        "step"}`` as in ``scenario.schema.json``.  Anything else, or a
+        malformed spec, is a `ConfigError`.
         """
         if isinstance(spec, str):
             kind, _, rest = spec.partition(":")
@@ -139,7 +142,7 @@ class IndexSet:
                 spec = {"kind": "arith", "start": 1, "step": 2}
             else:
                 spec = {"kind": spec}
-        kind = spec.get("kind")
+        kind = spec.get("kind") if isinstance(spec, dict) else None
         try:
             if kind == "all":
                 return cls.all_naturals()
@@ -151,9 +154,9 @@ class IndexSet:
                 return cls.evens()
             if kind == "nonsquares":
                 return cls.nonsquares()
-        except (KeyError, ValueError) as exc:  # DomainError is a ValueError
+        except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
             raise ConfigError(f"bad {kind} index-set spec {spec!r}: {exc}") from exc
-        raise ConfigError(f"unknown index-set kind {kind!r}")
+        raise ConfigError(f"unknown index-set kind {kind!r} in spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +305,7 @@ def build_witness(v: Weight, K: IndexSet, p: float, sector: Sector,
     The infinite annuli union is capped at k_cap; the cap only matters
     past the verification horizon and is recorded in the package.
     """
-    if p < 1:
-        raise DomainError(f"exponent p must be >= 1, got {p}")
+    LpSpace(v, p, sector)  # refuses a p that is not a real number >= 1
     series = dc_sufficient_series(v, K, k_cap, sector)
     if series.verdict == "divergent-trend":
         raise WitnessInvalidError(

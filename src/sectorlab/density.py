@@ -110,15 +110,13 @@ def density_estimates(profile: DensityProfile, window: int,
 
 
 def annuli_density_bound(K, n: int) -> float:
-    """Lower-bound term ``IndexSet.counting_ratio(n)**2`` at horizon n; an
-    iterable K is read as `IndexSet.finite(K)`.
+    """Lower-bound term ``IndexSet.counting_ratio(n)**2`` at horizon n >= 1;
+    an iterable K is read as `IndexSet.finite(K)`.
 
     The density of a union of unit annuli indexed by K dominates this
     squared counting ratio; see the acceptance suite for the comparison
     against exact rect-union profiles.
     """
-    if n < 1:
-        raise DomainError(f"horizon must be >= 1, got {n}")
     from .criteria import IndexSet  # criteria imports this module
     K = K if isinstance(K, IndexSet) else IndexSet.finite(K)
     return K.counting_ratio(n) ** 2

@@ -12,6 +12,7 @@ the polar view is derived on demand.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,15 +24,21 @@ from .errors import DomainError
 _ANGLE_SLACK = 1e-12
 
 
+def is_real(x) -> bool:
+    """True for a real number (an int or a float, numpy's too), not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Sector:
-    """Closed complex sector of half-angle `alpha`, 0 < alpha < pi/2."""
+    """Closed complex sector of half-angle `alpha`, a real number in
+    (0, pi/2)."""
 
     alpha: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < math.pi / 2):
-            raise DomainError(f"sector half-angle must lie in (0, pi/2), got {self.alpha}")
+        if not (is_real(self.alpha) and 0.0 < self.alpha < math.pi / 2):
+            raise DomainError(f"sector half-angle must be a real in (0, pi/2), got {self.alpha!r}")
 
     def point(self, r: float, theta: float) -> "SectorPoint":
         """Construct a validated point from polar coordinates."""

@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature as quad
-from .errors import DomainError, EvaluationError
-from .geometry import Sector, as_complex, contains
+from .errors import ConfigError, DomainError, EvaluationError
+from .geometry import Sector, as_complex, contains, is_real
 from .sets import PolarRect, RectUnionSet
 from .weights import Weight
 
@@ -48,15 +48,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LpSpace:
-    """The space L^p_v over a sector; p in [1, inf)."""
+    """The space L^p_v over a sector; p a real number in [1, inf)."""
 
     weight: Weight
     p: float
     sector: Sector
 
     def __post_init__(self):
-        if self.p < 1:
-            raise DomainError(f"exponent p must be >= 1, got {self.p}")
+        if not (is_real(self.p) and self.p >= 1):
+            raise DomainError(f"exponent p must be a real number >= 1, got {self.p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,6 @@ def orbit_norm(space: LpSpace, f: SectorFunction, t, R: float | None = None) -> 
 
 def function_from_spec(spec: dict) -> SectorFunction:
     """Build a function from a scenario JSON spec {kind, params, offset}."""
-    from .errors import ConfigError
     kind = spec.get("kind")
     params = spec.get("params", {})
     off = spec.get("offset", [0.0, 0.0])

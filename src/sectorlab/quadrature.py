@@ -17,7 +17,7 @@ no discontinuity is ever sampled; for v alone and a built-in weight the
 rho-integral over an interval is the weight's closed-form ray primitive
 instead (see `weights`), so only the phi integral is numerical.
 
-The phi panels (`_phi_edges`) are equal base panels over the sector, as
+The phi panels (`_panels`) are equal base panels over the sector, as
 many as the weight's angular variation needs out to the row's reach,
 split where an interval end changes branch: tangent rays, corners, rays
 parallel to a span edge, crossings of two circles or of the truncation
@@ -27,14 +27,15 @@ Splits closer than a quarter panel get panels graded towards them.  At a
 tangent ray an interval end behaves like a square root in phi; a
 quadratic map with a flat end there makes the integrand smooth again.
 
-Every row's phi panels come from `_phi_edges`, and `_panels` lays the
-panels of all rows out as one flat list (row, a, b, flat ends) in row
-and phi order, the empty ones dropped.  One evaluator, `_panel_rays`,
-gathers each panel's offsets and rectangles, solves the ray intervals at
-its phi nodes and integrates rho along each ray; every row is the
-`bincount` of its panels' sums, so its value depends on its own panels
-only, whatever the batch.  The phi rule depends on the row.  A
-closed-form row (v alone with a ray primitive: the level pieces of
+`_panels` builds the panels of all rows as one flat list (row, a, b,
+flat ends) in row and phi order, straight from the split angles: one
+stable sort by row and angle of the base edges, the splits inside the
+sector and the graded edges, the empty panels dropped.  One evaluator,
+`_panel_rays`, gathers each panel's offsets and rectangles, solves the
+ray intervals at its phi nodes and integrates rho along each ray; every
+row is the `bincount` of its panels' sums, so its value depends on its
+own panels only, whatever the batch.  The phi rule depends on the row.
+A closed-form row (v alone with a ray primitive: the level pieces of
 indicators, weight integrals) has every breakpoint known and an exact
 value at every phi node, so its rule is error-controlled
 (`_kronrod_rows`): 2 base panels of the 10-point Gauss / 21-point
@@ -284,69 +285,61 @@ def _piece_intervals(tau, rc, phi, alpha: float, R) -> tuple[np.ndarray, np.ndar
     return np.where(empty, 0.0, lo).reshape(shape), np.where(empty, 0.0, hi).reshape(shape)
 
 
-def _phi_edges(v, alpha: float, reach, angles, flat, n_min: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the phi panel edges (rows, k) over [-alpha, alpha], sorted,
-    and the flags (rows, k) of the edges that are tangent rays: equal base
-    panels, at least n_min and as many as the weight v needs out to the
-    row's reach (rows,), split at the row's angles (rows, k) inside the
-    sector, and graded towards splits that lie close together.  Columns
-    past a row's last panel repeat alpha (empty panels); a row's edges and
-    flags depend on its batch only through them.  The angles and graded
-    edges outside the sector read alpha: the sorted ends and graded edges
-    are cut to the most any row has inside before the one argsort."""
+def _panels(v, alpha: float, reach, angles, flat, n_min: int
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The phi panels of all rows as one flat list in row and phi order:
+    each panel's row, its ends a and b, and its flat ends, code = flat-left
+    + 2 * flat-right.  A row's panels are equal base panels over
+    [-alpha, alpha], at least n_min and as many as the weight v needs out
+    to the row's reach (rows,), split at the row's angles (rows, k) inside
+    the sector (flat (rows, k) marks the tangent rays) and graded towards
+    splits that lie close together.  Panels no wider than 1e-12 (rounding
+    duplicates, and the step back from a row's alpha to the next row's
+    -alpha) are dropped, so a row's panels depend on its own reach and
+    angles only."""
     n = np.maximum(n_min, _angular_panels(v, 2.0 * alpha, reach))
+    rows = np.arange(len(n))
     a = np.angle(np.exp(1j * angles))
-    # two angles closer than a quarter panel bracket a near-singular spot
+    inside = np.abs(a) < alpha
+    at, a = np.nonzero(inside)[0], a[inside]
+    # two splits closer than a quarter panel bracket a near-singular spot
     # (a tangent ray next to a corner, say): grade the panels on either side
     # towards them by factors of 4, as many as bridge the gap to a panel's
     # width, at most 12 (closer pairs, down to rounding duplicates, are too
-    # close to bridge); 5 steps bridge every gap of 1/1024 panel or more
-    inside = np.abs(a) < alpha
-    a = np.where(inside, a, alpha)
-    ends = np.sort(a, axis=1)[:, :inside.sum(axis=1).max()]
-    ends = np.concatenate([np.full((len(a), 1), -alpha), ends, np.full((len(a), 1), alpha)], axis=1)
-    gap, ends = (ends[:, 1:] - ends[:, :-1])[..., None], ends[:, :-1]
-    width = 2.0 * alpha / n[:, None, None]
-    bridge = (gap > width / 4.0 ** 12) & (gap < width / 4.0 ** 5)
-    step = gap * 4.0 ** np.arange(1, 13 if bridge.any() else 6)
-    near = (gap > width / 4.0 ** 12) & (step < width)
-    graded = np.concatenate([np.where(near, ends[..., None] - step, alpha),
-                             np.where(near, ends[..., None] + gap + step, alpha)], axis=1)
-    graded = np.sort(np.where(np.abs(graded) < alpha, graded, alpha).reshape(len(a), -1), axis=1)
-    graded = graded[:, :np.sum(graded < alpha, axis=1).max()]
-    base = -alpha + 2.0 * alpha * np.minimum(np.arange(n.max() + 1) / n[:, None], 1.0)
-    edges = np.concatenate([base, a, graded], axis=1)
-    flat = np.concatenate([np.zeros(base.shape, bool), flat & inside,
-                           np.zeros(graded.shape, bool)], axis=1)
-    keep = np.sum(edges < alpha, axis=1).max() + 1  # the rest are empty panels at alpha
-    order = np.arange(len(edges))[:, None], np.argsort(edges, axis=1, kind="stable")[:, :keep]
-    return edges[order], flat[order]
+    # close to bridge); the gaps run over each row's splits between -alpha
+    # and alpha, and the step back to the next row is a negative gap
+    ends = np.concatenate([np.full(len(n), -alpha), a, np.full(len(n), alpha)])
+    end_row = np.concatenate([rows, at, rows])
+    order = np.lexsort((ends, end_row))
+    ends, end_row = ends[order], end_row[order]
+    gap, width = ends[1:] - ends[:-1], 2.0 * alpha / n[end_row[:-1]]
+    g = np.flatnonzero((gap > width / 4.0 ** 12) & (gap * 4.0 < width))
+    gap, left = gap[g, None], ends[g, None]
+    step = gap * 4.0 ** np.arange(1, 13)
+    graded = np.stack([left - step, left + gap + step])
+    near = (step < width[g, None]) & (np.abs(graded) < alpha)
+    base_row = np.repeat(rows, n + 1)
+    j = np.arange(len(base_row)) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
+    # a stable sort keeps ties in this order: base edges, splits, graded edges
+    edges = np.concatenate([-alpha + 2.0 * alpha * (j / n[base_row]), a, graded[near]])
+    row = np.concatenate([base_row, at, np.broadcast_to(end_row[g, None], near.shape)[near]])
+    flat = np.concatenate([np.zeros(len(base_row), bool), flat[inside], np.zeros(near.sum(), bool)])
+    order = np.lexsort((edges, row))
+    edges, row, flat = edges[order], row[order], flat[order]
+    keep = edges[1:] - edges[:-1] > 1e-12
+    return row[:-1][keep], edges[:-1][keep], edges[1:][keep], (flat[:-1] + 2 * flat[1:])[keep]
 
 
-def _panels(edges, flat) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The panels of per-row edges and flags (rows, k) of `_phi_edges` as
-    one flat list in row and phi order: each panel's row, its ends a and
-    b, and its flat ends, code = flat-left + 2 * flat-right.  Panels no
-    wider than 1e-12 (rounding duplicates, the empty panels at alpha) are
-    dropped."""
-    code = flat[:, :-1] + 2 * flat[:, 1:]
-    keep = edges[:, 1:] - edges[:, :-1] > 1e-12
-    return np.nonzero(keep)[0], edges[:, :-1][keep], edges[:, 1:][keep], code[keep]
-
-
-def phi_rule(v, alpha: float, reach, angles=None, flat=None, npts: int = _PHI_NODES,
+def phi_rule(v, alpha: float, reach, angles, flat, npts: int = _PHI_NODES,
              n_min: int = _MIN_PHI_PANELS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The fixed phi rule of the general rows and of `weights`' radial
     density: an npts-point Gauss-Legendre rule on every panel of `_panels`
-    (n_min base panels of `_phi_edges`, split at the row's angles (rows,
-    k), None: no splits; flat marks the tangent rays), with no error
-    estimate.  Returns each panel's row (panels,) and its phi nodes and
-    weights (panels, npts); a row's panels depend on its own reach and
-    angles only.  Closed-form rows use `_kronrod_rows`."""
-    if angles is None:
-        angles, flat = np.zeros((len(reach), 0)), np.zeros((len(reach), 0), bool)
-    row, a, b, code = _panels(*_phi_edges(v, alpha, reach, angles, flat, n_min))
+    (at least n_min base panels, split at the row's angles (rows, k);
+    flat marks the tangent rays), with no error estimate.  Returns each
+    panel's row (panels,) and its phi nodes and weights (panels, npts); a
+    row's panels depend on its own reach and angles only.  Closed-form
+    rows use `_kronrod_rows`."""
+    row, a, b, code = _panels(v, alpha, reach, angles, flat, n_min)
     t, w = (x[code] for x in _panel_maps(npts))
     width = (b - a)[:, None]
     return row, a[:, None] + width * t, width * w
@@ -403,7 +396,7 @@ def _kronrod_rows(v, alpha: float, tau, rc, R, row, a, b, code) -> np.ndarray:
     """Per row, the integral of v over the pieces, closed form in rho and
     G10K21 in phi to a relative error estimate of _PHI_RTOL.
 
-    The panels (row, a, b, code) of `_panels` start the flat list.  While
+    The flat panel list (row, a, b, code) of `_panels` starts it.  While
     a row's estimate, the sum of |K21 - G10| over its panels, exceeds
     _PHI_RTOL times its value, its panels whose |K21 - G10| is at least
     half their share of that tolerance (by width) are bisected in place, a
@@ -504,8 +497,9 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
     intervals [0, cap] of the custom terms of g; shift (rows,) is the
     row's step (None: 0).  g is a function of `lpspace`: its `evaluate`
     and its `kind`.  Rows of v alone with a ray primitive are closed-form
-    rows (`_kronrod_rows`); the others take `phi_rule`.  Both are summed
-    per row over one flat panel list (`_panels`, `_panel_rays`)."""
+    rows (`_kronrod_rows`); the others take `phi_rule`.  Both start from
+    the flat panel list of `_panels`, built from the rows' split angles,
+    and are summed per row over it (`_panel_rays`)."""
     rows = len(tau)
     # custom functions alone have no pieces
     angles, flat = (_piece_angles(tau, rc, R) if rc.shape[1]
@@ -533,7 +527,7 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
     reach = reach if R is None else np.minimum(reach, R)
     if g is None and v.primitive is not None:  # closed-form rows
         return _kronrod_rows(v, alpha, tau, rc, R,
-                             *_panels(*_phi_edges(v, alpha, reach, angles, flat, _MIN_KRONROD_PANELS)))
+                             *_panels(v, alpha, reach, angles, flat, _MIN_KRONROD_PANELS))
     row, phi, wphi = phi_rule(v, alpha, reach, angles, flat,
                               *((_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks)) if angles.size else _CUSTOM_PHI))
     ray = _panel_rays(v, alpha, p, tau, rc, R, row, phi, g, caps, shift)

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature as quad
-from .errors import DomainError, InvalidWeightError, MissingCertificateError
+from .errors import ConfigError, DomainError, InvalidWeightError, MissingCertificateError
 from .geometry import Sector
 
 __all__ = [
@@ -347,7 +347,7 @@ _TAIL_MODELS = ("none", "exp", "power")
 def _radial_density(v: Weight, rho: float, sector: Sector) -> float:
     """g(rho) = rho * integral of v(rho e^{i th}) over the angular span, on
     the phi nodes of the ray engine."""
-    _, th, wt = quad.phi_rule(v, sector.alpha, np.array([rho]))
+    _, th, wt = quad.phi_rule(v, sector.alpha, np.array([rho]), np.zeros((1, 0)), np.zeros((1, 0), bool))
     return float(rho * np.sum(wt * v.eval(rho * np.exp(1j * th))))
 
 
@@ -454,7 +454,6 @@ _FAMILIES = {
 
 def weight_from_spec(spec: dict) -> Weight:
     """Build a weight from a scenario JSON spec {family, params, certificate}."""
-    from .errors import ConfigError
     family = spec.get("family")
     if family not in _FAMILIES:
         raise ConfigError(f"unknown weight family {family!r}")

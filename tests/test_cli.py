@@ -226,6 +226,43 @@ class TestCheckCommand:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize("K", [3, [1, 2], {"kind": "finite", "members": 5}])
+    @pytest.mark.parametrize("check", ["dc-sufficient", "witness"])
+    def test_malformed_index_set_in_config(self, capsys, tmp_path, check, K):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"K": K}))
+        code, _, err = run_cli(capsys, "check", check, "--config", str(cfg))
+        assert code == 2
+        assert "config error" in err
+
+    @pytest.mark.parametrize("command", [["check", "dc-sufficient"], ["check", "witness"],
+                                         ["density", "--annuli", "evens", "--horizon", "20"]])
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"all"'])
+    def test_config_that_is_not_an_object(self, capsys, tmp_path, command, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, *command, "--config", str(cfg))
+        assert code == 2
+        assert "config error" in err and "JSON object" in err
+
+    @pytest.mark.parametrize("command", [["check", "dc-sufficient"], ["check", "witness"],
+                                         ["density", "--annuli", "evens", "--horizon", "20"]])
+    @pytest.mark.parametrize("alpha", ["0.5", [0.5], None, True])
+    def test_half_angle_that_is_not_a_real_number(self, capsys, tmp_path, command, alpha):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": alpha}))
+        code, _, err = run_cli(capsys, *command, "--config", str(cfg))
+        assert code == 2
+        assert "config error" in err and "half-angle" in err
+
+    @pytest.mark.parametrize("p", ["2", [2], None, False])
+    def test_exponent_that_is_not_a_real_number(self, capsys, tmp_path, p):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": p}))
+        code, _, err = run_cli(capsys, "check", "witness", "--config", str(cfg))
+        assert code == 2
+        assert "config error" in err and "exponent p" in err
+
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -37,6 +37,19 @@ class TestIndexSet:
         assert IndexSet.evens().counting_ratio(10) == pytest.approx(0.5)
         assert IndexSet.nonsquares().counting_ratio(100) == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_counting_ratio_needs_a_positive_n(self, n):
+        with pytest.raises(DomainError):
+            IndexSet.all_naturals().counting_ratio(n)
+        assert IndexSet.all_naturals().counting_ratio(1) == 1.0
+
+    @pytest.mark.parametrize("spec", [3, None, ["all"], {"kind": "finite", "members": 5},
+                                      {"kind": "finite", "members": [None]},
+                                      {"kind": "arith", "start": [1], "step": 2}])
+    def test_from_spec_refuses_other_types(self, spec):
+        with pytest.raises(ConfigError):
+            IndexSet.from_spec(spec)
+
     def test_from_spec_unknown(self):
         with pytest.raises(ConfigError):
             IndexSet.from_spec({"kind": "primes"})

@@ -97,6 +97,15 @@ class TestSectorValidation:
         with pytest.raises(DomainError):
             Sector(alpha)
 
+    @pytest.mark.parametrize("alpha", ["0.5", [0.5], None, True, np.array(0.5), math.nan])
+    def test_half_angle_must_be_a_real_number(self, alpha):
+        with pytest.raises(DomainError):
+            Sector(alpha)
+
+    def test_numpy_reals_are_half_angles(self):
+        for alpha in (np.float64(0.5), np.float32(0.5), np.int64(1), 1):
+            assert Sector(alpha).alpha == alpha
+
     def test_point_outside_rejected(self, sector):
         with pytest.raises(DomainError):
             sector.from_complex(1j)

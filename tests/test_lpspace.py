@@ -65,6 +65,15 @@ def s_space_norm_oracle(t: complex, bands: tuple[float, float], p: float) -> flo
 
 
 class TestLpNorm:
+    @pytest.mark.parametrize("p", [0.5, "2", [2.0], None, True, math.nan])
+    def test_exponent_must_be_a_real_number_at_least_one(self, sector, p):
+        with pytest.raises(DomainError):
+            LpSpace(exp_decay(), p, sector)
+
+    def test_numpy_and_integer_exponents_are_accepted(self, sector):
+        for p in (1, np.int64(3), np.float64(2.0)):
+            assert LpSpace(exp_decay(), p, sector).p == p
+
     def test_indicator_ball_closed_form(self, sector):
         # integral of rho e^{-rho} over [0,1] is 1 - 2/e, times the angular span
         space = LpSpace(exp_decay(), 1.0, sector)

@@ -1,13 +1,15 @@
 """The ray engine's building blocks: the Gauss-Kronrod table, the phi
-panel edges, the rho-intervals of the pieces against a scalar reference,
+panels, the rho-intervals of the pieces against a scalar reference,
 the error-controlled refinement of closed-form rows (v alone with a ray
 primitive: level pieces of indicators, weight integrals), and that a
 row's value, closed-form or general, does not depend on its batch."""
 
 import cmath
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,27 +56,29 @@ def test_kronrod_weights_are_positive_and_nodes_symmetric():
 
 def test_the_library_does_not_import_scipy():
     code = "import sys, sectorlab; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------
-# phi panel edges
+# phi panels
 
 
-def test_rows_with_no_angle_inside_get_exactly_their_base_edges():
+def test_rows_with_no_angle_inside_get_exactly_their_base_panels():
     alpha = 1.0
     # nan, both edges, beyond an edge, and angles that wrap to outside
     angles = np.array([[np.nan, alpha, -alpha, 1.3, 2.0 * np.pi + 1.2, -3.0]])
     flat = np.ones(angles.shape, bool)
     for v, reach in ((exp_decay(), 5.0), (vertical_exp(), 1.0), (vertical_exp(), 30.0)):
         n = max(2, int(quadrature._angular_panels(v, 2.0 * alpha, np.array([reach]))[0]))
-        edges, flags = quadrature._phi_edges(v, alpha, np.array([reach]), angles, flat, 2)
-        assert edges.shape == flags.shape == (1, n + 1)
-        assert np.array_equal(edges[0], -alpha + 2.0 * alpha * (np.arange(n + 1) / n))
-        assert not flags.any()
+        row, a, b, code = quadrature._panels(v, alpha, np.array([reach]), angles, flat, 2)
+        edges = -alpha + 2.0 * alpha * (np.arange(n + 1) / n)
+        assert np.array_equal(row, np.zeros(n, int))
+        assert np.array_equal(a, edges[:-1]) and np.array_equal(b, edges[1:])
+        assert np.array_equal(code, np.zeros(n, int))
 
 
-def test_a_rows_edges_and_flags_do_not_depend_on_its_batch():
+def test_a_rows_panels_do_not_depend_on_its_batch():
     rng = np.random.default_rng(7)
     alpha = 0.9
     angles = rng.uniform(-1.5, 1.5, (6, 8))
@@ -85,13 +89,15 @@ def test_a_rows_edges_and_flags_do_not_depend_on_its_batch():
     flat = rng.random(angles.shape) < 0.5
     reach = np.array([0.5, 3.0, 1.0, 8.0, 12.0, 2.0])
     for v in (exp_decay(), vertical_exp()):
-        edges, flags = quadrature._phi_edges(v, alpha, reach, angles, flat, 2)
-        assert np.all(np.diff(edges, axis=1) >= 0)
+        row, a, b, code = quadrature._panels(v, alpha, reach, angles, flat, 2)
+        assert np.all(np.diff(row) >= 0) and np.all(b - a > 1e-12)
+        assert np.array_equal(np.unique(row), np.arange(len(angles)))
         for i in range(len(angles)):
-            e, f = quadrature._phi_edges(v, alpha, reach[i:i + 1], angles[i:i + 1], flat[i:i + 1], 2)
-            k = e.shape[1]
-            assert np.array_equal(edges[i, :k], e[0]) and np.array_equal(flags[i, :k], f[0])
-            assert np.all(edges[i, k:] == alpha) and not flags[i, k:].any()
+            alone = quadrature._panels(v, alpha, reach[i:i + 1], angles[i:i + 1], flat[i:i + 1], 2)
+            mine = row == i
+            assert not alone[0].any() and np.all(np.diff(a[mine]) > 0)
+            for x, y in zip((a, b, code), alone[1:]):
+                assert np.array_equal(x[mine], y)
 
 
 def test_a_close_tangent_and_corner_pair_gets_the_twelve_step_bridge():
@@ -100,16 +106,26 @@ def test_a_close_tangent_and_corner_pair_gets_the_twelve_step_bridge():
     x0 = 0.1
     gap = width / 4.0 ** 7  # closer than width / 4^5: 5 steps do not bridge it
     x1 = x0 + gap
-    edges, flags = quadrature._phi_edges(exp_decay(), alpha, np.array([4.0]), np.array([[x1, x0]]),
+    row, a, b, code = quadrature._panels(exp_decay(), alpha, np.array([4.0]), np.array([[x1, x0]]),
                                          np.array([[False, True]]), 2)
     g = x1 - x0
     steps = g * 4.0 ** np.arange(1, 7)  # the steps shorter than a panel, 6 > 5
     expect = np.sort(np.concatenate([[-alpha, 0.0, alpha, x0, x1], x0 - steps, x1 + steps]))
-    assert edges.shape == (1, len(expect))
+    assert np.array_equal(row, np.zeros(len(expect) - 1, int))
     # to rounding: the angles are wrapped to (-pi, pi] first, and 4^6 scales that
-    np.testing.assert_allclose(edges[0], expect, rtol=0.0, atol=1e-12)
-    # only the tangent ray is flagged
-    assert np.array_equal(np.flatnonzero(flags[0]), [np.argmin(np.abs(expect - x0))])
+    np.testing.assert_allclose(a, expect[:-1], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(b, expect[1:], rtol=0.0, atol=1e-12)
+    # only the ends at the tangent ray are flat: the right end of the panel
+    # before it (code 2) and the left end of the panel after it (code 1)
+    i = np.argmin(np.abs(expect - x0))
+    assert np.array_equal(np.flatnonzero(code), [i - 1, i]) and list(code[i - 1:i + 1]) == [2, 1]
+    # a pair closer than width / 4^12 is too close to bridge: no graded edges
+    x1 = x0 + width / 4.0 ** 13
+    row, a, b, code = quadrature._panels(exp_decay(), alpha, np.array([4.0]), np.array([[x1, x0]]),
+                                         np.array([[False, True]]), 2)
+    np.testing.assert_allclose(a, [-alpha, 0.0, x0, x1], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(b, [0.0, x0, x1, alpha], rtol=0.0, atol=1e-15)
+    assert list(code) == [0, 2, 1, 0]
 
 
 # ---------------------------------------------------------------------------
