@@ -1,6 +1,6 @@
 """The translation operator on a weighted space, and orbit diagnostics.
 
-Functions carry their translation offset lazily, so the semigroup law is
+Translating a function adds to the offsets of its terms, so the semigroup law is
 exact arithmetic; norms are where quadrature happens.  An orbit grid
 samples ||T_t f|| over a truncated sector and level-set densities turn
 the field into distributional statistics.

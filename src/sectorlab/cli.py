@@ -26,7 +26,7 @@ from .criteria import (EXAMPLE_IDS, IndexSet, build_witness, dc_sufficient_serie
                        WitnessSampling)
 from .density import density_estimates, density_profile
 from .errors import ConfigError, DomainError, SectorLabError
-from .geometry import Sector
+from .geometry import Sector, is_real
 from .lpspace import LpSpace
 from .sets import RectUnionSet, annuli_union, translate_set
 from .weights import PairSampling, admissibility_check, weight_from_spec
@@ -134,6 +134,13 @@ def _check_grid(spec) -> None:
                               f"got {value!r}")
 
 
+def _horizon(value) -> float:
+    """A radial horizon: a finite number > 0; anything else is a `ConfigError`."""
+    if not (is_real(value) and 0 < value < math.inf):
+        raise ConfigError(f"horizon must be a finite number > 0, got {value!r}")
+    return value
+
+
 def _load_rects(raw: str) -> RectUnionSet:
     """The rect union of --set-json: an inline JSON list or @path."""
     try:
@@ -171,7 +178,7 @@ def _profile_text(profile, fmt: str) -> str:
 def _cmd_density(args, cfg: dict) -> int:
     alpha = cfg.get("alpha", args.alpha)
     sector = Sector(alpha)
-    horizon = args.horizon or cfg.get("horizon", 170.0)
+    horizon = _horizon(args.horizon if args.horizon is not None else cfg.get("horizon", 170.0))
     radii = np.unique(np.concatenate([
         np.geomspace(1.0, horizon, 24),
         np.arange(1.0, math.floor(horizon) + 1.0),
@@ -249,7 +256,7 @@ def _cmd_check(args, cfg: dict) -> int:
         ok = series.verdict == "convergent-trend"
     else:  # witness
         K = IndexSet.from_spec(cfg.get("K", args.K))
-        R = args.horizon or 20.0
+        R = _horizon(args.horizon if args.horizon is not None else 20.0)
         pkg = build_witness(v, K, p, sector, k_cap=int(R) + 14)
         ver = verify_witness(LpSpace(v, p, sector), pkg, K, R,
                              WitnessSampling(seed=args.seed))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -50,6 +51,14 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # index sets
+
+
+def _integers(values: list) -> list:
+    """values if it is a list of integers (bools excluded); else TypeError."""
+    if not (isinstance(values, list) and all(
+            isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in values)):
+        raise TypeError(f"expected a list of integers, got {values!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -128,28 +137,28 @@ class IndexSet:
 
         Strings: ``all | evens | odds | nonsquares | finite:1,2,3 |
         arith:start:step``.  Dicts: ``{"kind", "members", "start",
-        "step"}`` as in ``scenario.schema.json``.  Anything else, or a
-        malformed spec, is a `ConfigError`.
+        "step"}`` as in ``scenario.schema.json``, with integer values.
+        Anything else, or a malformed spec, is a `ConfigError`.
         """
-        if isinstance(spec, str):
-            kind, _, rest = spec.partition(":")
-            if kind == "finite":
-                spec = {"kind": kind, "members": rest.split(",")}
-            elif kind == "arith":
-                start, _, step = rest.partition(":")
-                spec = {"kind": kind, "start": start, "step": step}
-            elif spec == "odds":
-                spec = {"kind": "arith", "start": 1, "step": 2}
-            else:
-                spec = {"kind": spec}
-        kind = spec.get("kind") if isinstance(spec, dict) else None
         try:
+            if isinstance(spec, str):
+                kind, _, rest = spec.partition(":")
+                if kind == "finite":
+                    spec = {"kind": kind, "members": [int(k) for k in rest.split(",")]}
+                elif kind == "arith":
+                    start, _, step = rest.partition(":")
+                    spec = {"kind": kind, "start": int(start), "step": int(step)}
+                elif spec == "odds":
+                    spec = {"kind": "arith", "start": 1, "step": 2}
+                else:
+                    spec = {"kind": spec}
+            kind = spec.get("kind") if isinstance(spec, dict) else None
             if kind == "all":
                 return cls.all_naturals()
             if kind == "finite":
-                return cls.finite(spec["members"])
+                return cls.finite(_integers(spec["members"]))
             if kind == "arith":
-                return cls.arithmetic(int(spec["start"]), int(spec["step"]))
+                return cls.arithmetic(*_integers([spec["start"], spec["step"]]))
             if kind == "evens":
                 return cls.evens()
             if kind == "nonsquares":

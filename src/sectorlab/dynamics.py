@@ -126,12 +126,11 @@ def orbit_profile(space: LpSpace, f: SectorFunction, R: float,
     dth = 2 * sector.alpha / res.n_theta
     thetas = dth * (np.arange(res.n_theta) - (res.n_theta - 1) / 2)
 
-    g = f.simplified()
     nodes = (radii[:, None] * np.exp(1j * thetas[None, :])).ravel()
-    norms = orbit_norms(space, g, nodes)
+    norms = orbit_norms(space, f, nodes)
     return OrbitGrid(radii=radii, thetas=thetas,
                      norms=norms.reshape(len(radii), len(thetas)),
-                     R=float(R), space=space, fn=g)
+                     R=float(R), space=space, fn=f)
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ def pair_diagnostic(space: LpSpace, x: SectorFunction, y: SectorFunction,
     """
     if epsilon <= 0 or delta <= 0:
         raise DomainError("epsilon and delta must be > 0")
-    diff = linear_combination([(1.0, x), (-1.0, y)]).simplified()
+    diff = linear_combination([(1.0, x), (-1.0, y)])
     grid = orbit_profile(space, diff, R, resolution)
     if schedule is None:
         schedule = np.geomspace(R / 32.0, R, 16)

@@ -2,10 +2,12 @@
 
 The space is ``L^p_v`` over a sector: measurable f with
 ``integral |f(t)|^p v(t) dt`` finite.  Translation acts by
-``(T_t f)(s) = f(s + t)``.  Functions carry their translation offset
-lazily — translating only adds offsets, so the semigroup law
-``T_s T_t = T_{s+t}`` is exact float arithmetic, and all numerical error
-is confined to norm quadrature.
+``(T_t f)(s) = f(s + t)``.  A function is a finite sum of terms
+c h(s + t), a coefficient c, a shape h (the indicator of a rect union, a
+bump, a custom evaluator) and an offset t, built canonical (equal shapes
+at equal offsets merged, zero terms dropped).  Translating only adds to
+the offsets, so the semigroup law ``T_s T_t = T_{s+t}`` is exact float
+arithmetic, and all numerical error is confined to norm quadrature.
 
 Every norm comes from the s-polar ray engine of `quadrature`:
 ||T_t f||^p is the integral of |f(s + t)|^p v(s) along the rays
@@ -26,7 +28,7 @@ computes one step of each conjugate pair t, conj t (their norms are equal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,200 +65,149 @@ class LpSpace:
 # function representations
 
 
-class _IndicatorBase:
-    __slots__ = ("rects", "amplitude")
-
-    def __init__(self, rects: RectUnionSet, amplitude: float = 1.0):
-        self.rects = rects
-        self.amplitude = float(amplitude)
+@dataclass(frozen=True)
+class _Indicator:
+    rects: RectUnionSet
 
     def evaluate(self, z):
-        return self.amplitude * self.rects.member(z).astype(float)
+        return self.rects.member(z).astype(float)
 
-    def support_radius(self, alpha: float):
+    def support_radius(self):
         return self.rects.support_radius()
 
-    def __eq__(self, other):
-        return (isinstance(other, _IndicatorBase)
-                and self.rects == other.rects and self.amplitude == other.amplitude)
 
-    def __hash__(self):
-        return hash((self.rects, self.amplitude))
+@dataclass(frozen=True)
+class _Bump:
+    """Smooth compactly supported cap: cos^2(pi d / (2 r)) for d < r."""
 
-
-class _BumpBase:
-    """Smooth compactly supported cap: a * cos^2(pi d / (2 r)) for d < r."""
-
-    __slots__ = ("center", "radius", "amplitude")
-
-    def __init__(self, center: complex, radius: float, amplitude: float = 1.0):
-        if radius <= 0:
-            raise DomainError(f"bump radius must be > 0, got {radius}")
-        self.center = complex(center)
-        self.radius = float(radius)
-        self.amplitude = float(amplitude)
+    center: complex
+    radius: float
 
     def evaluate(self, z):
-        d = np.abs(np.asarray(z, dtype=complex) - self.center)
+        d = np.abs(z - self.center)
         inside = d < self.radius
         out = np.zeros(d.shape)
-        out[inside] = self.amplitude * np.cos(np.pi * d[inside] / (2 * self.radius)) ** 2
+        out[inside] = np.cos(np.pi * d[inside] / (2 * self.radius)) ** 2
         return out
 
-    def support_radius(self, alpha: float):
+    def support_radius(self):
         return abs(self.center) + self.radius
 
-    def __eq__(self, other):
-        return (isinstance(other, _BumpBase) and self.center == other.center
-                and self.radius == other.radius and self.amplitude == other.amplitude)
 
-    def __hash__(self):
-        return hash((self.center, self.radius, self.amplitude))
-
-
-class _CombBase:
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Sequence[tuple[float, "SectorFunction"]]):
-        self.terms = tuple((float(c), f) for c, f in terms)
+@dataclass(frozen=True)
+class _Custom:
+    fn: Callable
+    radius: float | None
 
     def evaluate(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape)
-        for c, f in self.terms:
-            out = out + c * f.evaluate(z)
-        return out
+        vals = np.asarray(self.fn(z), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise EvaluationError("custom evaluator returned non-finite values")
+        return vals
 
-    def support_radius(self, alpha: float):
-        # base radii of the terms: the one cone-factor division happens in
-        # SectorFunction.support_radius, whatever the terms' offsets
-        radii = [f.base.support_radius(alpha) for _, f in self.terms]
-        if any(r is None for r in radii):
-            return None
-        return max(radii, default=0.0)
+    def support_radius(self):
+        return self.radius
 
 
-class _CustomBase:
-    __slots__ = ("fn", "radius_hint")
-
-    def __init__(self, fn: Callable, radius_hint: float | None = None):
-        self.fn = fn
-        self.radius_hint = radius_hint
-
-    def evaluate(self, z):
-        return np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=float)
-
-    def support_radius(self, alpha: float):
-        return self.radius_hint
+_KINDS = {_Indicator: "indicator", _Bump: "bump", _Custom: "custom"}
 
 
 # Two points s, t of a sector of half-angle alpha are at most 2 alpha apart
 # in angle, so |s + t| >= max(|s|, |t|) for alpha <= pi/4 and beyond that
 # |s + t| >= sin(2 alpha) max(|s|, |t|), with equality at |t| = -|s| cos(2 alpha)
-# on opposite edges.  This converts a support bound on the base into one on
-# the translate.
+# on opposite edges.  This converts a support bound on the shapes into one
+# on the translate.
 def _cone_factor(alpha: float) -> float:
     return 1.0 if alpha <= math.pi / 4 else math.sin(2.0 * alpha)
 
 
+def _support(shapes, alpha: float) -> float | None:
+    """Bound R such that the shapes, at any in-sector offset, vanish on
+    |s| > R in the sector: |s + offset| >= _cone_factor(alpha) |s|."""
+    radii = [h.support_radius() for h in shapes]
+    return None if None in radii else max(radii, default=0.0) / _cone_factor(alpha)
+
+
 @dataclass(frozen=True)
 class SectorFunction:
-    """A member of the weighted space: a base shape plus a lazy offset.
+    """A member of the weighted space: the sum of c h(s + t) over its
+    (coefficient c, shape h, offset t) terms.
 
-    Evaluation at s reads ``base(s + offset)``; translating by t just
-    adds t to the offset.  `kind` is one of indicator, bump,
-    linear-combination, custom.
+    Built canonical: terms with equal shape and offset are merged and zero
+    coefficients dropped (so a symbolic difference (g + f) - g is f, with
+    no quadrature noise), and translating by t adds t to every offset.
+    `kind` is that of the shape of a one-term function (indicator, bump,
+    custom; indicator for zero) and linear-combination otherwise.
     """
 
-    base: object = field(repr=False)
-    offset: complex = 0j
-    kind: str = "custom"
+    terms: tuple = ()
+
+    @property
+    def kind(self) -> str:
+        if len(self.terms) > 1:
+            return "linear-combination"
+        return _KINDS[type(self.terms[0][1])] if self.terms else "indicator"
+
+    @property
+    def offset(self) -> complex | None:
+        """The offset of a one-term function (0j for zero); None otherwise."""
+        if len(self.terms) > 1:
+            return None
+        return self.terms[0][2] if self.terms else 0j
 
     def evaluate(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        vals = self.base.evaluate(z + self.offset)
-        if self.kind == "custom" and not np.all(np.isfinite(vals)):
-            raise EvaluationError("custom evaluator returned non-finite values")
-        return vals
+        out = np.zeros(z.shape)
+        for c, h, t in self.terms:
+            out = out + c * h.evaluate(z + t)
+        return out
 
     def support_radius(self, alpha: float) -> float | None:
-        """Bound R such that this function vanishes on |s| > R in the sector.
-
-        Valid for any in-sector offset (including later translations):
-        |s + offset| >= _cone_factor(alpha) |s|.
-        """
-        base_r = self.base.support_radius(alpha)
-        if base_r is None:
-            return None
-        return base_r / _cone_factor(alpha)
-
-    def simplified(self) -> "SectorFunction":
-        """Flatten linear combinations and merge identical (base, offset) terms.
-
-        Coefficients canceling to exactly 0.0 drop out, so a symbolic
-        difference (g + f) - g collapses to f with no quadrature noise.
-        """
-        if self.kind != "linear-combination":
-            return self
-        flat: list[tuple[float, SectorFunction]] = []
-
-        def _collect(scale: float, shift: complex, fn: SectorFunction):
-            if fn.kind == "linear-combination":
-                for c, sub in fn.base.terms:
-                    _collect(scale * c, shift + fn.offset, sub)
-            else:
-                flat.append((scale, replace(fn, offset=fn.offset + shift)))
-
-        _collect(1.0, 0j, self)
-        merged: list[list] = []
-        for c, fn in flat:
-            for slot in merged:
-                if slot[1].base == fn.base and slot[1].offset == fn.offset:
-                    slot[0] += c
-                    break
-            else:
-                merged.append([c, fn])
-        merged = [(c, fn) for c, fn in merged if c != 0.0]
-        if not merged:
-            return indicator(RectUnionSet())
-        if len(merged) == 1:
-            c, fn = merged[0]
-            if c == 1.0:
-                return fn
-            if fn.kind == "indicator":
-                scaled = _IndicatorBase(fn.base.rects, c * fn.base.amplitude)
-                return SectorFunction(scaled, fn.offset, "indicator")
-            if fn.kind == "bump":
-                scaled = _BumpBase(fn.base.center, fn.base.radius, c * fn.base.amplitude)
-                return SectorFunction(scaled, fn.offset, "bump")
-        return SectorFunction(_CombBase(merged), 0j, "linear-combination")
+        """Bound R such that this function and its in-sector translates
+        vanish on |s| > R in the sector (`_support`)."""
+        return _support([h for _, h, _ in self.terms], alpha)
 
     @property
     def is_zero(self) -> bool:
-        if self.kind == "indicator":
-            return self.base.rects.is_empty or self.base.amplitude == 0.0
-        if self.kind == "linear-combination":
-            return not self.base.terms
-        return False
+        return not self.terms
 
     def scaled(self, c: float) -> "SectorFunction":
-        return linear_combination([(c, self)]).simplified()
+        return linear_combination([(c, self)])
+
+
+def _function(terms) -> SectorFunction:
+    """The canonical function of (coefficient, shape, offset) terms."""
+    merged: list[list] = []
+    for c, h, t in terms:
+        for slot in merged:
+            if slot[2] == t and slot[1] == h:
+                slot[0] += c
+                break
+        else:
+            merged.append([c, h, t])
+    return SectorFunction(tuple((c, h, t) for c, h, t in merged if c != 0.0))
 
 
 def indicator(rects: RectUnionSet, amplitude: float = 1.0) -> SectorFunction:
-    return SectorFunction(_IndicatorBase(rects, amplitude), 0j, "indicator")
+    return _function([(float(amplitude), _Indicator(rects), 0j)] if rects.rects else [])
 
 
 def bump(center, radius: float, amplitude: float = 1.0) -> SectorFunction:
-    return SectorFunction(_BumpBase(as_complex(center), radius, amplitude), 0j, "bump")
+    if radius <= 0:
+        raise DomainError(f"bump radius must be > 0, got {radius}")
+    return _function([(float(amplitude), _Bump(as_complex(center), float(radius)), 0j)])
 
 
 def linear_combination(terms: Sequence[tuple[float, SectorFunction]]) -> SectorFunction:
-    return SectorFunction(_CombBase(terms), 0j, "linear-combination")
+    return _function((float(c) * a, h, t) for c, f in terms for a, h, t in f.terms)
 
 
 def custom_function(fn: Callable, support_radius: float | None = None) -> SectorFunction:
-    return SectorFunction(_CustomBase(fn, support_radius), 0j, "custom")
+    return _function([(1.0, _Custom(fn, support_radius), 0j)])
+
+
+def _shifted(f: SectorFunction, z: complex) -> SectorFunction:
+    return _function((c, h, t + z) for c, h, t in f.terms)
 
 
 def translate_function(f: SectorFunction, t, sector: Sector) -> SectorFunction:
@@ -264,7 +215,7 @@ def translate_function(f: SectorFunction, t, sector: Sector) -> SectorFunction:
     z = as_complex(t)
     if not contains(sector, z):
         raise DomainError(f"translation step {z} lies outside the sector")
-    return replace(f, offset=f.offset + z)
+    return _shifted(f, z)
 
 
 # ---------------------------------------------------------------------------
@@ -288,59 +239,54 @@ class NormResult:
         return self.value
 
 
-def _terms(g: SectorFunction):
-    """The (coefficient, function) terms of g: one, unless g is a combination."""
-    return g.base.terms if g.kind == "linear-combination" else ((1.0, g),)
-
-
 def _pieces(g: SectorFunction, alpha: float, R: float | None):
     """tau (1, m), rc (1, m, 4) and custom caps of the terms of g."""
     tau, rc, caps = [], [], []
-    for _, f in _terms(g):
-        if f.kind == "indicator":
-            tau += [f.offset] * len(f.base.rects.rects)
-            rc += [[t.r_lo, t.r_hi, t.th_lo, t.th_hi] for t in f.base.rects.rects]
-        elif f.kind == "bump":
-            tau.append(f.offset - f.base.center)
-            rc.append([0.0, f.base.radius, np.nan, np.nan])
+    for _, h, t in g.terms:
+        if isinstance(h, _Indicator):
+            tau += [t] * len(h.rects.rects)
+            rc += [[r.r_lo, r.r_hi, r.th_lo, r.th_hi] for r in h.rects.rects]
+        elif isinstance(h, _Bump):
+            tau.append(t - h.center)
+            rc.append([0.0, h.radius, np.nan, np.nan])
         else:
-            caps.append(min(x for x in (R, f.support_radius(alpha)) if x is not None))
+            caps.append(min(x for x in (R, _support([h], alpha)) if x is not None))
     return np.array(tau, dtype=complex)[None], np.array(rc).reshape(1, -1, 4), caps
 
 
 def _level_pieces(g: SectorFunction, p: float):
-    """An indicator, or a combination of indicators at one offset, as that
-    offset, disjoint rectangles rc (m, 4), the weights (|level| / amp)^p of
-    |g|^p on them and amp, the largest |level|; None for other functions.
+    """A nonzero function of indicator terms at one offset as that offset,
+    disjoint rectangles rc (m, 4), the weights (|level| / amp)^p of |g|^p
+    on them and amp, the largest |level|; None for other functions.
 
-    A combination is cut, by an angular and then a radial sweep as in
-    `sets._normalize_rects`, into cells where it is constant, and the
+    Several terms are cut, by an angular and then a radial sweep as in
+    `sets._normalize_rects`, into cells where g is constant, and the
     cells of one |level| are normalised into one rect union, so the pieces
     of 1_A - 1_B are the rectangles of the symmetric difference of A and B.
     """
-    if g.kind == "indicator":
-        rects, w, amp = g.base.rects.rects, np.ones(len(g.base.rects.rects)), abs(g.base.amplitude)
-    elif g.kind != "linear-combination" or any(
-            f.kind != "indicator" or f.offset != g.base.terms[0][1].offset for _, f in g.base.terms):
+    offset = g.terms[0][2]
+    if any(not isinstance(h, _Indicator) or t != offset for _, h, t in g.terms):
         return None
+    if len(g.terms) == 1:
+        c, h, _ = g.terms[0]
+        rects, w, amp = h.rects.rects, np.ones(len(h.rects.rects)), abs(c)
     else:
-        parts = [(c * f.base.amplitude, t) for c, f in g.base.terms for t in f.base.rects.rects]
-        edges = sorted({t.th_lo for _, t in parts} | {t.th_hi for _, t in parts})
+        parts = [(c, r) for c, h, _ in g.terms for r in h.rects.rects]
+        edges = sorted({r.th_lo for _, r in parts} | {r.th_hi for _, r in parts})
         cells: dict[float, list[PolarRect]] = {}
         for a, b in zip(edges[:-1], edges[1:]):
-            strip = [(c, t) for c, t in parts if t.th_lo <= a and t.th_hi >= b]
-            radii = sorted({t.r_lo for _, t in strip} | {t.r_hi for _, t in strip})
+            strip = [(c, r) for c, r in parts if r.th_lo <= a and r.th_hi >= b]
+            radii = sorted({r.r_lo for _, r in strip} | {r.r_hi for _, r in strip})
             for lo, hi in zip(radii[:-1], radii[1:]):
-                level = sum(c for c, t in strip if t.r_lo <= lo and t.r_hi >= hi)
+                level = sum(c for c, r in strip if r.r_lo <= lo and r.r_hi >= hi)
                 if level != 0.0:
                     cells.setdefault(abs(level), []).append(PolarRect(lo, hi, a, b))
         levels = {level: RectUnionSet(rects).rects for level, rects in cells.items()}
         amp = max(levels, default=0.0)
         order = sorted(levels, reverse=True)
-        rects = [t for level in order for t in levels[level]]
+        rects = [r for level in order for r in levels[level]]
         w = np.array([(level / amp) ** p for level in order for _ in levels[level]])
-    rc = np.array([[t.r_lo, t.r_hi, t.th_lo, t.th_hi] for t in rects]).reshape(-1, 4)
-    offset = g.offset if g.kind == "indicator" else g.base.terms[0][1].offset
+    rc = np.array([[r.r_lo, r.r_hi, r.th_lo, r.th_hi] for r in rects]).reshape(-1, 4)
     return offset, rc, w, amp
 
 
@@ -363,35 +309,31 @@ def _mirror_symmetric(space: LpSpace, g: SectorFunction) -> bool:
     conj t.  Sufficient, not necessary: other functions read False."""
     if not space.weight.radial:
         return False
-    for _, f in _terms(g):
-        if f.offset.imag != 0.0:
+    for _, h, t in g.terms:
+        if t.imag != 0.0:
             return False
-        if f.kind == "indicator":
-            rects = {(t.r_lo, t.r_hi, t.th_lo, t.th_hi) for t in f.base.rects.rects}
+        if isinstance(h, _Indicator):
+            rects = {(r.r_lo, r.r_hi, r.th_lo, r.th_hi) for r in h.rects.rects}
             if rects != {(r_lo, r_hi, -th_hi, -th_lo) for r_lo, r_hi, th_lo, th_hi in rects}:
                 return False
-        elif f.kind != "bump" or f.base.center.imag != 0.0:
+        elif not isinstance(h, _Bump) or h.center.imag != 0.0:
             return False
     return True
 
 
-def _front(space: LpSpace, f: SectorFunction, R: float | None):
-    """(f simplified, its support bound), None for the zero function; R <= 0,
-    or no R for an unbounded support, raises `DomainError`."""
+def _front(space: LpSpace, f: SectorFunction, R: float | None) -> float | None:
+    """f's support bound; R <= 0, or no R for an unbounded support, raises
+    `DomainError`."""
     if R is not None and R <= 0:
         raise DomainError(f"truncation radius must be > 0, got {R}")
-    g = f.simplified()
-    if g.is_zero:
-        return None
-    sup = g.support_radius(space.sector.alpha)
+    sup = f.support_radius(space.sector.alpha)
     if R is None and sup is None:
         raise DomainError("function has unbounded support; a truncation radius is required")
-    return g, sup
+    return sup
 
 
 def _norms(space: LpSpace, g: SectorFunction, ts: np.ndarray, R: float | None) -> np.ndarray:
-    """||T_t g|| truncated at R for every step t of ts, g as `_front`
-    returns it."""
+    """||T_t g|| truncated at R for every step t of ts, g nonzero."""
     v, alpha, p = space.weight, space.sector.alpha, space.p
     levels = _level_pieces(g, p)
     if levels is not None:  # disjoint pieces: the weight alone, one row per (step, piece)
@@ -409,12 +351,11 @@ def _norms(space: LpSpace, g: SectorFunction, ts: np.ndarray, R: float | None) -
 def lp_norm(space: LpSpace, f: SectorFunction, R: float | None = None) -> NormResult:
     """Weighted p-norm of f, truncated at radius R (None = full support),
     by the s-polar ray engine (see the module docstring)."""
-    front = _front(space, f, R)
-    if front is None:
+    sup = _front(space, f, R)
+    if f.is_zero:
         return NormResult(0.0, 0.0, float(R if R is not None else 0.0))
-    g, sup = front
     tail = 0.0 if sup is not None and (R is None or sup <= R) else None
-    value = float(_norms(space, g, np.zeros(1), R)[0])
+    value = float(_norms(space, f, np.zeros(1), R)[0])
     return NormResult(value=value, tail=tail, R=float(min(x for x in (R, sup) if x is not None)))
 
 
@@ -432,23 +373,22 @@ def orbit_norms(space: LpSpace, f: SectorFunction, ts, R: float | None = None) -
     copy of its value, so a step and its conjugate read the same float.
     """
     taus = _steps(space.sector, ts)
-    front = _front(space, f, R)
-    if front is None:
+    _front(space, f, R)
+    if f.is_zero:
         return np.zeros(len(taus))
-    g, _ = front
-    if not _mirror_symmetric(space, g):
-        return _norms(space, g, taus, R)
+    if not _mirror_symmetric(space, f):
+        return _norms(space, f, taus, R)
     _, first, pair = np.unique(np.stack([taus.real, np.abs(taus.imag)], axis=1), axis=0,
                                return_index=True, return_inverse=True)
     keep = np.sort(first)
-    norms = _norms(space, g, taus[keep], R)
+    norms = _norms(space, f, taus[keep], R)
     return norms[np.searchsorted(keep, first[pair.ravel()])]
 
 
 def indicator_orbit_norms(space: LpSpace, f: SectorFunction, ts,
                           R: float | None = None) -> np.ndarray:
     """`orbit_norms` of an indicator function."""
-    if f.simplified().kind != "indicator":
+    if f.kind != "indicator":
         raise DomainError("batch orbit norms require an indicator function")
     return orbit_norms(space, f, ts, R)
 
@@ -480,4 +420,4 @@ def function_from_spec(spec: dict) -> SectorFunction:
             [(term["coef"], function_from_spec(term["fn"])) for term in params["terms"]])
     else:
         raise ConfigError(f"unknown or non-serialisable function kind {kind!r}")
-    return replace(f, offset=offset)
+    return _shifted(f, offset)

@@ -122,6 +122,12 @@ from sectorlab.cli import main
 sectorlab.OrbitResolution(**workloads.ORBIT_RES)
 code = main(["density", "--annuli", "evens", "--horizon", "30", "--t0", "1,0.5",
              "--config", sys.argv[1], "--out", sys.argv[2]])
+space = sectorlab.LpSpace(sectorlab.exp_decay(), 2.0, sectorlab.Sector(0.7))
+ind = sectorlab.indicator(sectorlab.annuli_union([1], space.sector))
+bump = sectorlab.bump(1.5, 0.5, 2.0)
+for f in (ind, bump, sectorlab.linear_combination([(1.0, ind), (-0.5, bump)]),
+          sectorlab.custom_function(lambda z: 0.0 * z.real + 1.0, support_radius=1.0)):
+    sectorlab.lp_norm(space, f)
 print(json.dumps(sorted({span[0] for span in tracer.spans})))
 sys.exit(code)
 """
@@ -132,6 +138,9 @@ sys.exit(code)
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(proc.stdout.splitlines()[-1])
     assert {"cli.main", "density.density_profile.rect", "sets.measure_profile"} <= set(spans)
+    # the tracer names lp_norm spans by the kind of the function
+    assert {f"lpspace.lp_norm.{kind}" for kind in ("indicator", "bump", "combination", "custom")
+            } <= set(spans)
 
 
 class TestCheckCommand:
@@ -226,7 +235,12 @@ class TestCheckCommand:
         assert code == 2
         assert "config error" in err
 
-    @pytest.mark.parametrize("K", [3, [1, 2], {"kind": "finite", "members": 5}])
+    @pytest.mark.parametrize("K", [3, [1, 2], {"kind": "finite", "members": 5},
+                                   # no string is a member list, no value is truncated
+                                   {"kind": "finite", "members": "12"},
+                                   {"kind": "finite", "members": [1.0, 2]},
+                                   {"kind": "arith", "start": 1.7, "step": 2.9},
+                                   {"kind": "arith", "start": True, "step": 2}])
     @pytest.mark.parametrize("check", ["dc-sufficient", "witness"])
     def test_malformed_index_set_in_config(self, capsys, tmp_path, check, K):
         cfg = tmp_path / "cfg.json"
@@ -234,6 +248,39 @@ class TestCheckCommand:
         code, _, err = run_cli(capsys, "check", check, "--config", str(cfg))
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize("K, described", [("finite:1,2", "finite {1, 2}"),
+                                              ("arith:1:3", "k = 1 + 3 j")])
+    def test_index_set_strings_still_parse(self, capsys, K, described):
+        code, out, _ = run_cli(capsys, "check", "dc-sufficient", "--K", K, "--kmax", "10")
+        assert code in (0, 1)
+        assert json.loads(out)["K"] == described
+
+    @pytest.mark.parametrize("command, cfg", [
+        (["check", "dc-sufficient"], {"weight": 3}),
+        (["check", "dc-sufficient"], {"weight": {"family": "constant", "params": {"value": "2"}}}),
+        (["check", "dc-sufficient"], {"weight": {"family": "constant", "params": {"value": -1}}}),
+        (["check", "dc-sufficient"], {"weight": {"family": "constant", "params": 2}}),
+        (["check", "dc-sufficient"], {"weight": {"family": "exp_decay",
+                                                 "certificate": {"M": "x", "w": 1.0}}}),
+        (["check", "dc-sufficient"], {"weight": {"family": "exp_decay",
+                                                 "certificate": {"M": 1.0}}}),
+        (["density", "--annuli", "evens"], {"horizon": "30"}),
+        (["density", "--annuli", "evens"], {"horizon": 0}),
+        (["density", "--annuli", "evens"], {"horizon": True}),
+    ])
+    def test_config_value_of_the_wrong_type(self, capsys, tmp_path, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, *command, "--config", str(path))
+        assert code == 2 and out == ""
+        assert "config error" in err and next(iter(cfg)) in err
+
+    @pytest.mark.parametrize("command", [["density", "--annuli", "evens"], ["check", "witness"]])
+    def test_horizon_zero_is_not_the_default(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--horizon", "0")
+        assert code == 2 and out == ""
+        assert "config error" in err and "horizon" in err
 
     @pytest.mark.parametrize("command", [["check", "dc-sufficient"], ["check", "witness"],
                                          ["density", "--annuli", "evens", "--horizon", "20"]])

@@ -244,13 +244,13 @@ class TestCombinations:
         g = bump(1 + 0j, 0.5)
         f = indicator(annuli_union([1], sector))
         total = linear_combination([(1.0, g), (1.0, f)])
-        diff = linear_combination([(1.0, total), (-1.0, g)]).simplified()
+        diff = linear_combination([(1.0, total), (-1.0, g)])
         assert diff.kind == "indicator"
         assert lp_norm(space, diff).value == lp_norm(space, f).value
 
     def test_self_difference_is_zero(self, sector):
         f = bump(0.8 + 0.1j, 0.4)
-        d = linear_combination([(1.0, f), (-1.0, f)]).simplified()
+        d = linear_combination([(1.0, f), (-1.0, f)])
         assert d.is_zero
 
     def test_batch_matches_single_calls(self, sector, rng):
@@ -319,6 +319,47 @@ class TestCombinations:
         assert lp_norm(space, f).value > 0
 
 
+class TestCanonicalForm:
+    def test_amplitude_is_a_coefficient(self, sector):
+        A = annuli_union([1, 3], sector)
+        assert indicator(A, 2.0) == linear_combination([(2.0, indicator(A))])
+        assert bump(1 + 0.2j, 0.5, 2.0) == linear_combination([(2.0, bump(1 + 0.2j, 0.5))])
+        assert indicator(A, 2.0).kind == "indicator" and bump(1, 0.5, 2.0).kind == "bump"
+
+    def test_zero_amplitude_and_empty_set_are_zero(self):
+        assert bump(1 + 0.2j, 0.5, 0.0).is_zero
+        assert indicator(RectUnionSet()).is_zero
+        assert indicator(RectUnionSet()).kind == "indicator"
+
+    def test_one_term_combination_is_its_term(self, sector):
+        fns = [indicator(annuli_union([1], sector)), bump(1 + 0.2j, 0.5),
+               custom_function(np.abs, support_radius=2.0)]
+        for f in fns:
+            assert linear_combination([(1.0, f)]) == f
+            assert linear_combination([(1.0, f)]).kind == f.kind
+
+    def test_sum_minus_term_is_the_other_term(self, sector):
+        g = indicator(annuli_union([0, 2], sector), 0.7)
+        f = translate_function(bump(1 + 0.2j, 0.5, 1.3), 0.4 + 0.1j, sector)
+        total = linear_combination([(1.0, g), (1.0, f)])
+        assert linear_combination([(1.0, total), (-1.0, g)]) == f
+
+    def test_translate_distributes_over_terms(self, sector, rng):
+        for _ in range(20):
+            fs = [indicator(RectUnionSet(random_small_rects(rng))),
+                  bump(rng.uniform(0.5, 2) * np.exp(1j * rng.uniform(-ALPHA, ALPHA)),
+                       rng.uniform(0.2, 1.0), rng.uniform(0.5, 2))]
+            cs = rng.uniform(-2, 2, 2)
+            t = rng.uniform(0, 3) * np.exp(1j * rng.uniform(-ALPHA, ALPHA))
+            moved = translate_function(linear_combination(list(zip(cs, fs))), t, sector)
+            want = linear_combination([(c, translate_function(f, t, sector))
+                                       for c, f in zip(cs, fs)])
+            assert moved == want
+            # bit for bit, the signs of zeros included
+            assert [(repr(c), repr(t)) for c, _, t in moved.terms] == \
+                [(repr(c), repr(t)) for c, _, t in want.terms]
+
+
 class TestSupportBounds:
     def test_narrow_sector_bound_covers_the_support(self, rng):
         # a cone cap of support 3: below alpha = pi/4 the bound is 3 itself,
@@ -364,7 +405,7 @@ class TestFunctionSpecs:
                                                     "radius": 0.5}}},
                 ]}}
         f = function_from_spec(spec)
-        assert f.kind == "linear-combination"
+        assert f == bump(1.0, 0.5, 2.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
