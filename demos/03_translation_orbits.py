@@ -1,9 +1,9 @@
 """The translation operator on a weighted space, and orbit diagnostics.
 
-Translating a function adds to the offsets of its terms, so the semigroup law is
-exact arithmetic; norms are where quadrature happens.  An orbit grid
-samples ||T_t f|| over a truncated sector and level-set densities turn
-the field into distributional statistics.
+Translating a function adds to the offsets of its terms, so the
+semigroup law is exact arithmetic; norms are where quadrature happens.
+An orbit grid samples ||T_t f|| over a truncated sector and level-set
+densities turn the field into distributional statistics.
 """
 
 import math
