@@ -4,6 +4,11 @@ Three subcommands: `density` (ratio profiles of sector subsets),
 `check` (admissibility / series / ray / witness checks as report JSON),
 and `reproduce` (packaged example scenarios with pass/fail lines).
 
+A `--config` JSON object is checked against `scenario.schema.json`, the
+one statement of the config rules, one key where it is read: `check`
+reads `alpha`, `weight`, `K` and (`witness`) `p`; `density` reads
+`alpha`, `horizon` and `grid`.  `reproduce` checks the whole scenario.
+
 Exit codes: 0 success, 1 a numeric acceptance threshold failed (a
 divergent series included), 2 configuration error or an input outside
 the domain of its operation, 64 usage error.  Outputs are byte-identical for
@@ -26,8 +31,9 @@ from .criteria import (EXAMPLE_IDS, IndexSet, build_witness, dc_sufficient_serie
                        WitnessSampling)
 from .density import density_estimates, density_profile
 from .errors import ConfigError, DomainError, SectorLabError
-from .geometry import Sector, is_real
+from .geometry import Sector
 from .lpspace import LpSpace
+from .schema import check
 from .sets import RectUnionSet, annuli_union, translate_set
 from .weights import PairSampling, admissibility_check, weight_from_spec
 
@@ -115,32 +121,6 @@ def _parse_complex(text: str) -> complex:
     return complex(x, y)
 
 
-def _check_grid(spec) -> None:
-    """Validate a config's `grid`, which has no effect: it sized the
-    midpoint grid of set measures, and every measure is now exact.  Configs
-    that carry it keep running; a malformed one is still an error."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"grid must be an object, got {spec!r}")
-    unknown = sorted(set(spec) - {"n_r", "n_theta", "theta_step"})
-    if unknown:
-        raise ConfigError(f"unknown grid key(s) {', '.join(unknown)}")
-    for key, value in spec.items():
-        if key == "n_theta" and value is None:
-            continue
-        kinds = (int, float) if key == "theta_step" else int
-        if not isinstance(value, kinds) or isinstance(value, bool) or value <= 0:
-            raise ConfigError(f"grid {key} must be a positive "
-                              f"{'number' if key == 'theta_step' else 'integer'}, "
-                              f"got {value!r}")
-
-
-def _horizon(value) -> float:
-    """A radial horizon: a finite number > 0; anything else is a `ConfigError`."""
-    if not (is_real(value) and 0 < value < math.inf):
-        raise ConfigError(f"horizon must be a finite number > 0, got {value!r}")
-    return value
-
-
 def _load_rects(raw: str) -> RectUnionSet:
     """The rect union of --set-json: an inline JSON list or @path."""
     try:
@@ -178,7 +158,8 @@ def _profile_text(profile, fmt: str) -> str:
 def _cmd_density(args, cfg: dict) -> int:
     alpha = cfg.get("alpha", args.alpha)
     sector = Sector(alpha)
-    horizon = _horizon(args.horizon if args.horizon is not None else cfg.get("horizon", 170.0))
+    horizon = check("horizon", args.horizon if args.horizon is not None
+                    else cfg.get("horizon", 170.0))
     radii = np.unique(np.concatenate([
         np.geomspace(1.0, horizon, 24),
         np.arange(1.0, math.floor(horizon) + 1.0),
@@ -193,7 +174,7 @@ def _cmd_density(args, cfg: dict) -> int:
     else:
         raise ConfigError("density needs --annuli or --set-json")
 
-    _check_grid(cfg.get("grid", {}))
+    check("grid", cfg.get("grid", {}))
     profile = density_profile(A, radii, sector)
     est = density_estimates(profile, args.window)
     summary = {"upper": est.upper, "lower": est.lower,
@@ -218,11 +199,7 @@ def _cmd_density(args, cfg: dict) -> int:
 def _cmd_check(args, cfg: dict) -> int:
     alpha = cfg.get("alpha", args.alpha)
     sector = Sector(alpha)
-    if "weight" in cfg:
-        v = weight_from_spec(cfg["weight"])
-    else:
-        v = weight_from_spec({"family": args.family})
-    p = cfg.get("p", args.p)
+    v = weight_from_spec(cfg.get("weight", {"family": args.family}))
     report: dict = {"check": args.check, "alpha": alpha, "weight": v.family}
 
     if args.check == "admissible":
@@ -256,7 +233,8 @@ def _cmd_check(args, cfg: dict) -> int:
         ok = series.verdict == "convergent-trend"
     else:  # witness
         K = IndexSet.from_spec(cfg.get("K", args.K))
-        R = _horizon(args.horizon if args.horizon is not None else 20.0)
+        p = cfg.get("p", args.p)
+        R = check("horizon", args.horizon if args.horizon is not None else 20.0)
         pkg = build_witness(v, K, p, sector, k_cap=int(R) + 14)
         ver = verify_witness(LpSpace(v, p, sector), pkg, K, R,
                              WitnessSampling(seed=args.seed))

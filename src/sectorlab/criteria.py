@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -36,6 +35,7 @@ from .errors import ConfigError, DomainError, WitnessInvalidError
 from .geometry import Sector, as_complex, contains
 from .lpspace import (LpSpace, SectorFunction, function_from_spec, indicator,
                       indicator_orbit_norms)
+from .schema import SCHEMA, check, validate
 from .sets import annuli_union
 from .weights import (Weight, admissibility_check, compact_lower_bound,
                       full_annuli, grid_minimum, trend_verdict, weight_from_spec,
@@ -51,14 +51,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # index sets
-
-
-def _integers(values: list) -> list:
-    """values if it is a list of integers (bools excluded); else TypeError."""
-    if not (isinstance(values, list) and all(
-            isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in values)):
-        raise TypeError(f"expected a list of integers, got {values!r}")
-    return values
 
 
 @dataclass(frozen=True)
@@ -136,9 +128,10 @@ class IndexSet:
         """Index set from a spec string or a scenario-schema dict.
 
         Strings: ``all | evens | odds | nonsquares | finite:1,2,3 |
-        arith:start:step``.  Dicts: ``{"kind", "members", "start",
-        "step"}`` as in ``scenario.schema.json``, with integer values.
-        Anything else, or a malformed spec, is a `ConfigError`.
+        arith:start:step``, turned into the dict they name.  Dicts:
+        ``{"kind", "members", "start", "step"}``, checked against the
+        schema's `K` rule.  Anything else, or a malformed spec, is a
+        `ConfigError`.
         """
         try:
             if isinstance(spec, str):
@@ -152,20 +145,14 @@ class IndexSet:
                     spec = {"kind": "arith", "start": 1, "step": 2}
                 else:
                     spec = {"kind": spec}
-            kind = spec.get("kind") if isinstance(spec, dict) else None
-            if kind == "all":
-                return cls.all_naturals()
+            kind = check("K", spec)["kind"]
             if kind == "finite":
-                return cls.finite(_integers(spec["members"]))
+                return cls.finite(spec["members"])
             if kind == "arith":
-                return cls.arithmetic(*_integers([spec["start"], spec["step"]]))
-            if kind == "evens":
-                return cls.evens()
-            if kind == "nonsquares":
-                return cls.nonsquares()
-        except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
+                return cls.arithmetic(spec["start"], spec["step"])
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad {kind} index-set spec {spec!r}: {exc}") from exc
-        raise ConfigError(f"unknown index-set kind {kind!r} in spec {spec!r}")
+        return {"all": cls.all_naturals, "evens": cls.evens, "nonsquares": cls.nonsquares}[kind]()
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +436,12 @@ class ExampleReport:
 
 
 def validate_scenario(cfg: dict) -> dict:
-    """Refuse a scenario that lacks a key `scenario.schema.json` requires.
-
-    The schema is the one statement of the scenario rules.  Values are
-    checked where they are used: `Sector`, `LpSpace` and
-    `weight_from_spec` raise on bad ones.
-    """
-    required = json.loads((_DATA / "scenario.schema.json").read_text())["required"]
-    missing = sorted(set(required) - set(cfg))
-    if missing:
-        raise ConfigError(f"scenario config is missing keys: {missing}")
-    return cfg
+    """cfg, if it meets the whole of `scenario.schema.json`, the one
+    statement of the config rules; else a `ConfigError` naming the key path
+    that breaks it.  Rules the schema cannot state (a bump needs its
+    `radius`, a finite index set its `members`) are refused by the reader
+    of that part."""
+    return validate(cfg, SCHEMA, "scenario")
 
 
 def load_scenario(example_id: str) -> dict:

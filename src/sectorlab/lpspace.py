@@ -36,6 +36,7 @@ import numpy as np
 from . import quadrature as quad
 from .errors import ConfigError, DomainError, EvaluationError
 from .geometry import Sector, as_complex, contains, is_real
+from .schema import check
 from .sets import PolarRect, RectUnionSet
 from .weights import Weight
 
@@ -403,21 +404,19 @@ def orbit_norm(space: LpSpace, f: SectorFunction, t, R: float | None = None) -> 
 
 
 def function_from_spec(spec: dict) -> SectorFunction:
-    """Build a function from a scenario JSON spec {kind, params, offset}."""
-    kind = spec.get("kind")
-    params = spec.get("params", {})
-    off = spec.get("offset", [0.0, 0.0])
-    offset = complex(float(off[0]), float(off[1]))
-    if kind in ("indicator", "scaled-indicator"):
-        rects = RectUnionSet.from_json(params["rects"])
-        f = indicator(rects, amplitude=params.get("amplitude", 1.0))
-    elif kind == "bump":
-        c = params["center"]
-        f = bump(complex(float(c[0]), float(c[1])), params["radius"],
-                 params.get("amplitude", 1.0))
-    elif kind == "linear-combination":
-        f = linear_combination(
-            [(term["coef"], function_from_spec(term["fn"])) for term in params["terms"]])
-    else:
-        raise ConfigError(f"unknown or non-serialisable function kind {kind!r}")
-    return _shifted(f, offset)
+    """Build a function from a scenario JSON spec {kind, params, offset}.
+
+    A spec that breaks the schema's `function` rule, or lacks a parameter
+    its kind needs, is a `ConfigError`."""
+    kind, params = check("function", spec)["kind"], spec["params"]
+    try:
+        if kind == "bump":
+            f = bump(complex(*params["center"]), params["radius"], params.get("amplitude", 1.0))
+        elif kind == "linear-combination":
+            f = linear_combination(
+                [(term["coef"], function_from_spec(term["fn"])) for term in params["terms"]])
+        else:
+            f = indicator(RectUnionSet.from_json(params["rects"]), params.get("amplitude", 1.0))
+    except KeyError as exc:
+        raise ConfigError(f"a {kind} function spec needs the param {exc}, got {spec!r}") from exc
+    return _shifted(f, complex(*spec.get("offset", [0.0, 0.0])))

@@ -42,8 +42,9 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature as quad
-from .errors import ConfigError, DomainError, InvalidWeightError, MissingCertificateError
-from .geometry import Sector, is_real
+from .errors import DomainError, InvalidWeightError, MissingCertificateError
+from .geometry import Sector
+from .schema import check
 
 __all__ = [
     "Certificate", "Weight", "PairSampling", "AdmissibilityReport",
@@ -227,8 +228,7 @@ def admissibility_check(v: Weight, M: float, w: float, sector: Sector,
     ratio lhs/rhs first.  Passing this check does not prove the weight
     admissible; failing it disproves the offered certificate.
     """
-    if M < 1:
-        raise DomainError(f"certificate needs M >= 1, got M={M}")
+    Certificate(M, w)  # refuses M < 1
     sampling = sampling or PairSampling()
     base = _grid_points(sector, sampling)
     t = np.repeat(base, len(base))
@@ -455,21 +455,9 @@ _FAMILIES = {
 def weight_from_spec(spec: dict) -> Weight:
     """Build a weight from a scenario JSON spec {family, params, certificate}.
 
-    A spec of any other form, or a constant `value` or certificate M, w
-    that is not a finite number (a positive one for `value`), is a
-    `ConfigError`."""
-    family = spec.get("family") if isinstance(spec, dict) else None
-    if family not in _FAMILIES:
-        raise ConfigError(f"unknown weight family {family!r} in spec {spec!r}")
-    params, cert = spec.get("params", {}), spec.get("certificate")
-    if not isinstance(params, dict) or not isinstance(cert, (dict, type(None))):
-        raise ConfigError(f"weight params and certificate must be objects, got {spec!r}")
-    value = params.get("value", 1.0) if family == "constant" else 1.0
-    numbers = [value] + ([cert.get("M"), cert.get("w")] if cert is not None else [])
-    if not all(is_real(x) and math.isfinite(x) for x in numbers) or value <= 0:
-        raise ConfigError(f"weight {family}: the constant value must be a finite number > 0 "
-                          f"and the certificate M, w finite numbers, got {spec!r}")
-    w = _FAMILIES[family](params)
+    A spec that breaks the schema's `weight` rule is a `ConfigError`."""
+    params, cert = check("weight", spec).get("params", {}), spec.get("certificate")
+    w = _FAMILIES[spec["family"]](params)
     if cert is not None:
         w = replace(w, certificate=Certificate(float(cert["M"]), float(cert["w"])))
     return w

@@ -318,6 +318,62 @@ class TestCheckCommand:
         assert code == 2
 
 
+# one value of each JSON type; integral 3 is an integer and a number
+WRONG = {"null": None, "boolean": True, "integer": 3, "number": 2.5, "string": "x",
+         "array": [1], "object": {"a": 1}}
+DC, WITNESS, DENSITY = (["check", "dc-sufficient"], ["check", "witness"],
+                        ["density", "--annuli", "evens", "--horizon", "20"])
+# (commands that read the key, the config with the value put at the key,
+# the JSON types the key takes)
+READS = [
+    ((DC, WITNESS, DENSITY), lambda x: {"alpha": x}, {"integer", "number"}),
+    ((DC, WITNESS), lambda x: {"weight": x}, {"object"}),
+    ((DC, WITNESS), lambda x: {"weight": {"family": x}}, {"string"}),
+    ((DC, WITNESS), lambda x: {"weight": {"family": "constant", "params": x}}, {"object"}),
+    ((DC, WITNESS), lambda x: {"weight": {"family": "constant", "params": {"value": x}}},
+     {"integer", "number"}),
+    ((DC, WITNESS), lambda x: {"weight": {"family": "exp_decay", "certificate": x}},
+     {"object", "null"}),
+    ((DC, WITNESS), lambda x: {"weight": {"family": "exp_decay",
+                                          "certificate": {"M": x, "w": 1.0}}},
+     {"integer", "number"}),
+    ((DC, WITNESS), lambda x: {"weight": {"family": "exp_decay",
+                                          "certificate": {"M": 1.0, "w": x}}},
+     {"integer", "number"}),
+    ((DC, WITNESS), lambda x: {"K": x}, {"object", "string"}),
+    ((DC, WITNESS), lambda x: {"K": {"kind": x}}, {"string"}),
+    ((DC, WITNESS), lambda x: {"K": {"kind": "finite", "members": x}}, {"array"}),
+    ((DC, WITNESS), lambda x: {"K": {"kind": "finite", "members": [1, x]}}, {"integer"}),
+    ((DC, WITNESS), lambda x: {"K": {"kind": "arith", "start": x, "step": 2}}, {"integer"}),
+    ((DC, WITNESS), lambda x: {"K": {"kind": "arith", "start": 0, "step": x}}, {"integer"}),
+    ((WITNESS,), lambda x: {"p": x}, {"integer", "number"}),
+    ((DENSITY[:3],), lambda x: {"horizon": x}, {"integer", "number"}),
+    ((DENSITY,), lambda x: {"grid": x}, {"object"}),
+    ((DENSITY,), lambda x: {"grid": {"n_r": x}}, {"integer"}),
+    ((DENSITY,), lambda x: {"grid": {"n_theta": x}}, {"integer", "null"}),
+    ((DENSITY,), lambda x: {"grid": {"theta_step": x}}, {"integer", "number"}),
+]
+SWEEP = [(command, make(value), f"{command[1]} {make('?')}={kind}")
+         for commands, make, takes in READS for command in commands
+         for kind, value in WRONG.items() if kind not in takes]
+
+
+class TestConfigRules:
+    @pytest.mark.parametrize("command, cfg, case", SWEEP, ids=[c for _, _, c in SWEEP])
+    def test_every_key_read_refuses_every_wrong_type(self, capsys, tmp_path, command, cfg, case):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, *command, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error") and "Traceback" not in err
+
+    def test_a_null_n_theta_is_still_accepted(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"n_theta": None}}))
+        code, _, _ = run_cli(capsys, *DENSITY, "--config", str(path))
+        assert code == 0
+
+
 class TestReproduceCommand:
     def test_unknown_example_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

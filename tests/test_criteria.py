@@ -282,6 +282,25 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="alpha"):
             validate_scenario(cfg)
 
+    # the schema agrees with the code that reads scenarios: run_example
+    # reads admissibility and horizons always, OrbitResolution takes one
+    # angle, and a threshold is a number
+    @pytest.mark.parametrize("edit, valid", [
+        (lambda cfg: cfg.pop("admissibility"), False),
+        (lambda cfg: cfg.pop("horizons"), False),
+        (lambda cfg: cfg["thresholds"].update(witness_tol="1e-4"), False),
+        (lambda cfg: cfg["grids"].update(orbit_n_theta=1), True),
+    ], ids=["no-admissibility", "no-horizons", "string-threshold", "one-orbit-angle"])
+    def test_schema_states_what_run_example_reads(self, edit, valid):
+        cfg = load_scenario("exp-decay-dc")
+        edit(cfg)
+        assert jsonschema.Draft7Validator(json.loads(SCHEMA.read_text())).is_valid(cfg) is valid
+        if valid:
+            assert validate_scenario(cfg) is cfg
+        else:
+            with pytest.raises(ConfigError):
+                validate_scenario(cfg)
+
     def test_devaney_example_report(self):
         rep = run_example("devaney-not-dc")
         assert rep.passed

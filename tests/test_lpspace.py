@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -410,3 +411,22 @@ class TestFunctionSpecs:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             function_from_spec({"kind": "wavelet", "params": {}})
+
+    BUMP = {"center": [1.0, 0.0], "radius": 0.5}
+    RECT = {"r_lo": 0.0, "r_hi": 1.0, "th_lo": -ALPHA, "th_hi": ALPHA}
+
+    # each raised a bare TypeError, ValueError or KeyError before the
+    # schema's `function` rule was checked
+    @pytest.mark.parametrize("spec, where", [
+        ({"kind": "bump", "params": {**BUMP, "radius": "0.5"}}, "function.params.radius"),
+        ({"kind": "bump", "params": BUMP, "offset": ["a", 0]}, "function.offset[0]"),
+        ({"kind": "linear-combination", "params": {"terms": [
+            {"coef": "x", "fn": {"kind": "bump", "params": BUMP}}]}},
+         "function.params.terms[0].coef"),
+        ({"kind": "bump", "params": {"center": [1.0, 0.0]}}, "radius"),
+        ({"kind": "indicator", "params": {"rects": [
+            {k: v for k, v in RECT.items() if k != "r_hi"}]}}, "function.params.rects[0]"),
+    ])
+    def test_malformed_spec_is_config_error(self, spec, where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            function_from_spec(spec)
