@@ -353,7 +353,7 @@ READS = [
     ((DENSITY,), lambda x: {"grid": {"n_theta": x}}, {"integer", "null"}),
     ((DENSITY,), lambda x: {"grid": {"theta_step": x}}, {"integer", "number"}),
 ]
-SWEEP = [(command, make(value), f"{command[1]} {make('?')}={kind}")
+SWEEP = [(command, make(value), f"{' '.join(command[:2])} {make('?')}={kind}")
          for commands, make, takes in READS for command in commands
          for kind, value in WRONG.items() if kind not in takes]
 
