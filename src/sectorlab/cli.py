@@ -33,7 +33,7 @@ from .density import density_estimates, density_profile
 from .errors import ConfigError, DomainError, SectorLabError
 from .geometry import Sector
 from .lpspace import LpSpace
-from .schema import check
+from .schema import SCHEMA, check, validate
 from .sets import RectUnionSet, annuli_union, translate_set
 from .weights import PairSampling, admissibility_check, weight_from_spec
 
@@ -43,6 +43,7 @@ EXIT_CONFIG = 2
 EXIT_USAGE = 64
 
 _CHECKS = ("admissible", "dc-sufficient", "devaney-ray", "witness")
+_RECTS = SCHEMA["properties"]["function"]["properties"]["params"]["properties"]["rects"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,13 +123,15 @@ def _parse_complex(text: str) -> complex:
 
 
 def _load_rects(raw: str) -> RectUnionSet:
-    """The rect union of --set-json: an inline JSON list or @path."""
+    """The rect union of --set-json: an inline JSON list or @path, checked
+    against the schema's rect rule."""
     try:
         if raw.startswith("@"):
             raw = Path(raw[1:]).read_text()
-        return RectUnionSet.from_json(raw)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        rects = json.loads(raw)
+    except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read --set-json: {type(exc).__name__}: {exc}") from exc
+    return RectUnionSet.from_json(validate(rects, _RECTS, "--set-json"))
 
 
 def _emit(args, name: str, text: str) -> None:

@@ -11,18 +11,21 @@ arithmetic, and all numerical error is confined to norm quadrature.
 
 Every norm comes from the s-polar ray engine of `quadrature`:
 ||T_t f||^p is the integral of |f(s + t)|^p v(s) along the rays
-s = rho e^{i phi}, |phi| <= alpha, over the pieces of f (the polar
-rectangles of an indicator, the disc of a bump) and the support caps of
-custom functions.  Indicators, and combinations of indicators at one
-offset, are first cut into level pieces: disjoint rectangles on which
-|f|^p is one constant, found by an angular and then a radial sweep, so
-the engine integrates the weight alone on them (its closed-form ray
-primitive for the built-in families), one row per (step, piece).  Other
-functions run as one row per step.  Rows whose translate misses the
-sector read exactly 0.  `lp_norm` (one step) and `orbit_norms` (a batch,
-behind every orbit grid) share the front end `_front`; when the weight is
-radial and f equals its mirror image in the real axis, `orbit_norms`
-computes one step of each conjugate pair t, conj t (their norms are equal).
+s = rho e^{i phi}, |phi| <= alpha, over the pieces of f.  Each shape
+states its support once, as pieces about a centre (`pieces`): the polar
+rectangles of an indicator, the disc of a bump, and the support disc
+|z| <= radius of a custom function (unbounded without a radius, then
+clipped by the truncation R).  Indicators, and combinations of
+indicators at one offset, are first cut into level pieces: disjoint
+rectangles on which |f|^p is one constant, found by an angular and then
+a radial sweep, so the engine integrates the weight alone on them (its
+closed-form ray primitive for the built-in families), one row per
+(step, piece).  Other functions run as one row per step.  Rows whose
+pieces all miss the sector read exactly 0, with f never evaluated.
+`lp_norm` (one step) and `orbit_norms` (a batch, behind every orbit
+grid) share the front end `_front`; when the weight is radial and f
+equals its mirror image in the real axis, `orbit_norms` computes one
+step of each conjugate pair t, conj t (their norms are equal).
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ class LpSpace:
 
 # ---------------------------------------------------------------------------
 # function representations
+#
+# `pieces()` is a shape's one statement of its support: a centre c and
+# rectangles rc (m, 4) = [r_lo, r_hi, th_lo, th_hi] about it, nan spans
+# for discs; `_support` and `_pieces` both read it.
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,8 @@ class _Indicator:
     def evaluate(self, z):
         return self.rects.member(z).astype(float)
 
-    def support_radius(self):
-        return self.rects.support_radius()
+    def pieces(self):
+        return 0j, self.rects.bounds
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,8 @@ class _Bump:
         out[inside] = np.cos(np.pi * d[inside] / (2 * self.radius)) ** 2
         return out
 
-    def support_radius(self):
-        return abs(self.center) + self.radius
+    def pieces(self):
+        return self.center, np.array([[0.0, self.radius, np.nan, np.nan]])
 
 
 @dataclass(frozen=True)
@@ -106,8 +113,9 @@ class _Custom:
             raise EvaluationError("custom evaluator returned non-finite values")
         return vals
 
-    def support_radius(self):
-        return self.radius
+    def pieces(self):
+        radius = np.inf if self.radius is None else self.radius
+        return 0j, np.array([[0.0, radius, np.nan, np.nan]])
 
 
 _KINDS = {_Indicator: "indicator", _Bump: "bump", _Custom: "custom"}
@@ -124,9 +132,11 @@ def _cone_factor(alpha: float) -> float:
 
 def _support(shapes, alpha: float) -> float | None:
     """Bound R such that the shapes, at any in-sector offset, vanish on
-    |s| > R in the sector: |s + offset| >= _cone_factor(alpha) |s|."""
-    radii = [h.support_radius() for h in shapes]
-    return None if None in radii else max(radii, default=0.0) / _cone_factor(alpha)
+    |s| > R in the sector: |s + offset| >= _cone_factor(alpha) |s|.  None
+    for an unbounded support."""
+    radius = max((abs(c) + float(np.max(rc[:, 1], initial=0.0))
+                  for c, rc in (h.pieces() for h in shapes)), default=0.0)
+    return None if math.isinf(radius) else radius / _cone_factor(alpha)
 
 
 @dataclass(frozen=True)
@@ -194,8 +204,8 @@ def indicator(rects: RectUnionSet, amplitude: float = 1.0) -> SectorFunction:
 
 
 def bump(center, radius: float, amplitude: float = 1.0) -> SectorFunction:
-    if radius <= 0:
-        raise DomainError(f"bump radius must be > 0, got {radius}")
+    if not (is_real(radius) and radius > 0):
+        raise DomainError(f"bump radius must be a real number > 0, got {radius!r}")
     return _function([(float(amplitude), _Bump(as_complex(center), float(radius)), 0j)])
 
 
@@ -204,6 +214,10 @@ def linear_combination(terms: Sequence[tuple[float, SectorFunction]]) -> SectorF
 
 
 def custom_function(fn: Callable, support_radius: float | None = None) -> SectorFunction:
+    """The function fn, declared to vanish on |z| > support_radius (None:
+    an unbounded support, whose norms need a truncation radius)."""
+    if support_radius is not None and not (is_real(support_radius) and support_radius > 0):
+        raise DomainError(f"custom support radius must be None or > 0, got {support_radius!r}")
     return _function([(1.0, _Custom(fn, support_radius), 0j)])
 
 
@@ -240,19 +254,12 @@ class NormResult:
         return self.value
 
 
-def _pieces(g: SectorFunction, alpha: float, R: float | None):
-    """tau (1, m), rc (1, m, 4) and custom caps of the terms of g."""
-    tau, rc, caps = [], [], []
-    for _, h, t in g.terms:
-        if isinstance(h, _Indicator):
-            tau += [t] * len(h.rects.rects)
-            rc += [[r.r_lo, r.r_hi, r.th_lo, r.th_hi] for r in h.rects.rects]
-        elif isinstance(h, _Bump):
-            tau.append(t - h.center)
-            rc.append([0.0, h.radius, np.nan, np.nan])
-        else:
-            caps.append(min(x for x in (R, _support([h], alpha)) if x is not None))
-    return np.array(tau, dtype=complex)[None], np.array(rc).reshape(1, -1, 4), caps
+def _pieces(g: SectorFunction):
+    """tau (1, m) and rc (1, m, 4) of the pieces of g's terms: the shape's
+    rectangles about its centre c, at tau = offset - c."""
+    parts = [(t, *h.pieces()) for _, h, t in g.terms]
+    tau = np.concatenate([np.full(len(rc), t - c, dtype=complex) for t, c, rc in parts])
+    return tau[None], np.concatenate([rc for _, _, rc in parts])[None]
 
 
 def _level_pieces(g: SectorFunction, p: float):
@@ -270,24 +277,22 @@ def _level_pieces(g: SectorFunction, p: float):
         return None
     if len(g.terms) == 1:
         c, h, _ = g.terms[0]
-        rects, w, amp = h.rects.rects, np.ones(len(h.rects.rects)), abs(c)
-    else:
-        parts = [(c, r) for c, h, _ in g.terms for r in h.rects.rects]
-        edges = sorted({r.th_lo for _, r in parts} | {r.th_hi for _, r in parts})
-        cells: dict[float, list[PolarRect]] = {}
-        for a, b in zip(edges[:-1], edges[1:]):
-            strip = [(c, r) for c, r in parts if r.th_lo <= a and r.th_hi >= b]
-            radii = sorted({r.r_lo for _, r in strip} | {r.r_hi for _, r in strip})
-            for lo, hi in zip(radii[:-1], radii[1:]):
-                level = sum(c for c, r in strip if r.r_lo <= lo and r.r_hi >= hi)
-                if level != 0.0:
-                    cells.setdefault(abs(level), []).append(PolarRect(lo, hi, a, b))
-        levels = {level: RectUnionSet(rects).rects for level, rects in cells.items()}
-        amp = max(levels, default=0.0)
-        order = sorted(levels, reverse=True)
-        rects = [r for level in order for r in levels[level]]
-        w = np.array([(level / amp) ** p for level in order for _ in levels[level]])
-    rc = np.array([[r.r_lo, r.r_hi, r.th_lo, r.th_hi] for r in rects]).reshape(-1, 4)
+        return offset, h.rects.bounds, np.ones(len(h.rects.rects)), abs(c)
+    parts = [(c, r) for c, h, _ in g.terms for r in h.rects.rects]
+    edges = sorted({r.th_lo for _, r in parts} | {r.th_hi for _, r in parts})
+    cells: dict[float, list[PolarRect]] = {}
+    for a, b in zip(edges[:-1], edges[1:]):
+        strip = [(c, r) for c, r in parts if r.th_lo <= a and r.th_hi >= b]
+        radii = sorted({r.r_lo for _, r in strip} | {r.r_hi for _, r in strip})
+        for lo, hi in zip(radii[:-1], radii[1:]):
+            level = sum(c for c, r in strip if r.r_lo <= lo and r.r_hi >= hi)
+            if level != 0.0:
+                cells.setdefault(abs(level), []).append(PolarRect(lo, hi, a, b))
+    levels = {level: RectUnionSet(rects) for level, rects in cells.items()}
+    amp = max(levels, default=0.0)
+    order = sorted(levels, reverse=True)
+    rc = np.concatenate([np.zeros((0, 4))] + [levels[level].bounds for level in order])
+    w = np.array([(level / amp) ** p for level in order for _ in levels[level].rects])
     return offset, rc, w, amp
 
 
@@ -314,7 +319,7 @@ def _mirror_symmetric(space: LpSpace, g: SectorFunction) -> bool:
         if t.imag != 0.0:
             return False
         if isinstance(h, _Indicator):
-            rects = {(r.r_lo, r.r_hi, r.th_lo, r.th_hi) for r in h.rects.rects}
+            rects = set(map(tuple, h.rects.bounds.tolist()))
             if rects != {(r_lo, r_hi, -th_hi, -th_lo) for r_lo, r_hi, th_lo, th_hi in rects}:
                 return False
         elif not isinstance(h, _Bump) or h.center.imag != 0.0:
@@ -343,9 +348,8 @@ def _norms(space: LpSpace, g: SectorFunction, ts: np.ndarray, R: float | None) -
         total = quad.ray_rows(v, alpha, p, tau, np.tile(rc, (len(ts), 1))[:, None], R)
         total = (total.reshape(len(ts), -1) * w).sum(axis=1)
         return amp * np.maximum(total, 0.0) ** (1.0 / p)
-    tau, rc, caps = _pieces(g, alpha, R)
-    total = quad.ray_rows(v, alpha, p, ts[:, None] + tau, rc, R, g, caps,
-                          ts if ts.any() else None)
+    tau, rc = _pieces(g)
+    total = quad.ray_rows(v, alpha, p, ts[:, None] + tau, rc, R, g, ts if ts.any() else None)
     return np.maximum(total, 0.0) ** (1.0 / space.p)
 
 

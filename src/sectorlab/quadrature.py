@@ -5,13 +5,15 @@ norms of `lpspace` (||T_t g||^p is the integral of |g(s + t)|^p v(s))
 and the integrals of v alone over polar rectangles in `weights` (series
 terms, sector integrals).  The integral is taken along the rays
 s = rho e^{i phi}, |phi| <= alpha.  A function is made of pieces (the
-polar rectangles of an indicator, the disc of a bump: a rectangle
-[0, r] about its centre with no angular span), and a piece cuts a ray in
-at most two rho-intervals, solved in closed form: circle roots for the
-radii, half-plane cuts for the span, rho <= R for a truncation.  The
-span cuts are skipped when they cannot bind: every span holds
-[-alpha, alpha] and every offset with a span lies in the closed sector
-(full-span annuli at in-sector steps), so s + tau never leaves the span.
+polar rectangles of an indicator; the disc of a bump or the support
+disc of a custom function: a rectangle [0, r] about its centre with no
+angular span, r = inf for a custom function without a radius, which
+rho <= R bounds), and a piece cuts a ray in at most two rho-intervals,
+solved in closed form: circle roots for the radii, half-plane cuts for
+the span, rho <= R for a truncation.  The span cuts are skipped when
+they cannot bind: every span holds [-alpha, alpha] and every offset with
+a span lies in the closed sector (full-span annuli at in-sector steps),
+so s + tau never leaves the span.
 Gauss-Legendre panels split at integer radii run on those intervals, so
 no discontinuity is ever sampled; for v alone and a built-in weight the
 rho-integral over an interval is the weight's closed-form ray primitive
@@ -44,9 +46,11 @@ Kronrod pair of QUADPACK (G10K21), and in each row whose sum of
 estimates are at least half their share of that tolerance are bisected,
 at most _MAX_ROUNDS = 8 times.  A general row (a function g evaluated at
 the nodes, or a weight without a primitive) takes the fixed rule
-`phi_rule`: 20 Gauss-Legendre nodes on at least 6 base panels, with no
-estimate; there the Kronrod estimate is not a bound (kinks of |g|^p that
-are not breakpoints, and the radial panels' own error).
+`phi_rule`: 20 Gauss-Legendre nodes on at least 6 base panels (12 nodes
+on at least 8 for a custom g, whose kinks inside its support disc are
+not known), with no estimate; there the Kronrod estimate is not a bound
+(kinks of |g|^p that are not breakpoints, and the radial panels' own
+error).
 
 The engine works on rows: per row, pieces at offsets tau (rows, m) and
 their rectangles rc (rows or 1, m, 4) = [r_lo, r_hi, th_lo, th_hi], nan
@@ -59,8 +63,8 @@ into pieces of constant |g|^p).  Combinations cut the ray at every
 interval end and integrate |g(s + t)|^p on radial panels between the
 cuts.  `ray_rows`, the one entry, skips a row whose pieces all lie in
 discs |s + tau| <= r_hi that miss the sector (`_misses`): it is exactly
-zero and reads 0.0.  All reductions run in a fixed order, so repeated
-runs produce bit-identical results.
+zero, reads 0.0 and g is never evaluated for it.  All reductions run in
+a fixed order, so repeated runs produce bit-identical results.
 
 `panel_nodes`, `integrate_polar` and `interval_gl` are no longer called
 by the library; the per-module trace of the benchmark looks them up by
@@ -78,7 +82,7 @@ from .errors import InvalidWeightError
 _PHI_NODES, _MIN_PHI_PANELS, _RHO_NODES = 20, 6, 12
 # closed-form rows: 2 base G10K21 panels, refined to this relative estimate
 _MIN_KRONROD_PANELS, _PHI_RTOL, _MAX_ROUNDS = 2, 1e-10, 8
-_CUSTOM_PHI = (12, 8)  # no breakpoints: the generic grid, 12 nodes on >= 8 panels
+_CUSTOM_PHI = (12, 8)  # custom functions, whose kinks are unknown: 12 nodes on >= 8 panels
 _ROW_BLOCK = 256  # pieces (over all rows) whose ray intervals are held at once
 _PANEL_BLOCK = 1 << 15  # radial panels evaluated at once
 _EDGE_SLACK = 4 * np.finfo(float).eps  # angle of a step on an edge, up to rounding
@@ -231,6 +235,7 @@ def _piece_angles(tau, rc, R) -> tuple[np.ndarray, np.ndarray]:
         angles = [a - tangent, a + tangent, corner.reshape(corner.shape[:-2] + (4,)), th]
         if R is not None:
             cross = np.arccos(np.clip((R * R + m * m - r * r) / (2.0 * R * m), -1.0, 1.0))
+            cross[np.isinf(r)] = np.nan  # an unbounded disc never meets |s| = R
             b = (tau * e.conj()).real
             root = np.sqrt(np.maximum(b * b - m * m + R * R, 0.0))
             angles += [a - cross, a + cross, np.angle((b - root) * e - tau),
@@ -352,24 +357,21 @@ def _checked(v, vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _panel_rays(v, alpha: float, p: float, tau, rc, R, row, phi, g=None, caps=(), shift=None
+def _panel_rays(v, alpha: float, p: float, tau, rc, R, row, phi, g=None, shift=None
                 ) -> np.ndarray:
     """The rho-integrals along the rays at the phi nodes (panels, n) of
     panels of the rows `row` (the arguments as in `_engine`): of
     |g(s + shift)|^p v(s), or of v alone when g is None, over the row's
-    pieces and custom intervals [0, cap].  tau, rc and the step are
-    gathered per panel, and the ray intervals (k, panels, n) keep the node
-    axis last.  v alone with a ray primitive takes it in rho; the rest
-    takes the radial panels of `_ray_integrate`."""
-    lo, hi = (_piece_intervals(tau[row], rc[row] if len(rc) > 1 else rc, phi, alpha, R) if rc.shape[1]
-              else (np.zeros((0,) + phi.shape),) * 2)
+    pieces.  tau, rc and the step are gathered per panel, and the ray
+    intervals (k, panels, n) keep the node axis last.  v alone with a ray
+    primitive takes it in rho; the rest takes the radial panels of
+    `_ray_integrate`."""
+    lo, hi = _piece_intervals(tau[row], rc[row] if len(rc) > 1 else rc, phi, alpha, R)
     if g is None and v.primitive is not None:
         live = hi > lo
         ray = np.zeros(lo.shape)
         ray[live] = _checked(v, v.primitive(np.broadcast_to(phi, lo.shape)[live], lo[live], hi[live]))
         return np.sum(ray, axis=0)
-    lo = np.concatenate([lo, np.zeros((len(caps),) + phi.shape)])
-    hi = np.concatenate([hi, np.broadcast_to(np.reshape(caps, (-1, 1, 1)), (len(caps),) + phi.shape)])
     scale = 1.0
     if g is not None and g.kind == "linear-combination":
         # cut at every interval end; |g|^p is smooth in between, but for odd
@@ -488,22 +490,22 @@ def _edge_crossings(c, r, th) -> np.ndarray:
     return np.hstack([circle.reshape(rows, -1), edge])
 
 
-def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
-            g=None, caps=(), shift=None) -> np.ndarray:
+def _engine(v, alpha: float, p: float, tau, rc, R: float | None, g=None, shift=None
+            ) -> np.ndarray:
     """Per row of tau (rows, m), the integral over {s in sector, |s| <= R}
     of |g(s + shift)|^p v(s) (of v alone when g is None: disjoint pieces)
     over the pieces {s + tau[:, j] in rc[:, j]}, rc (rows or 1, m, 4) =
-    [r_lo, r_hi, th_lo, th_hi] with nan spans for discs, and the custom
-    intervals [0, cap] of the custom terms of g; shift (rows,) is the
-    row's step (None: 0).  g is a function of `lpspace`: its `evaluate`
-    and its `kind`.  Rows of v alone with a ray primitive are closed-form
-    rows (`_kronrod_rows`); the others take `phi_rule`.  Both start from
-    the flat panel list of `_panels`, built from the rows' split angles,
-    and are summed per row over it (`_panel_rays`)."""
+    [r_lo, r_hi, th_lo, th_hi] with nan spans for discs (an r_hi of inf,
+    the disc of a custom function without a radius, needs R); shift
+    (rows,) is the row's step (None: 0).  g is a function of `lpspace`:
+    its `evaluate` and its `kind`.  Rows of v alone with a ray primitive
+    are closed-form rows (`_kronrod_rows`); the others take `phi_rule`,
+    with 12 nodes on at least 8 base panels for a custom g, whose kinks
+    are not known.  Both start from the flat panel list of `_panels`,
+    built from the rows' split angles, and are summed per row over it
+    (`_panel_rays`)."""
     rows = len(tau)
-    # custom functions alone have no pieces
-    angles, flat = (_piece_angles(tau, rc, R) if rc.shape[1]
-                    else (np.zeros((rows, 0)), np.zeros((rows, 0), bool)))
+    angles, flat = _piece_angles(tau, rc, R)
     several = g is not None and g.kind == "linear-combination"
     # where terms overlap g may change sign, and |g|^p then has a kink
     # unless p is even; the kink is not known in closed form, so there the
@@ -523,14 +525,15 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None,
         if np.isfinite(rc[..., 2]).any():
             a = _edge_crossings(c, r, np.broadcast_to(rc[..., 2:], tau.shape + (2,)).reshape(rows, -1))
             angles, flat = np.hstack([angles, a]), np.hstack([flat, np.zeros(a.shape, bool)])
-    reach = np.max(rc[..., 1] + np.abs(tau), axis=1, initial=max(caps, default=0.0))
+    reach = np.max(rc[..., 1] + np.abs(tau), axis=1)
     reach = reach if R is None else np.minimum(reach, R)
     if g is None and v.primitive is not None:  # closed-form rows
         return _kronrod_rows(v, alpha, tau, rc, R,
                              *_panels(v, alpha, reach, angles, flat, _MIN_KRONROD_PANELS))
+    custom = g is not None and g.kind == "custom"
     row, phi, wphi = phi_rule(v, alpha, reach, angles, flat,
-                              *((_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks)) if angles.size else _CUSTOM_PHI))
-    ray = _panel_rays(v, alpha, p, tau, rc, R, row, phi, g, caps, shift)
+                              *(_CUSTOM_PHI if custom else (_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks))))
+    ray = _panel_rays(v, alpha, p, tau, rc, R, row, phi, g, shift)
     return np.bincount(row, np.sum(ray * wphi, axis=1), minlength=rows)
 
 
@@ -542,19 +545,19 @@ def _misses(alpha: float, tau, r_hi) -> np.ndarray:
     return np.abs(tau) * np.sin(np.minimum(np.maximum(beta, 0.0), np.pi / 2)) > r_hi
 
 
-def ray_rows(v, alpha: float, p: float, tau, rc, R: float | None,
-             g=None, caps=(), shift=None) -> np.ndarray:
+def ray_rows(v, alpha: float, p: float, tau, rc, R: float | None, g=None, shift=None
+             ) -> np.ndarray:
     """The engine over the rows of tau (rows, m), the arguments as in
-    `_engine`.  A row whose pieces all miss the sector and that has no
-    custom interval is skipped and reads 0.0 (a row at tau = 0 never
-    misses); the others run in blocks of at most _ROW_BLOCK pieces (of
-    their squares when they are cut against each other)."""
+    `_engine`.  A row whose pieces all miss the sector is skipped and
+    reads 0.0 (a row at tau = 0 never misses); the others run in blocks
+    of at most _ROW_BLOCK pieces (of their squares when they are cut
+    against each other)."""
     total = np.zeros(len(tau))
-    live = np.flatnonzero(~_misses(alpha, tau, rc[..., 1]).all(axis=1) | bool(caps))
-    m = tau.shape[1] + len(caps)
+    live = np.flatnonzero(~_misses(alpha, tau, rc[..., 1]).all(axis=1))
+    m = tau.shape[1]
     block = max(1, _ROW_BLOCK // (m if g is None else m * m))
     for i in range(0, len(live), block):
         rows = live[i:i + block]
         total[rows] = _engine(v, alpha, p, tau[rows], rc[rows] if len(rc) > 1 else rc, R, g,
-                              caps, None if shift is None else shift[rows])
+                              None if shift is None else shift[rows])
     return total

@@ -4,11 +4,11 @@ The schema is the one statement of what a config value may be.  The
 checker reads the draft-07 subset the schema uses: `type` (a name or a
 list, `null` included), `enum`, `required`, `properties`,
 `additionalProperties: false`, `items`, `minItems`, `maxItems`,
-`minimum`, `exclusiveMinimum` and `exclusiveMaximum`.  It differs from
-draft-07 on two points, both on purpose: a number is a finite int or
-float, never a bool, nan or inf; and an integer is an `Integral`, so
-integral floats such as 1.0 are not integers.  Bounds apply to numbers
-only.
+`minimum`, `maximum`, `exclusiveMinimum` and `exclusiveMaximum`.  It
+differs from draft-07 on two points, both on purpose: a number is a
+finite int or float, never a bool, nan or inf; and an integer is an
+`Integral`, so integral floats such as 1.0 are not integers.  Bounds
+apply to numbers only.
 """
 
 import json
@@ -29,8 +29,8 @@ _TYPES = {
     "integer": lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool),
     "number": lambda x: _TYPES["integer"](x) or isinstance(x, float) and math.isfinite(x),
 }
-_BOUNDS = (("minimum", ">=", operator.ge), ("exclusiveMinimum", ">", operator.gt),
-           ("exclusiveMaximum", "<", operator.lt))
+_BOUNDS = (("minimum", ">=", operator.ge), ("maximum", "<=", operator.le),
+           ("exclusiveMinimum", ">", operator.gt), ("exclusiveMaximum", "<", operator.lt))
 
 
 def validate(value, rule: dict, path: str):

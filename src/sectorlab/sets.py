@@ -108,13 +108,14 @@ class RectUnionSet:
     (r_lo, th_lo).  Membership is boundary-inclusive.
     """
 
-    __slots__ = ("rects", "_groups", "_bounds")
+    __slots__ = ("rects", "_groups", "bounds")
 
     def __init__(self, rects: Iterable[PolarRect] = ()):
         self.rects: tuple[PolarRect, ...] = _normalize_rects(rects)
-        # (r_lo, r_hi, th_lo, th_hi) per rect, for the clipped measures
-        self._bounds = np.array([(t.r_lo, t.r_hi, t.th_lo, t.th_hi)
-                                 for t in self.rects]).reshape(-1, 4)
+        # the one array form of the rects: (r_lo, r_hi, th_lo, th_hi) per rect
+        self.bounds = np.array([(t.r_lo, t.r_hi, t.th_lo, t.th_hi)
+                                for t in self.rects]).reshape(-1, 4)
+        self.bounds.flags.writeable = False
         # group radial intervals by identical angular span for fast lookup
         groups: dict[tuple[float, float], list[float]] = {}
         for t in self.rects:
@@ -150,9 +151,6 @@ class RectUnionSet:
 
     def contains_point(self, z) -> bool:
         return bool(self.member(np.asarray([as_complex(z)]))[0])
-
-    def support_radius(self) -> float:
-        return max((t.r_hi for t in self.rects), default=0.0)
 
     def to_json(self) -> str:
         return json.dumps([
@@ -238,7 +236,7 @@ def _rect_profile(A: RectUnionSet, radii: np.ndarray, alpha: float) -> np.ndarra
     """
     if not A.rects:
         return np.zeros_like(radii)
-    r_lo, r_hi, th_lo, th_hi = (col[:, None] for col in A._bounds.T)
+    r_lo, r_hi, th_lo, th_hi = (col[:, None] for col in A.bounds.T)
     span = np.maximum(np.minimum(th_hi, alpha) - np.maximum(th_lo, -alpha), 0.0)
     hi = np.minimum(radii[None, :], r_hi)
     terms = np.where(hi > r_lo, span * (hi ** 2 - r_lo ** 2) / 2.0, 0.0)
@@ -383,8 +381,7 @@ def _translated_profile(T: TranslatedRectUnion, radii: np.ndarray) -> np.ndarray
     alpha = T.sector.alpha
     if T.t0 == 0:
         return _rect_profile(T.base, radii, alpha)
-    rects = np.array([(t.r_lo, t.r_hi, max(t.th_lo, -alpha), min(t.th_hi, alpha))
-                      for t in T.base.rects]).reshape(-1, 4)
+    rects = np.hstack([T.base.bounds[:, :2], np.clip(T.base.bounds[:, 2:], -alpha, alpha)])
     rects = rects[rects[:, 2] < rects[:, 3]]
     rects = rects[np.argsort(rects[:, 1], kind="stable")]
     r_lo, r_hi, a1, a2 = rects.T

@@ -96,6 +96,30 @@ class TestDensityCommand:
         assert "config error" in err and "--set-json" in err
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("spec", [
+        '[{"r_lo": 0, "r_hi": true, "th_lo": -0.5, "th_hi": 0.5}]',
+        '[{"r_lo": 0, "r_hi": Infinity, "th_lo": -0.5, "th_hi": 0.5}]',
+        '[{"r_lo": 0, "r_hi": 1, "th_lo": -0.5}]',
+        '{"rects": [{"r_lo": 0, "r_hi": 1, "th_lo": -0.5, "th_hi": 0.5}]}',
+    ], ids=["bool", "infinity", "no-th_hi", "not-a-list"])
+    def test_set_json_breaking_the_rect_rule_is_config_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, "density", "--set-json", spec, "--horizon", "20")
+        assert code == 2 and out == ""
+        assert "config error" in err and "--set-json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, config", [
+        (["density", "--annuli", "evens", "--horizon", "1e308"], None),
+        (["density", "--annuli", "evens"], {"horizon": 1e308}),
+        (["check", "witness", "--horizon", "1e308"], None),
+    ], ids=["density-flag", "density-config", "witness-flag"])
+    def test_huge_horizon_is_config_error(self, capsys, tmp_path, command, config):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            command = command + ["--config", str(tmp_path / "cfg.json")]
+        code, out, err = run_cli(capsys, *command)
+        assert code == 2 and out == ""
+        assert "config error" in err and "horizon must be <= 10000" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--annuli", "evens",
                                "--horizon", "30", "--format", "json")

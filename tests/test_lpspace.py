@@ -388,6 +388,44 @@ class TestSupportBounds:
         assert 3.4 <= g.support_radius(1.4) <= 3.4 / _cone_factor(1.4) * (1 + 1e-12)
 
 
+class TestCustomSupportDisc:
+    """A custom function's support is the disc |z| <= radius about 0, a
+    piece of the ray engine like a bump's disc ([0, inf] without a radius,
+    clipped by R)."""
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, True, "2"])
+    def test_radius_must_be_none_or_a_positive_real(self, radius):
+        with pytest.raises(DomainError):
+            custom_function(np.abs, support_radius=radius)
+        with pytest.raises(DomainError):  # and a bump's disc the same
+            bump(1.0 + 0j, radius)
+
+    def test_steps_whose_disc_misses_the_sector_read_zero_unevaluated(self, sector):
+        calls = []
+
+        def cap(z):
+            calls.append(z.size)
+            return np.maximum(0.0, 1.0 - np.abs(z)) ** 2
+
+        f = custom_function(cap, support_radius=1.0)
+        # at alpha = pi/4, |s + t| >= |t| on the sector: the disc |s + t| <= 1
+        # misses it for |t| > 1
+        dead = np.array([1.5, 2.0 * np.exp(0.5j), 3.0 * np.exp(-0.7j)])
+        norms = orbit_norms(exp_space(), f, dead)
+        assert np.all(norms == 0.0) and calls == []
+        norms = orbit_norms(exp_space(), f, np.r_[dead, 0.5])
+        assert np.all(norms[:3] == 0.0) and norms[3] > 0.0 and calls
+
+    @pytest.mark.parametrize("t", [0.0, 1.0 + 0.5j])
+    def test_unbounded_support_reads_the_truncated_disc(self, sector, t):
+        # 1 everywhere, truncated at R: the norm of the indicator of |s| <= R
+        space = exp_space(1.0)
+        ones = custom_function(lambda z: np.ones(z.shape))
+        disc = indicator(RectUnionSet([PolarRect(0.0, 3.0, -ALPHA, ALPHA)]))
+        assert orbit_norm(space, ones, t, R=3.0) == pytest.approx(
+            lp_norm(space, disc).value, rel=1e-12)
+
+
 class TestFunctionSpecs:
     def test_indicator_round_trip(self, sector):
         spec = {"kind": "indicator",

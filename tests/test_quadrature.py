@@ -203,6 +203,17 @@ def test_piece_intervals_match_a_scalar_reference(rects, centres, taus, R):
     assert live > rows * n_phi * m // 2  # most nodes cross the pieces
 
 
+@pytest.mark.parametrize("tau", [0j, 1.3 - 0.4j])
+def test_an_unbounded_disc_gives_no_split_angle(tau):
+    # the disc [0, inf] of a custom function without a support radius,
+    # truncated at R: its outer circle has no tangent and never meets
+    # |s| = R, and its inner one (r = 0) only splits at arg(-tau), outside
+    # the sector, so no panel of the sector is split
+    rc = np.array([[[0.0, np.inf, np.nan, np.nan]]])
+    angles, flat = quadrature._piece_angles(np.array([[tau]]), rc, 5.0)
+    assert not np.any(np.abs(np.angle(np.exp(1j * angles))) < ALPHA) and not flat.any()
+
+
 # ---------------------------------------------------------------------------
 # refinement
 

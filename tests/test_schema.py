@@ -57,7 +57,7 @@ def test_checker_agrees_with_jsonschema(key, data):
 
 @pytest.mark.parametrize("key, value", [("K", {"kind": "finite", "members": [1.0, 2]}),
                                         ("K", {"kind": "arith", "start": 0, "step": 2.0}),
-                                        ("horizon", math.nan), ("horizon", math.inf),
+                                        ("horizon", math.nan), ("p", math.inf),
                                         ("weight", {"family": "exp_decay",
                                                     "certificate": {"M": 1, "w": -math.inf}})])
 def test_the_two_intended_differences_from_draft7(key, value):
