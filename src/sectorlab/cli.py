@@ -44,6 +44,7 @@ EXIT_USAGE = 64
 
 _CHECKS = ("admissible", "dc-sufficient", "devaney-ray", "witness")
 _RECTS = SCHEMA["properties"]["function"]["properties"]["params"]["properties"]["rects"]
+_SEED = SCHEMA["properties"]["sampling"]["properties"]["seed"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,6 +120,8 @@ def _parse_complex(text: str) -> complex:
         x, y = (float(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse point {text!r}; expected 'x,y'") from exc
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ConfigError(f"point {text!r} must have finite coordinates")
     return complex(x, y)
 
 
@@ -163,6 +166,7 @@ def _cmd_density(args, cfg: dict) -> int:
     sector = Sector(alpha)
     horizon = check("horizon", args.horizon if args.horizon is not None
                     else cfg.get("horizon", 170.0))
+    t0 = _parse_complex(args.t0) if args.t0 else None
     radii = np.unique(np.concatenate([
         np.geomspace(1.0, horizon, 24),
         np.arange(1.0, math.floor(horizon) + 1.0),
@@ -184,8 +188,7 @@ def _cmd_density(args, cfg: dict) -> int:
                "window": est.window, "trend": est.trend}
     _emit(args, f"density_profile.{args.format}", _profile_text(profile, args.format))
 
-    if args.t0:
-        t0 = _parse_complex(args.t0)
+    if t0 is not None:
         translated = translate_set(A, t0, sector, "minus")
         tprof = density_profile(translated, radii, sector)
         test = density_estimates(tprof, args.window)
@@ -203,13 +206,14 @@ def _cmd_check(args, cfg: dict) -> int:
     alpha = cfg.get("alpha", args.alpha)
     sector = Sector(alpha)
     v = weight_from_spec(cfg.get("weight", {"family": args.family}))
+    seed = validate(args.seed, _SEED, "--seed")
     report: dict = {"check": args.check, "alpha": alpha, "weight": v.family}
 
     if args.check == "admissible":
         M = args.M if args.M is not None else (v.certificate.M if v.certified else 1.0)
         w = args.w if args.w is not None else (v.certificate.w if v.certified else 0.0)
         res = admissibility_check(v, M, w, sector,
-                                  PairSampling(seed=args.seed))
+                                  PairSampling(seed=seed))
         report.update({"M": M, "w": w, "ok": res.ok, "worst_ratio": res.worst_ratio,
                        "n_pairs": res.n_pairs,
                        "violations": [[str(t), str(tp), r] for t, tp, r in res.violations]})
@@ -240,7 +244,7 @@ def _cmd_check(args, cfg: dict) -> int:
         R = check("horizon", args.horizon if args.horizon is not None else 20.0)
         pkg = build_witness(v, K, p, sector, k_cap=int(R) + 14)
         ver = verify_witness(LpSpace(v, p, sector), pkg, K, R,
-                             WitnessSampling(seed=args.seed))
+                             WitnessSampling(seed=seed))
         report.update({"K": K.describe(), "R": R, "p": p,
                        "delta": pkg.delta, "delta_grid": pkg.delta_grid,
                        "bound_source": pkg.bound_source,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dynamics import OrbitResolution, level_density, orbit_profile
 from .errors import ConfigError, DomainError, WitnessInvalidError
-from .geometry import Sector, as_complex, contains
+from .geometry import Sector, as_complex, check_counts, contains
 from .lpspace import (LpSpace, SectorFunction, function_from_spec, indicator,
                       indicator_orbit_norms)
 from .schema import SCHEMA, check, validate
@@ -331,12 +331,17 @@ def build_witness(v: Weight, K: IndexSet, p: float, sector: Sector,
 @dataclass(frozen=True)
 class WitnessSampling:
     """Sampling plan over the separation bands: a deterministic per-band
-    polar grid plus seeded random points."""
+    polar grid plus seeded random points.  `per_band_r` and
+    `per_band_theta` must be integers >= 1 and `n_random` an integer >= 0,
+    else `DomainError`."""
 
     per_band_r: int = 3
     per_band_theta: int = 4
     n_random: int = 200
     seed: int = 42
+
+    def __post_init__(self):
+        check_counts(self, per_band_r=1, per_band_theta=1, n_random=0)
 
 
 @dataclass(frozen=True)

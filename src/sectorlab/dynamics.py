@@ -20,7 +20,7 @@ import numpy as np
 
 from .density import DensityProfile, density_estimates
 from .errors import DomainError
-from .geometry import schedule_radii
+from .geometry import check_counts, schedule_radii
 from .lpspace import LpSpace, SectorFunction, linear_combination, orbit_norms
 
 __all__ = [
@@ -49,11 +49,7 @@ class OrbitResolution:
     chunk: int = 256
 
     def __post_init__(self):
-        for name, least in (("n_r", 2), ("n_theta", 1)):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or value < least):
-                raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_counts(self, n_r=2, n_theta=1)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,15 @@ def is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def check_counts(obj, **least) -> None:
+    """Raise `DomainError` unless every field of obj named in `least` is an
+    integer (numpy's too, not a bool) no smaller than its value there."""
+    for name, lo in least.items():
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < lo:
+            raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Sector:
     """Closed complex sector of half-angle `alpha`, a real number in

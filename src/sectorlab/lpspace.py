@@ -346,7 +346,7 @@ def _norms(space: LpSpace, g: SectorFunction, ts: np.ndarray, R: float | None) -
         offset, rc, w, amp = levels
         tau = np.repeat(ts + offset, len(rc))[:, None]
         total = quad.ray_rows(v, alpha, p, tau, np.tile(rc, (len(ts), 1))[:, None], R)
-        total = (total.reshape(len(ts), -1) * w).sum(axis=1)
+        total = (total.reshape(len(ts), len(rc)) * w).sum(axis=1)
         return amp * np.maximum(total, 0.0) ** (1.0 / p)
     tau, rc = _pieces(g)
     total = quad.ray_rows(v, alpha, p, ts[:, None] + tau, rc, R, g, ts if ts.any() else None)

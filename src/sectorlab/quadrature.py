@@ -36,21 +36,23 @@ sector and the graded edges, the empty panels dropped.  One evaluator,
 `_panel_rays`, gathers each panel's offsets and rectangles, solves the
 ray intervals at its phi nodes and integrates rho along each ray; every
 row is the `bincount` of its panels' sums, so its value depends on its
-own panels only, whatever the batch.  The phi rule depends on the row.
-A closed-form row (v alone with a ray primitive: the level pieces of
-indicators, weight integrals) has every breakpoint known and an exact
-value at every phi node, so its rule is error-controlled
-(`_kronrod_rows`): 2 base panels of the 10-point Gauss / 21-point
-Kronrod pair of QUADPACK (G10K21), and in each row whose sum of
-|K21 - G10| exceeds _PHI_RTOL = 1e-10 of its value the panels whose
-estimates are at least half their share of that tolerance are bisected,
-at most _MAX_ROUNDS = 8 times.  A general row (a function g evaluated at
-the nodes, or a weight without a primitive) takes the fixed rule
-`phi_rule`: 20 Gauss-Legendre nodes on at least 6 base panels (12 nodes
-on at least 8 for a custom g, whose kinks inside its support disc are
-not known), with no estimate; there the Kronrod estimate is not a bound
-(kinks of |g|^p that are not breakpoints, and the radial panels' own
-error).
+own panels only, whatever the batch.  Every row has one phi rule, the
+21-point Kronrod rule of QUADPACK's 10-point Gauss / 21-point Kronrod
+pair (G10K21) on each panel (`_kronrod_rows`); rows differ only in
+their base panels and in whether they are refined.  A closed-form row
+(v alone with a ray primitive: the level pieces of indicators, weight
+integrals) has every breakpoint known and an exact value at every phi
+node, so its |K21 - G10| is an error estimate: it starts from 2 base
+panels, and in each row whose sum of |K21 - G10| exceeds _PHI_RTOL =
+1e-10 of its value the panels whose estimates are at least half their
+share of that tolerance are bisected, at most _MAX_ROUNDS = 8 times.  A
+general row (a function g evaluated at the nodes, or a weight without a
+primitive) is no such bound (kinks of |g|^p that are not breakpoints,
+those of a custom g inside its support disc, and the radial panels' own
+error), so it takes one pass of the K21 sums on at least
+_MIN_PHI_PANELS = 6 base panels, twice as many where |g|^p may have a
+kink (`_engine`).  `phi_integral` gives the same rule to `weights` for
+the radial density.
 
 The engine works on rows: per row, pieces at offsets tau (rows, m) and
 their rectangles rc (rows or 1, m, 4) = [r_lo, r_hi, th_lo, th_hi], nan
@@ -79,10 +81,10 @@ import numpy as np
 
 from .errors import InvalidWeightError
 
-_PHI_NODES, _MIN_PHI_PANELS, _RHO_NODES = 20, 6, 12
-# closed-form rows: 2 base G10K21 panels, refined to this relative estimate
+# general rows: at least 6 base phi panels (twice as many at kinks), one pass
+_MIN_PHI_PANELS, _RHO_NODES = 6, 12
+# closed-form rows: 2 base phi panels, refined to this relative estimate
 _MIN_KRONROD_PANELS, _PHI_RTOL, _MAX_ROUNDS = 2, 1e-10, 8
-_CUSTOM_PHI = (12, 8)  # custom functions, whose kinks are unknown: 12 nodes on >= 8 panels
 _ROW_BLOCK = 256  # pieces (over all rows) whose ray intervals are held at once
 _PANEL_BLOCK = 1 << 15  # radial panels evaluated at once
 _EDGE_SLACK = 4 * np.finfo(float).eps  # angle of a step on an edge, up to rounding
@@ -180,28 +182,14 @@ def interval_gl(lo: np.ndarray, hi: np.ndarray, n_panels: int, npts: int
 # the ray engine
 
 
-def _maps(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u on [-1, 1] mapped to [0, 1] and the map's derivative, indexed
-    by flat-left + 2 * flat-right: linear, quadratic with a flat end on
-    either side, and cubic with two."""
-    t = np.array([(1 + u) / 2, (1 + u) ** 2 / 4, 1 - (1 - u) ** 2 / 4, (2 + 3 * u - u ** 3) / 4])
-    dt = np.array([np.full_like(u, 0.5), (1 + u) / 2, (1 - u) / 2, 0.75 * (1 - u * u)])
-    return t, dt
-
-
-@functools.cache
-def _panel_maps(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0, 1], indexed by flat-left + 2 * flat-right."""
-    u, w = gl_rule(npts)
-    t, dt = _maps(u)
-    return t, dt * w
-
-
 @functools.cache
 def _kronrod_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`kronrod_rule` on [0, 1] as `_panel_maps`: nodes, K21 and G10 weights."""
+    """`kronrod_rule` mapped to [0, 1]: the nodes, K21 and G10 weights, each
+    indexed by flat-left + 2 * flat-right, the map being linear, quadratic
+    with a flat end on either side, or cubic with two."""
     u, wk, wg = kronrod_rule()
-    t, dt = _maps(u)
+    t = np.array([(1 + u) / 2, (1 + u) ** 2 / 4, 1 - (1 - u) ** 2 / 4, (2 + 3 * u - u ** 3) / 4])
+    dt = np.array([np.full_like(u, 0.5), (1 + u) / 2, (1 - u) / 2, 0.75 * (1 - u * u)])
     return t, dt * wk, dt * wg
 
 
@@ -335,21 +323,6 @@ def _panels(v, alpha: float, reach, angles, flat, n_min: int
     return row[:-1][keep], edges[:-1][keep], edges[1:][keep], (flat[:-1] + 2 * flat[1:])[keep]
 
 
-def phi_rule(v, alpha: float, reach, angles, flat, npts: int = _PHI_NODES,
-             n_min: int = _MIN_PHI_PANELS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fixed phi rule of the general rows and of `weights`' radial
-    density: an npts-point Gauss-Legendre rule on every panel of `_panels`
-    (at least n_min base panels, split at the row's angles (rows, k);
-    flat marks the tangent rays), with no error estimate.  Returns each
-    panel's row (panels,) and its phi nodes and weights (panels, npts); a
-    row's panels depend on its own reach and angles only.  Closed-form
-    rows use `_kronrod_rows`."""
-    row, a, b, code = _panels(v, alpha, reach, angles, flat, n_min)
-    t, w = (x[code] for x in _panel_maps(npts))
-    width = (b - a)[:, None]
-    return row, a[:, None] + width * t, width * w
-
-
 def _checked(v, vals: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(vals)) or np.any(vals < 0):
         raise InvalidWeightError(
@@ -357,7 +330,7 @@ def _checked(v, vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _panel_rays(v, alpha: float, p: float, tau, rc, R, row, phi, g=None, shift=None
+def _panel_rays(v, alpha: float, p: float, tau, rc, R, g, shift, kinks: bool, row, phi
                 ) -> np.ndarray:
     """The rho-integrals along the rays at the phi nodes (panels, n) of
     panels of the rows `row` (the arguments as in `_engine`): of
@@ -365,7 +338,7 @@ def _panel_rays(v, alpha: float, p: float, tau, rc, R, row, phi, g=None, shift=N
     pieces.  tau, rc and the step are gathered per panel, and the ray
     intervals (k, panels, n) keep the node axis last.  v alone with a ray
     primitive takes it in rho; the rest takes the radial panels of
-    `_ray_integrate`."""
+    `_ray_integrate`, 16 times finer where terms overlap if `kinks`."""
     lo, hi = _piece_intervals(tau[row], rc[row] if len(rc) > 1 else rc, phi, alpha, R)
     if g is None and v.primitive is not None:
         live = hi > lo
@@ -374,39 +347,39 @@ def _panel_rays(v, alpha: float, p: float, tau, rc, R, row, phi, g=None, shift=N
         return np.sum(ray, axis=0)
     scale = 1.0
     if g is not None and g.kind == "linear-combination":
-        # cut at every interval end; |g|^p is smooth in between, but for odd
-        # p it may have a kink where two terms overlap (see `_engine`)
+        # cut at every interval end; |g|^p is smooth in between, up to the
+        # kinks where two terms overlap (see `_engine`)
         cut = np.sort(np.concatenate([lo, hi]), axis=0)
         mid = (cut[:-1] + cut[1:]) / 2.0
         cover = np.sum((lo < mid[:, None]) & (mid[:, None] < hi), axis=1)
         lo, hi = np.where(cover > 0, cut[:-1], 0.0), np.where(cover > 0, cut[1:], 0.0)
-        scale = np.where((cover > 1) & (p % 2 != 0), 16.0, 1.0)
+        scale = np.where((cover > 1) & kinks, 16.0, 1.0)
     return _ray_integrate(v, p, lo, hi, phi, g, scale, None if shift is None else shift[row])
 
 
-def _kronrod_sums(v, alpha: float, tau, rc, R, row, a, b, code) -> tuple[np.ndarray, np.ndarray]:
+def _kronrod_sums(rays, row, a, b, code) -> tuple[np.ndarray, np.ndarray]:
     """The K21 and G10 sums over the phi panels [a, b] (flat ends `code`)
-    of rows `row`: the integral of v over the row's ray intervals, taken
-    in rho by the weight's ray primitive (`_panel_rays`)."""
+    of rows `row` of rays(row, phi), the integrand at the phi nodes
+    (panels, 21)."""
     t, wk, wg = (x[code] for x in _kronrod_maps())
     width = (b - a)[:, None]
-    vals = _panel_rays(v, alpha, 1.0, tau, rc, R, row, a[:, None] + width * t) * width
+    vals = rays(row, a[:, None] + width * t) * width
     return np.sum(vals * wk, axis=1), np.sum(vals * wg, axis=1)
 
 
-def _kronrod_rows(v, alpha: float, tau, rc, R, row, a, b, code) -> np.ndarray:
-    """Per row, the integral of v over the pieces, closed form in rho and
-    G10K21 in phi to a relative error estimate of _PHI_RTOL.
+def _kronrod_rows(rays, rows: int, rounds: int, alpha: float, row, a, b, code) -> np.ndarray:
+    """Per row of the flat panel list (row, a, b, code) of `_panels`, the
+    G10K21 integral in phi of rays(row, phi) (`_kronrod_sums`), refined at
+    most `rounds` times to a relative error estimate of _PHI_RTOL.
 
-    The flat panel list (row, a, b, code) of `_panels` starts it.  While
-    a row's estimate, the sum of |K21 - G10| over its panels, exceeds
-    _PHI_RTOL times its value, its panels whose |K21 - G10| is at least
-    half their share of that tolerance (by width) are bisected in place, a
-    flat end staying with the half that holds it, at most _MAX_ROUNDS
-    times.  Rows are summed by `bincount` over that list."""
-    rows = len(tau)
-    k, g = _kronrod_sums(v, alpha, tau, rc, R, row, a, b, code)
-    for _ in range(_MAX_ROUNDS):
+    While a row's estimate, the sum of |K21 - G10| over its panels,
+    exceeds _PHI_RTOL times its value, its panels whose |K21 - G10| is at
+    least half their share of that tolerance (by width) are bisected in
+    place, a flat end staying with the half that holds it.  With no
+    rounds it is one pass of the K21 sums.  Rows are summed by `bincount`
+    over the list."""
+    k, g = _kronrod_sums(rays, row, a, b, code)
+    for _ in range(rounds):
         err = np.abs(k - g)
         tol = _PHI_RTOL * np.bincount(row, k, minlength=rows)
         hard = np.bincount(row, err, minlength=rows) > tol
@@ -420,8 +393,17 @@ def _kronrod_rows(v, alpha: float, tau, rc, R, row, a, b, code) -> np.ndarray:
         b[left], a[left + 1] = mid, mid
         code[left], code[left + 1] = code[left] & 1, code[left + 1] & 2
         new = np.concatenate([left, left + 1])
-        k[new], g[new] = _kronrod_sums(v, alpha, tau, rc, R, row[new], a[new], b[new], code[new])
+        k[new], g[new] = _kronrod_sums(rays, row[new], a[new], b[new], code[new])
     return np.bincount(row, k, minlength=rows)
+
+
+def phi_integral(f, v, alpha: float, reach: float) -> float:
+    """The integral of f(phi) over [-alpha, alpha] by the phi rule of a
+    general row out to `reach` with no split angles: K21 on the base panels
+    of `_panels`, at least _MIN_PHI_PANELS and as many as v needs."""
+    panels = _panels(v, alpha, np.array([reach]), np.zeros((1, 0)), np.zeros((1, 0), bool),
+                     _MIN_PHI_PANELS)
+    return float(_kronrod_rows(lambda row, phi: f(phi), 1, 0, alpha, *panels)[0])
 
 
 def _ray_integrate(v, p: float, lo, hi, phi, g=None, scale=1.0, shift=None) -> np.ndarray:
@@ -437,7 +419,8 @@ def _ray_integrate(v, p: float, lo, hi, phi, g=None, scale=1.0, shift=None) -> n
     floor = np.floor(lo * scale)
     n = np.where(hi > lo, np.ceil(hi * scale) - floor, 0).astype(np.int64)
     first = np.cumsum(n) - n
-    x, w = (r[0] for r in _panel_maps(_RHO_NODES))
+    x, w = gl_rule(_RHO_NODES)
+    x, w = (1 + x) / 2, w / 2  # on [0, 1]
     parts = []
     cuts = np.flatnonzero(np.diff(first // _PANEL_BLOCK)) + 1
     for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(n)]):
@@ -498,18 +481,21 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None, g=None, shift=N
     [r_lo, r_hi, th_lo, th_hi] with nan spans for discs (an r_hi of inf,
     the disc of a custom function without a radius, needs R); shift
     (rows,) is the row's step (None: 0).  g is a function of `lpspace`:
-    its `evaluate` and its `kind`.  Rows of v alone with a ray primitive
-    are closed-form rows (`_kronrod_rows`); the others take `phi_rule`,
-    with 12 nodes on at least 8 base panels for a custom g, whose kinks
-    are not known.  Both start from the flat panel list of `_panels`,
-    built from the rows' split angles, and are summed per row over it
-    (`_panel_rays`)."""
+    its `evaluate` and its `kind`.  Every row takes the K21 sums of
+    `_kronrod_rows` over the flat panel list of `_panels`, built from the
+    rows' split angles, of the ray integrals of `_panel_rays`.  Rows of v
+    alone with a ray primitive are closed-form rows: 2 base panels,
+    refined up to _MAX_ROUNDS times.  The others, general rows, take at
+    least _MIN_PHI_PANELS base panels (twice as many at `kinks`) in one
+    pass: their |K21 - G10| is no bound while kinks of |g|^p, or a custom
+    g's unknown ones, fall inside panels."""
     rows = len(tau)
     angles, flat = _piece_angles(tau, rc, R)
     several = g is not None and g.kind == "linear-combination"
     # where terms overlap g may change sign, and |g|^p then has a kink
     # unless p is even; the kink is not known in closed form, so there the
-    # radial panels are 16 times finer and the phi panels twice as many
+    # radial panels are 16 times finer (`_panel_rays`) and the phi panels
+    # twice as many
     kinks = several and p % 2 != 0
     if several:  # corners of the lenses where two circles meet, centres -tau
         c = np.repeat(-tau, 2, axis=1)
@@ -527,14 +513,11 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None, g=None, shift=N
             angles, flat = np.hstack([angles, a]), np.hstack([flat, np.zeros(a.shape, bool)])
     reach = np.max(rc[..., 1] + np.abs(tau), axis=1)
     reach = reach if R is None else np.minimum(reach, R)
-    if g is None and v.primitive is not None:  # closed-form rows
-        return _kronrod_rows(v, alpha, tau, rc, R,
-                             *_panels(v, alpha, reach, angles, flat, _MIN_KRONROD_PANELS))
-    custom = g is not None and g.kind == "custom"
-    row, phi, wphi = phi_rule(v, alpha, reach, angles, flat,
-                              *(_CUSTOM_PHI if custom else (_PHI_NODES, _MIN_PHI_PANELS * (1 + kinks))))
-    ray = _panel_rays(v, alpha, p, tau, rc, R, row, phi, g, shift)
-    return np.bincount(row, np.sum(ray * wphi, axis=1), minlength=rows)
+    closed = g is None and v.primitive is not None
+    rays = functools.partial(_panel_rays, v, alpha, p, tau, rc, R, g, shift, kinks)
+    return _kronrod_rows(rays, rows, _MAX_ROUNDS if closed else 0, alpha,
+                         *_panels(v, alpha, reach, angles, flat,
+                                  _MIN_KRONROD_PANELS if closed else _MIN_PHI_PANELS * (1 + kinks)))
 
 
 def _misses(alpha: float, tau, r_hi) -> np.ndarray:

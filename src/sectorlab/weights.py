@@ -22,8 +22,8 @@ terms, sector integrals) is (th_hi - th_lo) P(lo, hi) for a radial
 weight with a primitive P, exact with no quadrature; any other weight
 takes one call of the engine, which integrates the primitive along the
 rays and Gauss-Kronrod in the angle to a relative estimate of 1e-10 (a
-weight without a primitive: radial panels of the evaluator and the fixed
-Gauss-Legendre rule in the angle).
+weight without a primitive: radial panels of the evaluator and one pass
+of the same Kronrod rule in the angle, on at least 6 panels).
 
 Built-in families::
 
@@ -265,11 +265,11 @@ def weight_rect_integrals(v: Weight, rc, sector: Sector) -> np.ndarray:
     in closed form.  Any other weight takes one call of the ray engine at
     tau = 0, one row per rectangle: the primitive along the rays and
     Gauss-Kronrod panels in the angle, refined to a relative estimate of
-    1e-10 (radial panels of the evaluator and Gauss-Legendre in the angle
-    without a primitive), split at the rectangle's span.  The norm engine
-    computes the same integral as ||1_A||^p.  A span that leaves the sector (beyond the
-    1e-12 slack of `contains`) raises `DomainError`: the engine integrates
-    over the sector only.
+    1e-10 (without a primitive: radial panels of the evaluator and one
+    unrefined pass of the Kronrod panels), split at the rectangle's span.
+    The norm engine computes the same integral as ||1_A||^p.  A span that
+    leaves the sector (beyond the 1e-12 slack of `contains`) raises
+    `DomainError`: the engine integrates over the sector only.
     """
     rc = np.asarray(rc, dtype=float).reshape(-1, 4)
     if not sector.membership_mask(np.exp(1j * rc[:, 2:])).all():
@@ -345,10 +345,9 @@ _TAIL_MODELS = ("none", "exp", "power")
 
 
 def _radial_density(v: Weight, rho: float, sector: Sector) -> float:
-    """g(rho) = rho * integral of v(rho e^{i th}) over the angular span, on
-    the phi nodes of the ray engine."""
-    _, th, wt = quad.phi_rule(v, sector.alpha, np.array([rho]), np.zeros((1, 0)), np.zeros((1, 0), bool))
-    return float(rho * np.sum(wt * v.eval(rho * np.exp(1j * th))))
+    """g(rho) = rho * integral of v(rho e^{i th}) over the angular span, by
+    the phi rule of the ray engine's general rows."""
+    return rho * quad.phi_integral(lambda th: v.eval(rho * np.exp(1j * th)), v, sector.alpha, rho)
 
 
 def _tail_estimate(v: Weight, R: float, sector: Sector, model: str) -> float | None:

@@ -218,6 +218,23 @@ class TestCheckCommand:
         assert code == 2
         assert out == "" and "no separation bands" in err
 
+    @pytest.mark.parametrize("check", ["admissible", "witness"])
+    def test_negative_seed_is_config_error(self, capsys, check):
+        code, out, err = run_cli(capsys, "check", check, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "config error: --seed must be >= 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--annuli", "evens", "--horizon", "20", "--t0", "inf,0"],
+        ["density", "--annuli", "evens", "--horizon", "20", "--t0", "1,nan"],
+        ["check", "devaney-ray", "--t1", "inf,0"],
+        ["check", "devaney-ray", "--t1", "2,-inf"],
+    ], ids=["density-inf", "density-nan", "devaney-inf", "devaney-minus-inf"])
+    def test_point_that_is_not_finite_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "config error" in err and "finite coordinates" in err
+
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "bogus"])

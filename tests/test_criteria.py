@@ -223,6 +223,22 @@ class TestWitness:
         assert np.array_equal(norms, norms[..., ::-1])
         assert norms.min() > 0.0
 
+    @pytest.mark.parametrize("name, value", [
+        ("per_band_r", 0), ("per_band_theta", 0), ("n_random", -1), ("per_band_r", -2),
+        ("per_band_theta", 2.0), ("n_random", 2.5), ("per_band_r", True), ("n_random", "16")])
+    def test_sampling_counts_out_of_range_are_refused(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            WitnessSampling(**{name: value})
+
+    def test_smallest_sampling_plans_verify(self, sector):
+        v = exp_decay()
+        pkg = build_witness(v, IndexSet.all_naturals(), 2.0, sector, k_cap=12)
+        space = LpSpace(v, 2.0, sector)
+        for plan, n in (((1, 1, 0), 10), ((1, 3, 16), 46), ((np.int64(1), 3, np.int64(0)), 30)):
+            ver = verify_witness(space, pkg, IndexSet.all_naturals(), 10.0,
+                                 WitnessSampling(*plan), tol=1e-4)
+            assert ver.n_samples == n and ver.passed
+
     def test_empty_bands_rejected(self, sector):
         v = exp_decay()
         K = IndexSet.finite([30])
@@ -290,7 +306,9 @@ class TestScenarios:
         (lambda cfg: cfg.pop("horizons"), False),
         (lambda cfg: cfg["thresholds"].update(witness_tol="1e-4"), False),
         (lambda cfg: cfg["grids"].update(orbit_n_theta=1), True),
-    ], ids=["no-admissibility", "no-horizons", "string-threshold", "one-orbit-angle"])
+        (lambda cfg: cfg["sampling"].update(seed=-1), False),
+    ], ids=["no-admissibility", "no-horizons", "string-threshold", "one-orbit-angle",
+            "negative-seed"])
     def test_schema_states_what_run_example_reads(self, edit, valid):
         cfg = load_scenario("exp-decay-dc")
         edit(cfg)

@@ -273,6 +273,16 @@ class TestCombinations:
             singles = np.array([orbit_norm(space, f, t) for t in ts])
             assert np.allclose(orbit_norms(space, f, ts), singles, rtol=1e-12, atol=0.0)
 
+    def test_an_empty_batch_reads_no_norms(self, sector):
+        # the level-piece path (an indicator, at 0 and at an offset) and the
+        # general one (a bump) alike
+        space = exp_space(2.0)
+        a = indicator(annuli_union([1, 2], sector))
+        for f in (a, translate_function(a, 0.5, sector), bump(1 + 0.3j, 0.6)):
+            got = orbit_norms(space, f, [])
+            assert got.shape == (0,) and got.dtype == float
+        assert indicator_orbit_norms(space, a, []).shape == (0,)
+
     def test_batch_rejects_steps_outside_the_sector(self, sector):
         space = exp_space(2.0)
         f = indicator(annuli_union([1, 2], sector))

@@ -233,9 +233,9 @@ def _panel_calls(monkeypatch):
     calls = []
     sums = quadrature._kronrod_sums
 
-    def counted(v, alpha, tau, rc, R, row, *args):
+    def counted(rays, row, *args):
         calls.append(row.copy())
-        return sums(v, alpha, tau, rc, R, row, *args)
+        return sums(rays, row, *args)
 
     monkeypatch.setattr(quadrature, "_kronrod_sums", counted)
     return calls
@@ -304,3 +304,19 @@ def test_a_rows_value_does_not_depend_on_its_batch(case):
     singles = np.concatenate([orbit_norms(space, f, ts[i:i + 1]) for i in range(len(ts))])
     assert np.count_nonzero(batch) >= 2
     assert batch.tobytes() == singles.tobytes()
+
+
+@pytest.mark.parametrize("case, p", [("bump", 2.0), ("indicator-minus-bump", 1.0),
+                                     ("custom-function", 2.0), ("custom-weight", 2.0)])
+def test_general_rows_take_one_pass_of_the_kronrod_sums(monkeypatch, case, p):
+    # no round refines a general row (its |K21 - G10| is no bound), so a
+    # tolerance that every estimate exceeds changes none of its bits
+    space, f = _batch_case(case)
+    space = LpSpace(space.weight, p, space.sector)
+    ts = np.array([HARD_STEP, 0.5, 2.0 * cmath.exp(1.2j)])
+    expect = orbit_norms(space, f, ts)
+    calls = _panel_calls(monkeypatch)
+    monkeypatch.setattr(quadrature, "_PHI_RTOL", -1.0)
+    got = orbit_norms(space, f, ts)
+    assert len(calls) == 1 and np.count_nonzero(expect) >= 2
+    assert got.tobytes() == expect.tobytes()

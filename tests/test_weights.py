@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from sectorlab import (Certificate, ConfigError, DomainError,
                        InvalidWeightError, LpSpace, MissingCertificateError,
@@ -12,6 +13,8 @@ from sectorlab import (Certificate, ConfigError, DomainError,
                        exp_decay, grid_minimum, indicator, lp_norm, poly_decay,
                        vertical_exp, weight_from_spec, weight_integral,
                        weight_rect_integral, weight_to_spec)
+
+from sectorlab.weights import _radial_density
 
 from conftest import ALPHA
 
@@ -89,6 +92,17 @@ class TestWeightIntegral:
         vals = [weight_integral(poly_decay(), R, sector).value
                 for R in (5.0, 10.0, 20.0, 40.0)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("alpha", [0.3, ALPHA, 1.4])
+    def test_radial_density_of_a_non_radial_weight_matches_quad(self, alpha):
+        # the K21 phi rule of the engine's general rows against quad in theta
+        sector = Sector(alpha)
+        for v in (vertical_exp(), custom_weight(
+                lambda z: np.exp(-np.abs(z)) * (2.0 + np.cos(3.0 * np.angle(z))))):
+            for rho in (0.5, 3.0, 12.0, 40.0):
+                ref = rho * integrate.quad(lambda th: v.eval(rho * np.exp(1j * th)), -alpha, alpha,
+                                           epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                assert _radial_density(v, rho, sector) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_tail_bounds_remainder_under_doubling(self, sector):
         for v, model in ((exp_decay(), "exp"), (poly_decay(), "power")):
