@@ -332,8 +332,8 @@ def build_witness(v: Weight, K: IndexSet, p: float, sector: Sector,
 class WitnessSampling:
     """Sampling plan over the separation bands: a deterministic per-band
     polar grid plus seeded random points.  `per_band_r` and
-    `per_band_theta` must be integers >= 1 and `n_random` an integer >= 0,
-    else `DomainError`."""
+    `per_band_theta` must be integers >= 1 and `n_random` and `seed`
+    integers >= 0, else `DomainError`."""
 
     per_band_r: int = 3
     per_band_theta: int = 4
@@ -341,7 +341,7 @@ class WitnessSampling:
     seed: int = 42
 
     def __post_init__(self):
-        check_counts(self, per_band_r=1, per_band_theta=1, n_random=0)
+        check_counts(self, per_band_r=1, per_band_theta=1, n_random=0, seed=0)
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,11 @@ rho-integral over an interval is the weight's closed-form ray primitive
 instead (see `weights`), so only the phi integral is numerical.
 
 The phi panels (`_panels`) are equal base panels over the sector, as
-many as the weight's angular variation needs out to the row's reach,
-split where an interval end changes branch: tangent rays, corners, rays
-parallel to a span edge, crossings of two circles or of the truncation
-circle and, in a combination, where a span edge of one piece crosses a
-circle or a span edge of another, since two interval ends swap there.
+many as `_engine` decides for the row, split where an interval end
+changes branch: tangent rays, corners, rays parallel to a span edge,
+crossings of two circles or of the truncation circle and, in a
+combination, where a span edge of one piece crosses a circle or a span
+edge of another, since two interval ends swap there.
 Splits closer than a quarter panel get panels graded towards them.  At a
 tangent ray an interval end behaves like a square root in phi; a
 quadratic map with a flat end there makes the integrand smooth again.
@@ -42,17 +42,20 @@ pair (G10K21) on each panel (`_kronrod_rows`); rows differ only in
 their base panels and in whether they are refined.  A closed-form row
 (v alone with a ray primitive: the level pieces of indicators, weight
 integrals) has every breakpoint known and an exact value at every phi
-node, so its |K21 - G10| is an error estimate: it starts from 2 base
-panels, and in each row whose sum of |K21 - G10| exceeds _PHI_RTOL =
-1e-10 of its value the panels whose estimates are at least half their
-share of that tolerance are bisected, at most _MAX_ROUNDS = 8 times.  A
-general row (a function g evaluated at the nodes, or a weight without a
-primitive) is no such bound (kinks of |g|^p that are not breakpoints,
-those of a custom g inside its support disc, and the radial panels' own
-error), so it takes one pass of the K21 sums on at least
-_MIN_PHI_PANELS = 6 base panels, twice as many where |g|^p may have a
-kink (`_engine`).  `phi_integral` gives the same rule to `weights` for
-the radial density.
+node, so its |K21 - G10| is an error estimate: as QUADPACK's QAG starts
+from one interval, it starts from one base panel over [-alpha, alpha],
+split at its breakpoints and graded, and in each row whose sum of
+|K21 - G10| exceeds _PHI_RTOL = 1e-10 of its value the panels whose
+estimates are at least half their share of that tolerance are bisected,
+at most _MAX_ROUNDS = 8 times, so the estimate places the panels that
+the weight's angular variation needs.  A general row (a function g
+evaluated at the nodes, or a weight without a primitive) is no such
+bound (kinks of |g|^p that are not breakpoints, those of a custom g
+inside its support disc, and the radial panels' own error), so it takes
+one pass of the K21 sums on at least _MIN_PHI_PANELS = 6 base panels,
+twice as many where |g|^p may have a kink, and as many as the weight's
+angular variation needs out to the row's reach (`_engine`).
+`phi_integral` gives the same rule to `weights` for the radial density.
 
 The engine works on rows: per row, pieces at offsets tau (rows, m) and
 their rectangles rc (rows or 1, m, 4) = [r_lo, r_hi, th_lo, th_hi], nan
@@ -83,8 +86,8 @@ from .errors import InvalidWeightError
 
 # general rows: at least 6 base phi panels (twice as many at kinks), one pass
 _MIN_PHI_PANELS, _RHO_NODES = 6, 12
-# closed-form rows: 2 base phi panels, refined to this relative estimate
-_MIN_KRONROD_PANELS, _PHI_RTOL, _MAX_ROUNDS = 2, 1e-10, 8
+# closed-form rows: one base phi panel, refined to this relative estimate
+_PHI_RTOL, _MAX_ROUNDS = 1e-10, 8
 _ROW_BLOCK = 256  # pieces (over all rows) whose ray intervals are held at once
 _PANEL_BLOCK = 1 << 15  # radial panels evaluated at once
 _EDGE_SLACK = 4 * np.finfo(float).eps  # angle of a step on an edge, up to rounding
@@ -194,8 +197,10 @@ def _kronrod_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _angular_panels(v, span: float, r_hi) -> np.ndarray:
-    """Number of angular panels over `span` out to radius `r_hi` (an array
-    gives one count per radius), sized to the weight's angular variation.
+    """Number of angular base panels of a general row over `span` out to
+    radius `r_hi` (an array gives one count per radius), sized to the
+    weight's angular variation: a general row takes one unrefined pass, so
+    its base panels must resolve the weight.
 
     For radial weights the polar integrand is constant in the angle, so
     a single panel is exact; otherwise panels shrink like 1/r so that
@@ -249,13 +254,16 @@ def _piece_intervals(tau, rc, phi, alpha: float, R) -> tuple[np.ndarray, np.ndar
         (spans[..., 0] <= -alpha) & (spans[..., 1] >= alpha)
         & (np.abs(np.angle(tau)) <= alpha + _EDGE_SLACK)))
     tau, rc = tau.T[..., None], rc.T[..., None]  # (m, rows, 1), (4, m, rows or 1, 1)
-    # |rho e^{i phi} + tau| <= r  reads  rho^2 + 2 d rho + |tau|^2 <= r^2
+    # |rho e^{i phi} + tau| <= r  reads  rho^2 + 2 d rho + |tau|^2 <= r^2;
+    # a circle that misses the ray's line has nan ends
     d = tau.real * np.cos(phi) + tau.imag * np.sin(phi)
-    disc = d * d - np.abs(tau) ** 2 + rc[:2] ** 2
-    root, cut = np.sqrt(np.maximum(disc, 0.0)), disc > 0
-    lo, hi = np.where(cut, np.maximum(-d - root, 0.0), 0.0), np.where(cut, root - d, 0.0)
-    # the annulus: the outer chord minus the inner one
-    lo, hi = (np.stack([lo[1], np.maximum(lo[1], hi[0])], axis=1),
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(d * d - np.abs(tau) ** 2 + rc[:2] ** 2)
+    lo, hi = np.maximum(-d - root, 0.0), root - d
+    # the annulus: the outer chord minus the inner one; with no inner chord
+    # the first part is empty (its nan end propagates) and the second is
+    # the whole outer chord (fmax skips the nan)
+    lo, hi = (np.stack([lo[1], np.fmax(lo[1], hi[0])], axis=1),
               np.stack([np.minimum(hi[1], lo[0]), hi[1]], axis=1))
     if free:
         if R is not None:
@@ -273,24 +281,22 @@ def _piece_intervals(tau, rc, phi, alpha: float, R) -> tuple[np.ndarray, np.ndar
             cut_lo = np.fmax(cut_lo, np.where(k >= 0, bound, 0.0))
             cut_hi = np.fmin(cut_hi, np.where(k < 0, bound, np.inf))
         lo, hi = np.maximum(lo, cut_lo[:, None]), np.minimum(hi, cut_hi[:, None])
-    empty = hi <= lo
+    live = hi > lo  # not where an end is nan
     shape = (2 * rc.shape[1],) + phi.shape
-    return np.where(empty, 0.0, lo).reshape(shape), np.where(empty, 0.0, hi).reshape(shape)
+    return np.where(live, lo, 0.0).reshape(shape), np.where(live, hi, 0.0).reshape(shape)
 
 
-def _panels(v, alpha: float, reach, angles, flat, n_min: int
+def _panels(alpha: float, n, angles, flat
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The phi panels of all rows as one flat list in row and phi order:
     each panel's row, its ends a and b, and its flat ends, code = flat-left
-    + 2 * flat-right.  A row's panels are equal base panels over
-    [-alpha, alpha], at least n_min and as many as the weight v needs out
-    to the row's reach (rows,), split at the row's angles (rows, k) inside
-    the sector (flat (rows, k) marks the tangent rays) and graded towards
-    splits that lie close together.  Panels no wider than 1e-12 (rounding
-    duplicates, and the step back from a row's alpha to the next row's
-    -alpha) are dropped, so a row's panels depend on its own reach and
-    angles only."""
-    n = np.maximum(n_min, _angular_panels(v, 2.0 * alpha, reach))
+    + 2 * flat-right.  A row's panels are its n (rows,) equal base panels
+    over [-alpha, alpha] (`_engine` decides the count), split at the row's
+    angles (rows, k) inside the sector (flat (rows, k) marks the tangent
+    rays) and graded towards splits that lie close together.  Panels no
+    wider than 1e-12 (rounding duplicates, and the step back from a row's
+    alpha to the next row's -alpha) are dropped, so a row's panels depend
+    on its own count and angles only."""
     rows = np.arange(len(n))
     a = np.angle(np.exp(1j * angles))
     inside = np.abs(a) < alpha
@@ -401,8 +407,8 @@ def phi_integral(f, v, alpha: float, reach: float) -> float:
     """The integral of f(phi) over [-alpha, alpha] by the phi rule of a
     general row out to `reach` with no split angles: K21 on the base panels
     of `_panels`, at least _MIN_PHI_PANELS and as many as v needs."""
-    panels = _panels(v, alpha, np.array([reach]), np.zeros((1, 0)), np.zeros((1, 0), bool),
-                     _MIN_PHI_PANELS)
+    n = np.maximum(_MIN_PHI_PANELS, _angular_panels(v, 2.0 * alpha, np.array([reach])))
+    panels = _panels(alpha, n, np.zeros((1, 0)), np.zeros((1, 0), bool))
     return float(_kronrod_rows(lambda row, phi: f(phi), 1, 0, alpha, *panels)[0])
 
 
@@ -484,11 +490,13 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None, g=None, shift=N
     its `evaluate` and its `kind`.  Every row takes the K21 sums of
     `_kronrod_rows` over the flat panel list of `_panels`, built from the
     rows' split angles, of the ray integrals of `_panel_rays`.  Rows of v
-    alone with a ray primitive are closed-form rows: 2 base panels,
-    refined up to _MAX_ROUNDS times.  The others, general rows, take at
-    least _MIN_PHI_PANELS base panels (twice as many at `kinks`) in one
-    pass: their |K21 - G10| is no bound while kinks of |g|^p, or a custom
-    g's unknown ones, fall inside panels."""
+    alone with a ray primitive are closed-form rows: one base panel, split
+    at the angles, and their |K21 - G10| places the rest in up to
+    _MAX_ROUNDS bisections.  The others, general rows, take at least
+    _MIN_PHI_PANELS base panels (twice as many at `kinks`) and as many as
+    v needs out to the row's reach (`_angular_panels`), in one pass: their
+    |K21 - G10| is no bound while kinks of |g|^p, or a custom g's unknown
+    ones, fall inside panels."""
     rows = len(tau)
     angles, flat = _piece_angles(tau, rc, R)
     several = g is not None and g.kind == "linear-combination"
@@ -511,13 +519,15 @@ def _engine(v, alpha: float, p: float, tau, rc, R: float | None, g=None, shift=N
         if np.isfinite(rc[..., 2]).any():
             a = _edge_crossings(c, r, np.broadcast_to(rc[..., 2:], tau.shape + (2,)).reshape(rows, -1))
             angles, flat = np.hstack([angles, a]), np.hstack([flat, np.zeros(a.shape, bool)])
-    reach = np.max(rc[..., 1] + np.abs(tau), axis=1)
-    reach = reach if R is None else np.minimum(reach, R)
-    closed = g is None and v.primitive is not None
+    if g is None and v.primitive is not None:
+        n, rounds = np.ones(rows, int), _MAX_ROUNDS
+    else:
+        reach = np.max(rc[..., 1] + np.abs(tau), axis=1)
+        reach = reach if R is None else np.minimum(reach, R)
+        n = np.maximum(_MIN_PHI_PANELS * (1 + kinks), _angular_panels(v, 2.0 * alpha, reach))
+        rounds = 0
     rays = functools.partial(_panel_rays, v, alpha, p, tau, rc, R, g, shift, kinks)
-    return _kronrod_rows(rays, rows, _MAX_ROUNDS if closed else 0, alpha,
-                         *_panels(v, alpha, reach, angles, flat,
-                                  _MIN_KRONROD_PANELS if closed else _MIN_PHI_PANELS * (1 + kinks)))
+    return _kronrod_rows(rays, rows, rounds, alpha, *_panels(alpha, n, angles, flat))
 
 
 def _misses(alpha: float, tau, r_hi) -> np.ndarray:

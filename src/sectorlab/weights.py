@@ -43,7 +43,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import DomainError, InvalidWeightError, MissingCertificateError
-from .geometry import Sector
+from .geometry import Sector, check_counts, is_real
 from .schema import check
 
 __all__ = [
@@ -130,16 +130,17 @@ def _exp_ray(c, lo, hi):
     """Integral of rho e^{c rho} over [lo, hi], as e^{c lo} (lo E1 + h^2 E2)
     with h = hi - lo, u = c h, E1 = (e^u - 1) / c and E2 = (e^u (u - 1) + 1)
     / u^2 (its Taylor sum where |u| <= 1): both terms are positive, so
-    nothing cancels.  Overflow gives inf (no warning), which the callers
-    refuse."""
+    nothing cancels.  Each form of E2 is evaluated only where it is taken.
+    Overflow gives inf (no warning), which the callers refuse."""
     h = hi - lo
-    u = c * h
+    u = np.asarray(c * h)
     small = np.abs(u) <= 1.0
+    e2 = np.empty(u.shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         e1 = np.where(c == 0, h, np.expm1(u) / c)
-        big = np.where(small, 1.0, u)
-        e2 = np.where(small, np.polynomial.polynomial.polyval(np.where(small, u, 0.0), _PHI2),
-                      (np.exp(big) * (big - 1.0) + 1.0) / (big * big))
+        e2[small] = np.polynomial.polynomial.polyval(u[small], _PHI2)
+        big = u[~small]
+        e2[~small] = (np.exp(big) * (big - 1.0) + 1.0) / (big * big)
         return np.exp(c * lo) * (lo * e1 + h * h * e2)
 
 
@@ -187,13 +188,26 @@ def custom_weight(fn: Callable[[np.ndarray], np.ndarray],
 @dataclass(frozen=True)
 class PairSampling:
     """Sampling plan for the growth inequality: a deterministic polar grid
-    of base points and offsets, plus seeded random pairs."""
+    of base points and offsets, plus seeded random pairs.  `grid_radii`
+    must be a non-empty tuple or list of finite reals >= 0, `r_max` a
+    finite real > 0, `grid_angles` an integer >= 1 and `n_random` and
+    `seed` integers >= 0, else `DomainError`."""
 
     grid_radii: tuple = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
     grid_angles: int = 7
     n_random: int = 2000
     r_max: float = 32.0
     seed: int = 42
+
+    def __post_init__(self):
+        check_counts(self, grid_angles=1, n_random=0, seed=0)
+        radii = self.grid_radii
+        if not (isinstance(radii, (tuple, list)) and radii
+                and all(is_real(r) and 0.0 <= r < math.inf for r in radii)):
+            raise DomainError(f"grid_radii must be a non-empty tuple of finite reals >= 0, "
+                              f"got {radii!r}")
+        if not (is_real(self.r_max) and 0.0 < self.r_max < math.inf):
+            raise DomainError(f"r_max must be a finite real > 0, got {self.r_max!r}")
 
 
 @dataclass(frozen=True)

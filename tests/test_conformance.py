@@ -311,6 +311,32 @@ def test_wide_orbit_grid_near_annulus_radii_matches_u_polar_oracle(family, p, an
                 ref, rel=RTOL["indicator"], abs=0.0), f"t={t}"
 
 
+# the benchmark's vertical_exp orbit grid (48 x 16 nodes out to 20, the
+# annuli 1-3 of its S = 4 cell, p = 3) at alpha = 1.4, which its
+# orbit-levels workload leaves out, and at alpha = 0.3: closed-form rows
+# under the one weight whose phi panels the refinement alone places; the
+# weight is not symmetric in theta, so every column is checked
+VERTICAL_GRIDS = ((1.4, (1, 2, 3)), (1.4, (0, 2)), (0.3, (1, 2, 3)), (0.3, (0, 2)))
+
+
+@pytest.mark.parametrize("alpha, annuli", VERTICAL_GRIDS)
+def test_vertical_exp_orbit_grid_near_annulus_radii_matches_u_polar_oracle(alpha, annuli):
+    sector = Sector(alpha)
+    space = LpSpace(vertical_exp(), 3.0, sector)
+    union = annuli_union(annuli, sector)
+    rects = [(r.r_lo, r.r_hi, r.th_lo, r.th_hi) for r in union.rects]
+    grid = orbit_profile(space, indicator(union), 20.0, OrbitResolution(n_r=48, n_theta=16))
+    radii = np.array(sorted({x for r in rects for x in r[:2]}))
+    near = np.flatnonzero(np.min(np.abs(grid.radii[:, None] - radii), axis=1) < 0.3)
+    assert len(near) >= 4
+    for i in near:
+        for j in range(len(grid.thetas)):
+            t = grid.radii[i] * cmath.exp(1j * grid.thetas[j])
+            ref = indicator_oracle("vertical_exp", rects, t, alpha)
+            assert grid.norms[i, j] ** 3 == pytest.approx(
+                ref, rel=RTOL["indicator"], abs=0.0), f"t={t}"
+
+
 # ---------------------------------------------------------------------------
 # mixed combinations: an s-polar oracle
 #
@@ -620,6 +646,29 @@ def test_batched_terms_equal_single_rect_integrals(family):
         est = weight_integral(weight, 12.5, sector)
         expect = sum(single(k, min(k + 1.0, 12.5)) for k in range(13))
         assert est.value == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+
+def _vertical_exp_annulus(k: int, phi: float) -> float:
+    """The integral of rho e^{c rho} over [k, k + 1], c = 2 sin(phi): as
+    e^{c k} times the sum of c^n / n! (k / (n + 1) + 1 / (n + 2)) where
+    |c| < 1/2, else the antiderivative e^{c rho} (rho c - 1) / c^2."""
+    c = 2.0 * math.sin(phi)
+    if abs(c) < 0.5:
+        return math.exp(c * k) * math.fsum(c ** n / math.factorial(n) * (k / (n + 1) + 1.0 / (n + 2))
+                                           for n in range(30))
+    return (math.exp(c * (k + 1)) * ((k + 1) * c - 1.0) - math.exp(c * k) * (k * c - 1.0)) / (c * c)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_vertical_exp_series_terms_match_quad(alpha):
+    # the most peaked closed-form rows: e^{2 rho sin phi} with rho up to 151
+    # peaks at the upper sector edge, about e^{300} against 1 at phi = 0
+    series = dc_sufficient_series(vertical_exp(), IndexSet.all_naturals(), 150, Sector(alpha))
+    assert list(series.k_values) == list(range(151))
+    for k, term in zip(series.k_values, series.terms):
+        ref = integrate.quad(lambda phi: _vertical_exp_annulus(int(k), phi), -alpha, alpha,
+                             **QUAD)[0]
+        assert term == pytest.approx(ref, rel=1e-10, abs=0.0), k
 
 
 # ---------------------------------------------------------------------------

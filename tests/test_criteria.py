@@ -230,6 +230,11 @@ class TestWitness:
         with pytest.raises(DomainError, match=name):
             WitnessSampling(**{name: value})
 
+    @pytest.mark.parametrize("value", [-1, 4.0, True, "42"])
+    def test_sampling_seed_out_of_range_is_refused(self, value):
+        with pytest.raises(DomainError, match="seed"):
+            WitnessSampling(seed=value)
+
     def test_smallest_sampling_plans_verify(self, sector):
         v = exp_decay()
         pkg = build_witness(v, IndexSet.all_naturals(), 2.0, sector, k_cap=12)

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectorlab import (IndexSet, LpSpace, OrbitResolution, Sector, annuli_union, bump,
-                       custom_function, custom_weight, dc_sufficient_series, exp_decay,
-                       indicator, linear_combination, orbit_norm, orbit_norms, orbit_profile,
-                       vertical_exp)
+from sectorlab import (IndexSet, LpSpace, OrbitResolution, Sector, WitnessSampling,
+                       annuli_union, build_witness, bump, custom_function, custom_weight,
+                       dc_sufficient_series, exp_decay, indicator, linear_combination,
+                       orbit_norm, orbit_norms, orbit_profile, run_example,
+                       verify_witness, vertical_exp)
 from sectorlab import quadrature
 
 from test_conformance import indicator_oracle
@@ -71,7 +72,7 @@ def test_rows_with_no_angle_inside_get_exactly_their_base_panels():
     flat = np.ones(angles.shape, bool)
     for v, reach in ((exp_decay(), 5.0), (vertical_exp(), 1.0), (vertical_exp(), 30.0)):
         n = max(2, int(quadrature._angular_panels(v, 2.0 * alpha, np.array([reach]))[0]))
-        row, a, b, code = quadrature._panels(v, alpha, np.array([reach]), angles, flat, 2)
+        row, a, b, code = quadrature._panels(alpha, np.array([n]), angles, flat)
         edges = -alpha + 2.0 * alpha * (np.arange(n + 1) / n)
         assert np.array_equal(row, np.zeros(n, int))
         assert np.array_equal(a, edges[:-1]) and np.array_equal(b, edges[1:])
@@ -89,11 +90,12 @@ def test_a_rows_panels_do_not_depend_on_its_batch():
     flat = rng.random(angles.shape) < 0.5
     reach = np.array([0.5, 3.0, 1.0, 8.0, 12.0, 2.0])
     for v in (exp_decay(), vertical_exp()):
-        row, a, b, code = quadrature._panels(v, alpha, reach, angles, flat, 2)
+        n = np.maximum(2, quadrature._angular_panels(v, 2.0 * alpha, reach))
+        row, a, b, code = quadrature._panels(alpha, n, angles, flat)
         assert np.all(np.diff(row) >= 0) and np.all(b - a > 1e-12)
         assert np.array_equal(np.unique(row), np.arange(len(angles)))
         for i in range(len(angles)):
-            alone = quadrature._panels(v, alpha, reach[i:i + 1], angles[i:i + 1], flat[i:i + 1], 2)
+            alone = quadrature._panels(alpha, n[i:i + 1], angles[i:i + 1], flat[i:i + 1])
             mine = row == i
             assert not alone[0].any() and np.all(np.diff(a[mine]) > 0)
             for x, y in zip((a, b, code), alone[1:]):
@@ -102,12 +104,12 @@ def test_a_rows_panels_do_not_depend_on_its_batch():
 
 def test_a_close_tangent_and_corner_pair_gets_the_twelve_step_bridge():
     alpha = 1.0
-    width = 2.0 * alpha / 2  # exp_decay is radial: the 2 base panels
+    width = 2.0 * alpha / 2  # 2 base panels
     x0 = 0.1
     gap = width / 4.0 ** 7  # closer than width / 4^5: 5 steps do not bridge it
     x1 = x0 + gap
-    row, a, b, code = quadrature._panels(exp_decay(), alpha, np.array([4.0]), np.array([[x1, x0]]),
-                                         np.array([[False, True]]), 2)
+    row, a, b, code = quadrature._panels(alpha, np.array([2]), np.array([[x1, x0]]),
+                                         np.array([[False, True]]))
     g = x1 - x0
     steps = g * 4.0 ** np.arange(1, 7)  # the steps shorter than a panel, 6 > 5
     expect = np.sort(np.concatenate([[-alpha, 0.0, alpha, x0, x1], x0 - steps, x1 + steps]))
@@ -121,8 +123,8 @@ def test_a_close_tangent_and_corner_pair_gets_the_twelve_step_bridge():
     assert np.array_equal(np.flatnonzero(code), [i - 1, i]) and list(code[i - 1:i + 1]) == [2, 1]
     # a pair closer than width / 4^12 is too close to bridge: no graded edges
     x1 = x0 + width / 4.0 ** 13
-    row, a, b, code = quadrature._panels(exp_decay(), alpha, np.array([4.0]), np.array([[x1, x0]]),
-                                         np.array([[False, True]]), 2)
+    row, a, b, code = quadrature._panels(alpha, np.array([2]), np.array([[x1, x0]]),
+                                         np.array([[False, True]]))
     np.testing.assert_allclose(a, [-alpha, 0.0, x0, x1], rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(b, [0.0, x0, x1, alpha], rtol=0.0, atol=1e-15)
     assert list(code) == [0, 2, 1, 0]
@@ -203,6 +205,26 @@ def test_piece_intervals_match_a_scalar_reference(rects, centres, taus, R):
     assert live > rows * n_phi * m // 2  # most nodes cross the pieces
 
 
+def test_circles_that_miss_or_touch_the_ray_give_empty_intervals():
+    # on the ray phi = 0 (the real axis), pieces centred at -tau = 3 + 4i
+    # (|tau| = 5 exactly): radius 2 misses the ray's line and radius 4
+    # touches it at rho = 3; no RuntimeWarning may escape (the suite makes
+    # them errors)
+    tau = np.array([[-3.0 - 4.0j]])
+    phi = np.zeros((1, 1))
+    for rect in ((0.0, 2.0, np.nan, np.nan), (0.0, 4.0, np.nan, np.nan), (1.0, 2.0, np.nan, np.nan),
+                 (2.0, 4.0, np.nan, np.nan), (2.0, 4.0, -ALPHA, ALPHA), (2.0, 4.0, 0.1, 0.5)):
+        lo, hi = quadrature._piece_intervals(tau, np.array([[rect]]), phi, ALPHA, 5.0)
+        assert not lo.any() and not hi.any(), rect
+    # an annulus whose inner circle touches the ray at 3 and whose outer one
+    # (radius 5) cuts it in [0, 6]: its two parts cover that chord
+    lo, hi = quadrature._piece_intervals(tau, np.array([[(4.0, 5.0, np.nan, np.nan)]]), phi,
+                                         ALPHA, None)
+    parts = sorted((a, b) for a, b in zip(lo.ravel(), hi.ravel()) if b > a)
+    assert parts[0][0] == 0.0 and parts[-1][1] == 6.0
+    assert all(b == a for (_, b), (a, _) in zip(parts, parts[1:]))
+
+
 @pytest.mark.parametrize("tau", [0j, 1.3 - 0.4j])
 def test_an_unbounded_disc_gives_no_split_angle(tau):
     # the disc [0, inf] of a custom function without a support radius,
@@ -263,6 +285,36 @@ def test_row_that_never_meets_its_tolerance_stops_at_the_round_cap(monkeypatch):
     assert [len(c) for c in calls[1:]] == [2 * len(calls[0]) * 2 ** k
                                             for k in range(quadrature._MAX_ROUNDS)]
     assert math.isfinite(got) and got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def _closed_form_outputs() -> list[bytes]:
+    """Outputs made of closed-form rows only: the three packaged scenarios,
+    a separation witness at alpha = 1.4 and the vertical_exp orbit grids
+    at alpha = 1.4 and 0.3 of `test_conformance`."""
+    out = [run_example(name).to_json().encode()
+           for name in ("exp-decay-dc", "poly-decay-dc", "devaney-not-dc")]
+    sector = Sector(ALPHA)
+    K = IndexSet.all_naturals()
+    pkg = build_witness(exp_decay(), K, 2.0, sector, k_cap=20)
+    space = LpSpace(exp_decay(), 2.0, sector)
+    ver = verify_witness(space, pkg, K, 6.0, WitnessSampling(1, 3, 16, seed=5))
+    ts = np.array([k * cmath.exp(1j * th) for k in range(1, 7) for th in (-ALPHA, 0.0, 0.3, ALPHA)])
+    out += [np.float64(ver.min_norm).tobytes(), pkg.series.terms.tobytes(),
+            orbit_norms(space, pkg.f, ts).tobytes()]
+    for alpha in (1.4, 0.3):
+        sector = Sector(alpha)
+        space = LpSpace(vertical_exp(), 3.0, sector)
+        f = indicator(annuli_union([1, 2, 3], sector))
+        out.append(orbit_profile(space, f, 20.0, OrbitResolution(n_r=48, n_theta=16)).norms.tobytes())
+    return out
+
+
+def test_no_closed_form_row_stops_at_the_round_cap(monkeypatch):
+    # a row that hits the cap unconverged would change with more rounds;
+    # one that converged stops at the same round whatever the cap
+    expect = _closed_form_outputs()
+    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", 12)
+    assert _closed_form_outputs() == expect
 
 
 def test_orbit_grid_and_series_reruns_are_bit_identical():

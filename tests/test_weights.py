@@ -14,7 +14,7 @@ from sectorlab import (Certificate, ConfigError, DomainError,
                        vertical_exp, weight_from_spec, weight_integral,
                        weight_rect_integral, weight_to_spec)
 
-from sectorlab.weights import _radial_density
+from sectorlab.weights import _PHI2, _exp_ray, _radial_density
 
 from conftest import ALPHA
 
@@ -70,6 +70,22 @@ class TestAdmissibility:
             exp_decay(), 1.0, 1.0, sector,
             PairSampling(n_random=100, grid_radii=(0.0, 1.0), grid_angles=3))
         assert report.n_pairs == 36 + 100
+
+    @pytest.mark.parametrize("name, value", [
+        ("grid_radii", (0.0, -1.0)), ("grid_radii", (0.0, math.inf)), ("grid_radii", ()),
+        ("grid_radii", 4.0), ("grid_radii", (0.0, "1")),
+        ("grid_angles", 0), ("grid_angles", 3.0), ("n_random", -1), ("n_random", True),
+        ("r_max", 0.0), ("r_max", math.nan), ("r_max", "32"), ("seed", -1), ("seed", 1.5)])
+    def test_sampling_plan_out_of_range_is_refused(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            PairSampling(**{name: value})
+
+    def test_smallest_sampling_plan_checks(self, sector):
+        for plan, n in ((dict(grid_radii=[0.0], grid_angles=1, n_random=0, seed=0), 1),
+                        (dict(grid_radii=(np.float64(1.0),), grid_angles=np.int64(2),
+                              n_random=np.int64(3), r_max=1, seed=np.int64(7)), 4 + 3)):
+            report = admissibility_check(exp_decay(), 1.0, 1.0, sector, PairSampling(**plan))
+            assert report.ok and report.n_pairs == n
 
 
 class TestWeightIntegral:
@@ -234,6 +250,43 @@ class TestRayPrimitive:
                 exact = alpha * (math.atan((k + 1) ** 2) - math.atan(k ** 2))
                 assert weight_rect_integral(poly_decay(), rect, sector) == pytest.approx(
                     exact, rel=1e-14)
+
+    @staticmethod
+    def _both_forms(c, lo, hi):
+        """`_exp_ray` evaluating both forms of E2 over every element and
+        choosing per element, the reference it must match bit for bit."""
+        h = hi - lo
+        u = c * h
+        small = np.abs(u) <= 1.0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            e1 = np.where(c == 0, h, np.expm1(u) / c)
+            big = np.where(small, 1.0, u)
+            e2 = np.where(small, np.polynomial.polynomial.polyval(np.where(small, u, 0.0), _PHI2),
+                          (np.exp(big) * (big - 1.0) + 1.0) / (big * big))
+            return np.exp(c * lo) * (lo * e1 + h * h * e2)
+
+    def test_exp_ray_evaluates_each_form_where_it_is_taken_only(self):
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(0.0, 40.0, 300)
+        hi = lo + rng.choice([1e-9, 0.3, 1.0, 2.5, 30.0], 300)
+        phi = rng.uniform(-1.4, 1.4, 300)
+        phi[:3] = 0.0, math.pi / 6, -math.pi / 6  # c = 0, and |u| = 1 at h = 1
+        hi[:3] = lo[:3] + 1.0
+        cases = [  # (c, lo, hi): exp_decay's scalar c, vertical_exp's c per ray
+            (-1.0, np.float64(2.0), np.float64(3.0)),  # 0-d, |u| = 1
+            (-1.0, np.array(0.5), np.array(0.75)),  # 0-d, |u| < 1
+            (-1.0, np.array(1.0), np.array(7.0)),  # 0-d, |u| > 1
+            (-1.0, np.zeros(0), np.zeros(0)),
+            (-1.0, lo, hi),
+            (2.0 * np.sin(np.array(0.4)), np.array(3.0), np.array(3.2)),
+            (2.0 * np.sin(np.zeros(0)), np.zeros(0), np.zeros(0)),
+            (2.0 * np.sin(phi), lo, hi),
+            (2.0 * np.sin(phi[:40, None]), lo[:25], hi[:25]),  # broadcast, as the weight check
+        ]
+        for c, a, b in cases:
+            got, expect = _exp_ray(c, a, b), self._both_forms(c, a, b)
+            assert np.shape(got) == np.shape(expect) and type(got) is type(expect)
+            assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
 
     def test_overflow_raises_without_a_warning(self):
         sector = Sector(math.pi / 4)
