@@ -32,10 +32,10 @@ import numpy as np
 
 from .dynamics import OrbitResolution, level_density, orbit_profile
 from .errors import ConfigError, DomainError, WitnessInvalidError
-from .geometry import Sector, as_complex, check_counts, contains
+from .geometry import Sector, as_complex, contains
 from .lpspace import (LpSpace, SectorFunction, function_from_spec, indicator,
                       indicator_orbit_norms)
-from .schema import SCHEMA, check, validate
+from .schema import SCHEMA, check, check_fields, validate
 from .sets import annuli_union
 from .weights import (Weight, admissibility_check, compact_lower_bound,
                       full_annuli, grid_minimum, trend_verdict, weight_from_spec,
@@ -61,7 +61,8 @@ class IndexSet:
     and 'nonsquares' (complement of the perfect squares, a standard
     density-one example).  `declared_density` is the caller's assertion
     about the upper density in the integers; `counting_ratio` measures
-    #(K ∩ [1, n]) / n empirically.
+    #(K ∩ [1, n]) / n empirically.  `kind`, `members`, `start` and `step`
+    must meet the schema's `K` rules, else `DomainError`.
     """
 
     kind: str
@@ -70,6 +71,9 @@ class IndexSet:
     step: int = 1
     declared_density: float | None = None
 
+    def __post_init__(self):
+        check_fields(self)
+
     @classmethod
     def all_naturals(cls) -> "IndexSet":
         return cls(kind="all", declared_density=1.0)
@@ -77,14 +81,10 @@ class IndexSet:
     @classmethod
     def finite(cls, members) -> "IndexSet":
         ms = tuple(sorted(set(int(k) for k in members)))
-        if any(k < 0 for k in ms):
-            raise DomainError("annulus indices must be >= 0")
         return cls(kind="finite", members=ms, declared_density=0.0)
 
     @classmethod
     def arithmetic(cls, start: int, step: int) -> "IndexSet":
-        if start < 0 or step < 1:
-            raise DomainError("need start >= 0 and step >= 1")
         return cls(kind="arith", start=start, step=step,
                    declared_density=1.0 if step == 1 else None)
 
@@ -301,7 +301,7 @@ def build_witness(v: Weight, K: IndexSet, p: float, sector: Sector,
     The infinite annuli union is capped at k_cap; the cap only matters
     past the verification horizon and is recorded in the package.
     """
-    LpSpace(v, p, sector)  # refuses a p that is not a real number >= 1
+    LpSpace(v, p, sector)  # refuses a p the schema does not allow
     series = dc_sufficient_series(v, K, k_cap, sector)
     if series.verdict == "divergent-trend":
         raise WitnessInvalidError(
@@ -331,9 +331,8 @@ def build_witness(v: Weight, K: IndexSet, p: float, sector: Sector,
 @dataclass(frozen=True)
 class WitnessSampling:
     """Sampling plan over the separation bands: a deterministic per-band
-    polar grid plus seeded random points.  `per_band_r` and
-    `per_band_theta` must be integers >= 1 and `n_random` and `seed`
-    integers >= 0, else `DomainError`."""
+    polar grid plus seeded random points.  The fields must meet the
+    schema's `$defs.WitnessSampling`, else `DomainError`."""
 
     per_band_r: int = 3
     per_band_theta: int = 4
@@ -341,7 +340,7 @@ class WitnessSampling:
     seed: int = 42
 
     def __post_init__(self):
-        check_counts(self, per_band_r=1, per_band_theta=1, n_random=0, seed=0)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -369,7 +368,7 @@ def verify_witness(space: LpSpace, pkg: WitnessPackage, K: IndexSet, R: float,
     with 1 <= k <= R; each norm is an exact-path quadrature of the
     translated indicator.
     """
-    if R < 3:
+    if not R >= 3:
         raise DomainError(f"verification horizon must be >= 3, got {R}")
     sampling = sampling or WitnessSampling()
     alpha = space.sector.alpha

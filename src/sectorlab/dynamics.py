@@ -20,8 +20,9 @@ import numpy as np
 
 from .density import DensityProfile, density_estimates
 from .errors import DomainError
-from .geometry import check_counts, schedule_radii
+from .geometry import schedule_radii
 from .lpspace import LpSpace, SectorFunction, linear_combination, orbit_norms
+from .schema import check_fields
 
 __all__ = [
     "OrbitResolution", "OrbitGrid", "LevelSetProfile", "PairDiagnostic",
@@ -38,8 +39,9 @@ class OrbitResolution:
     node's norm comes from the ray engine, which sets its own panels, so
     `mesh_per_unit`, `mesh_n_theta` and `chunk` are ignored: they belonged
     to a midpoint mesh that is gone, and the benchmark's workloads still
-    pass them.  `n_r` must be an integer >= 2 and `n_theta` an integer
-    >= 1, else `DomainError`.
+    pass them.  `n_r` and `n_theta` must meet the schema's `grids` rules
+    `orbit_n_r` (an integer >= 2) and `orbit_n_theta` (an integer >= 1),
+    else `DomainError`.
     """
 
     n_r: int = 400
@@ -49,7 +51,7 @@ class OrbitResolution:
     chunk: int = 256
 
     def __post_init__(self):
-        check_counts(self, n_r=2, n_theta=1)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def orbit_profile(space: LpSpace, f: SectorFunction, R: float,
     image in the real axis, `orbit_norms` computes one column of each such
     pair and the two columns are equal bit for bit.
     """
-    if R <= 0:
+    if not R > 0:
         raise DomainError(f"grid radius must be > 0, got {R}")
     res = resolution or OrbitResolution()
     sector = space.sector

@@ -12,42 +12,27 @@ the polar view is derived on demand.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
+from .schema import check_fields
 
 # Slack for containment checks: sums of boundary points may land a few
 # ulps outside the cone; the boundary itself has measure zero.
 _ANGLE_SLACK = 1e-12
 
 
-def is_real(x) -> bool:
-    """True for a real number (an int or a float, numpy's too), not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def check_counts(obj, **least) -> None:
-    """Raise `DomainError` unless every field of obj named in `least` is an
-    integer (numpy's too, not a bool) no smaller than its value there."""
-    for name, lo in least.items():
-        value = getattr(obj, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < lo:
-            raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Sector:
     """Closed complex sector of half-angle `alpha`, a real number in
-    (0, pi/2)."""
+    (0, pi/2) (the schema's `alpha`)."""
 
     alpha: float
 
     def __post_init__(self):
-        if not (is_real(self.alpha) and 0.0 < self.alpha < math.pi / 2):
-            raise DomainError(f"sector half-angle must be a real in (0, pi/2), got {self.alpha!r}")
+        check_fields(self)
 
     def point(self, r: float, theta: float) -> "SectorPoint":
         """Construct a validated point from polar coordinates."""
@@ -113,17 +98,13 @@ def truncated_measure(sector: Sector, r: float) -> float:
 
 
 def contains(sector: Sector, p) -> bool:
-    """True iff `p` lies in the closed sector (boundary inclusive).
-
-    Accepts a complex number or a SectorPoint.  The angular comparison
-    carries a 1e-12 slack so that exact sums of boundary points are not
-    rejected for rounding; the boundary has measure zero, so no measure
-    computation depends on this choice.
+    """True iff `p`, a complex number or a SectorPoint, lies in the closed
+    sector: `Sector.membership_mask` of the one point, so the origin is in
+    and the angle carries the `_ANGLE_SLACK` of 1e-12, which keeps exact
+    sums of boundary points in; the boundary has measure zero, so no
+    measure computation depends on this choice.
     """
-    z = p.z if isinstance(p, SectorPoint) else complex(p)
-    if z == 0:
-        return True
-    return abs(math.atan2(z.imag, z.real)) <= sector.alpha + _ANGLE_SLACK
+    return bool(sector.membership_mask(as_complex(p)))
 
 
 def add_points(s: SectorPoint, t: SectorPoint) -> SectorPoint:
@@ -157,12 +138,7 @@ class RadiusSchedule:
     count: int = 24
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise DomainError(f"r0 must be > 0, got {self.r0}")
-        if self.gamma <= 1:
-            raise DomainError(f"gamma must be > 1, got {self.gamma}")
-        if self.count < 1:
-            raise DomainError(f"count must be >= 1, got {self.count}")
+        check_fields(self)
 
     @property
     def radii(self) -> np.ndarray:
@@ -180,9 +156,9 @@ class RadiusSchedule:
 
 def schedule_radii(schedule) -> np.ndarray:
     """The radii of a `RadiusSchedule` or of a radii array, as a float array;
-    `DomainError` unless there is at least one and all are > 0."""
+    `DomainError` unless there is at least one and all are finite and > 0."""
     radii = np.atleast_1d(np.asarray(
         schedule.radii if isinstance(schedule, RadiusSchedule) else schedule, dtype=float))
-    if len(radii) == 0 or np.any(radii <= 0):
-        raise DomainError(f"a schedule needs one or more radii, all > 0; got {radii}")
+    if len(radii) == 0 or not np.all((radii > 0) & (radii < np.inf)):
+        raise DomainError(f"a schedule needs one or more radii, all finite and > 0; got {radii}")
     return radii

@@ -38,8 +38,8 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import ConfigError, DomainError, EvaluationError
-from .geometry import Sector, as_complex, contains, is_real
-from .schema import check
+from .geometry import Sector, as_complex, contains
+from .schema import check, check_fields
 from .sets import PolarRect, RectUnionSet
 from .weights import Weight
 
@@ -54,15 +54,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LpSpace:
-    """The space L^p_v over a sector; p a real number in [1, inf)."""
+    """The space L^p_v over a sector; p a finite real number >= 1 (the
+    schema's `p`)."""
 
     weight: Weight
     p: float
     sector: Sector
 
     def __post_init__(self):
-        if not (is_real(self.p) and self.p >= 1):
-            raise DomainError(f"exponent p must be a real number >= 1, got {self.p!r}")
+        check_fields(self)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +204,7 @@ def indicator(rects: RectUnionSet, amplitude: float = 1.0) -> SectorFunction:
 
 
 def bump(center, radius: float, amplitude: float = 1.0) -> SectorFunction:
-    if not (is_real(radius) and radius > 0):
-        raise DomainError(f"bump radius must be a real number > 0, got {radius!r}")
+    check_fields(bump, radius=radius)
     return _function([(float(amplitude), _Bump(as_complex(center), float(radius)), 0j)])
 
 
@@ -216,8 +215,7 @@ def linear_combination(terms: Sequence[tuple[float, SectorFunction]]) -> SectorF
 def custom_function(fn: Callable, support_radius: float | None = None) -> SectorFunction:
     """The function fn, declared to vanish on |z| > support_radius (None:
     an unbounded support, whose norms need a truncation radius)."""
-    if support_radius is not None and not (is_real(support_radius) and support_radius > 0):
-        raise DomainError(f"custom support radius must be None or > 0, got {support_radius!r}")
+    check_fields(custom_function, support_radius=support_radius)
     return _function([(1.0, _Custom(fn, support_radius), 0j)])
 
 
@@ -328,9 +326,9 @@ def _mirror_symmetric(space: LpSpace, g: SectorFunction) -> bool:
 
 
 def _front(space: LpSpace, f: SectorFunction, R: float | None) -> float | None:
-    """f's support bound; R <= 0, or no R for an unbounded support, raises
-    `DomainError`."""
-    if R is not None and R <= 0:
+    """f's support bound; an R that is not > 0 (nan included), or no R for
+    an unbounded support, raises `DomainError`."""
+    if R is not None and not R > 0:
         raise DomainError(f"truncation radius must be > 0, got {R}")
     sup = f.support_radius(space.sector.alpha)
     if R is None and sup is None:

@@ -1,14 +1,20 @@
-"""The config rules: `data/scenario.schema.json` and its one checker.
+"""The input rules: `data/scenario.schema.json` and its one checker.
 
-The schema is the one statement of what a config value may be.  The
-checker reads the draft-07 subset the schema uses: `type` (a name or a
-list, `null` included), `enum`, `required`, `properties`,
+The schema is the one statement of what an input may be: a config value
+under `properties`, and a field of a library class (or an argument of a
+library function) under `$defs`, keyed by the class or function name.
+The checker reads the draft-07 subset the schema uses: `type` (a name or
+a list, `null` included), `enum`, `required`, `properties`,
 `additionalProperties: false`, `items`, `minItems`, `maxItems`,
-`minimum`, `maximum`, `exclusiveMinimum` and `exclusiveMaximum`.  It
-differs from draft-07 on two points, both on purpose: a number is a
-finite int or float, never a bool, nan or inf; and an integer is an
-`Integral`, so integral floats such as 1.0 are not integers.  Bounds
-apply to numbers only.
+`minimum`, `maximum`, `exclusiveMinimum`, `exclusiveMaximum` and `$ref`
+to a local JSON pointer (`#/properties/alpha`); as in draft-07, a rule
+with a `$ref` is its target alone.  It differs from draft-07 on two
+points, both on purpose: a number is a finite real (numpy's too), never
+a bool, nan or inf; and an integer is an `Integral`, so integral floats
+such as 1.0 are not integers.  An array is a list or a tuple, since
+Python callers pass tuples; JSON yields neither numpy scalars nor
+tuples, so neither widening changes a config's verdict.  Bounds apply to
+numbers only.
 """
 
 import json
@@ -17,26 +23,37 @@ import numbers
 import operator
 from importlib import resources
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 SCHEMA = json.loads((resources.files("sectorlab") / "data" / "scenario.schema.json").read_text())
 
 _TYPES = {
     "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
+    "array": lambda x: isinstance(x, (list, tuple)),
     "string": lambda x: isinstance(x, str),
     "null": lambda x: x is None,
     "integer": lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool),
-    "number": lambda x: _TYPES["integer"](x) or isinstance(x, float) and math.isfinite(x),
+    "number": lambda x: _TYPES["integer"](x) or (
+        isinstance(x, numbers.Real) and not isinstance(x, numbers.Integral) and math.isfinite(x)),
 }
 _BOUNDS = (("minimum", ">=", operator.ge), ("maximum", "<=", operator.le),
            ("exclusiveMinimum", ">", operator.gt), ("exclusiveMaximum", "<", operator.lt))
+
+
+def _resolve(ref: str) -> dict:
+    """The rule at the local JSON pointer `ref` (`#/properties/alpha`)."""
+    rule = SCHEMA
+    for key in ref.lstrip("#").split("/")[1:]:
+        rule = rule[key]
+    return rule
 
 
 def validate(value, rule: dict, path: str):
     """value, if it meets `rule`; else a `ConfigError` that names the key
     path of the first part that breaks it (`weight.params.value`,
     `K.members[0]`)."""
+    while "$ref" in rule:
+        rule = _resolve(rule["$ref"])
     types = rule.get("type", [])
     types = [types] if isinstance(types, str) else types
     if types and not any(_TYPES[t](value) for t in types):
@@ -57,7 +74,7 @@ def validate(value, rule: dict, path: str):
         for key, sub in props.items():
             if key in value:
                 validate(value[key], sub, f"{path}.{key}")
-    if isinstance(value, list):
+    if _TYPES["array"](value):
         if not rule.get("minItems", 0) <= len(value) <= rule.get("maxItems", math.inf):
             raise ConfigError(f"{path} has the wrong number of items, {len(value)}: {value!r}")
         for i, item in enumerate(value):
@@ -68,3 +85,16 @@ def validate(value, rule: dict, path: str):
 def check(key: str, value):
     """value, if it meets the schema's rule for the top-level `key`."""
     return validate(value, SCHEMA["properties"][key], key)
+
+
+def check_fields(obj, **args) -> None:
+    """Raise `DomainError` unless the fields of `obj`, a dataclass instance,
+    meet the rule `$defs` holds under its class name; or, given `args`,
+    unless those arguments of `obj`, a function, meet the rule under its
+    name.  The message names `Class.field` as a config error names its key
+    path (`PairSampling.n_random must be >= 0, got -1`)."""
+    name = obj.__name__ if args else type(obj).__name__
+    try:
+        validate(args or vars(obj), SCHEMA["$defs"][name], name)
+    except ConfigError as exc:
+        raise DomainError(str(exc)) from None

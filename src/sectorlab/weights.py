@@ -43,8 +43,8 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import DomainError, InvalidWeightError, MissingCertificateError
-from .geometry import Sector, check_counts, is_real
-from .schema import check
+from .geometry import Sector
+from .schema import check, check_fields
 
 __all__ = [
     "Certificate", "Weight", "PairSampling", "AdmissibilityReport",
@@ -62,14 +62,14 @@ _PRIMITIVE_CHECK = (np.array([[0.0, 1.0, 8.0], [0.5, 3.0, 9.0]]), np.array([0.0,
 
 @dataclass(frozen=True)
 class Certificate:
-    """Growth constants (M, w) with M >= 1."""
+    """Growth constants (M, w): M a real >= 1, w a real (the schema's
+    `admissibility`)."""
 
     M: float
     w: float
 
     def __post_init__(self):
-        if self.M < 1:
-            raise DomainError(f"certificate needs M >= 1, got M={self.M}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,7 @@ def vertical_exp() -> Weight:
 
 
 def constant_weight(value: float = 1.0) -> Weight:
-    if value <= 0:
-        raise InvalidWeightError(f"constant weight must be positive, got {value}")
-    c = float(value)
+    c = float(value)  # Weight refuses a value that is not > 0 and finite
     return Weight(lambda z: np.full(np.shape(z), c), family="constant",
                   certificate=Certificate(1.0, 0.0), radial=True, params=(value,),
                   primitive=lambda phi, lo, hi: 0.5 * c * (hi - lo) * (hi + lo))
@@ -188,10 +186,8 @@ def custom_weight(fn: Callable[[np.ndarray], np.ndarray],
 @dataclass(frozen=True)
 class PairSampling:
     """Sampling plan for the growth inequality: a deterministic polar grid
-    of base points and offsets, plus seeded random pairs.  `grid_radii`
-    must be a non-empty tuple or list of finite reals >= 0, `r_max` a
-    finite real > 0, `grid_angles` an integer >= 1 and `n_random` and
-    `seed` integers >= 0, else `DomainError`."""
+    of base points and offsets, plus seeded random pairs.  The fields
+    must meet the schema's `$defs.PairSampling`, else `DomainError`."""
 
     grid_radii: tuple = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
     grid_angles: int = 7
@@ -200,14 +196,7 @@ class PairSampling:
     seed: int = 42
 
     def __post_init__(self):
-        check_counts(self, grid_angles=1, n_random=0, seed=0)
-        radii = self.grid_radii
-        if not (isinstance(radii, (tuple, list)) and radii
-                and all(is_real(r) and 0.0 <= r < math.inf for r in radii)):
-            raise DomainError(f"grid_radii must be a non-empty tuple of finite reals >= 0, "
-                              f"got {radii!r}")
-        if not (is_real(self.r_max) and 0.0 < self.r_max < math.inf):
-            raise DomainError(f"r_max must be a finite real > 0, got {self.r_max!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -242,7 +231,7 @@ def admissibility_check(v: Weight, M: float, w: float, sector: Sector,
     ratio lhs/rhs first.  Passing this check does not prove the weight
     admissible; failing it disproves the offered certificate.
     """
-    Certificate(M, w)  # refuses M < 1
+    Certificate(M, w)  # refuses an M or w the schema does not allow
     sampling = sampling or PairSampling()
     base = _grid_points(sector, sampling)
     t = np.repeat(base, len(base))
@@ -396,7 +385,7 @@ def weight_integral(v: Weight, R: float, sector: Sector,
     raised: a growing weight simply yields 'divergent-trend' and no tail
     estimate.  `tail` is one of none, exp, power.
     """
-    if R <= 0:
+    if not R > 0:
         raise DomainError(f"truncation radius must be > 0, got {R}")
     if tail not in _TAIL_MODELS:
         raise DomainError(f"unknown tail model {tail!r}")

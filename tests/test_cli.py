@@ -341,7 +341,7 @@ class TestCheckCommand:
         cfg.write_text(json.dumps({"alpha": alpha}))
         code, _, err = run_cli(capsys, *command, "--config", str(cfg))
         assert code == 2
-        assert "config error" in err and "half-angle" in err
+        assert f"config error: Sector.alpha must be of type number, got {alpha!r}" in err
 
     @pytest.mark.parametrize("p", ["2", [2], None, False])
     def test_exponent_that_is_not_a_real_number(self, capsys, tmp_path, p):
@@ -349,7 +349,7 @@ class TestCheckCommand:
         cfg.write_text(json.dumps({"p": p}))
         code, _, err = run_cli(capsys, "check", "witness", "--config", str(cfg))
         assert code == 2
-        assert "config error" in err and "exponent p" in err
+        assert f"config error: LpSpace.p must be of type number, got {p!r}" in err
 
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -255,9 +255,9 @@ class TestWitness:
     def test_horizon_validation(self, sector):
         v = exp_decay()
         pkg = build_witness(v, IndexSet.all_naturals(), 2.0, sector, k_cap=20)
-        with pytest.raises(DomainError):
-            verify_witness(LpSpace(v, 2.0, sector), pkg,
-                           IndexSet.all_naturals(), 2.0)
+        for R in (2.0, math.nan):
+            with pytest.raises(DomainError, match="horizon"):
+                verify_witness(LpSpace(v, 2.0, sector), pkg, IndexSet.all_naturals(), R)
 
     def test_cap_below_horizon_rejected(self, sector):
         v = exp_decay()

@@ -45,6 +45,13 @@ class TestDensityProfile:
         with pytest.raises(DomainError):
             density_profile(RectUnionSet([]), np.array([]), sector)
 
+    @pytest.mark.parametrize("radii", [[np.nan], [1.0, np.inf], [2.0, -np.inf]])
+    def test_schedule_radius_not_finite_is_refused(self, sector, radii):
+        # nan used to give a nan profile, and inf a ratio of 0
+        A = annuli_union([0, 2], sector)
+        with pytest.raises(DomainError, match="finite"):
+            density_profile(A, radii, sector)
+
     def test_complementation_of_exact_ratios(self, sector):
         # evens and odds partition the sector up to radius 41
         A = annuli_union(IndexSet.evens().members_up_to(40), sector)

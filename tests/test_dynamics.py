@@ -44,8 +44,9 @@ class TestOrbitProfile:
         assert np.all(grid.norms[far_upper] < 0.1)
 
     def test_grid_radius_validation(self, exp_space):
-        with pytest.raises(DomainError):
-            orbit_profile(exp_space, bump(1 + 0j, 0.5), 0.0, FAST)
+        for R in (0.0, np.nan):
+            with pytest.raises(DomainError, match="grid radius"):
+                orbit_profile(exp_space, bump(1 + 0j, 0.5), R, FAST)
 
     @pytest.mark.parametrize("bad", [dict(n_r=0), dict(n_r=1), dict(n_r=2.5),
                                      dict(n_r=True), dict(n_theta=0), dict(n_theta=-3)])

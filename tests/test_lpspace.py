@@ -114,6 +114,15 @@ class TestLpNorm:
         assert cut.tail is None
         assert cut.value < full.value
 
+    @pytest.mark.parametrize("R", [math.nan, 0.0, -1.0])
+    def test_truncation_radius_not_above_zero_is_refused(self, sector, R):
+        # nan used to give NormResult(value=0.0, R=nan): every R <= 0 is False
+        space, f = exp_space(), indicator(annuli_union([0, 1], sector))
+        with pytest.raises(DomainError, match="truncation radius"):
+            lp_norm(space, f, R=R)
+        with pytest.raises(DomainError, match="truncation radius"):
+            orbit_norms(space, f, [0.5], R=R)
+
     def test_unbounded_support_needs_truncation(self, sector):
         space = exp_space()
         f = custom_function(lambda z: np.exp(-np.abs(z)))

@@ -1,16 +1,23 @@
-"""The config checker of `sectorlab.schema` against jsonschema, and the
-schema against the keys the readers take from a config."""
+"""The checker of `sectorlab.schema` against jsonschema, and the schema
+against the keys the readers take from a config and against the fields of
+the classes whose rules it holds."""
 
+import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from referencing import Registry
+from referencing.jsonschema import DRAFT7
 
+import sectorlab
 from sectorlab import ConfigError
-from sectorlab.schema import SCHEMA, check, validate
+from sectorlab.schema import SCHEMA, _resolve, check, validate
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sectorlab"
 
@@ -23,6 +30,8 @@ LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_siz
 def near(rule: dict):
     """JSON values near `rule`: shaped by it (its enum, its properties with
     or without the required ones, its items) or any leaf."""
+    while "$ref" in rule:
+        rule = _resolve(rule["$ref"])
     options = [LEAVES]
     if "enum" in rule:
         options.append(st.sampled_from(rule["enum"]))
@@ -46,13 +55,27 @@ def ours(value, rule) -> bool:
     return True
 
 
-@pytest.mark.parametrize("key", [None, *SCHEMA["properties"]])
+REGISTRY = Registry().with_resource(SCHEMA["$id"], DRAFT7.create_resource(SCHEMA))
+
+
+def draft7(pointer: str) -> jsonschema.Draft7Validator:
+    """jsonschema's draft-07 validator of the rule at the local JSON pointer
+    `pointer`, its `$ref`s resolved against the whole schema."""
+    return jsonschema.Draft7Validator({"$ref": SCHEMA["$id"] + pointer}, registry=REGISTRY)
+
+
+# every rule: the whole schema, each config key and each class's fields
+POINTERS = {None: "#", **{key: f"#/properties/{key}" for key in SCHEMA["properties"]},
+            **{f"$defs.{name}": f"#/$defs/{name}" for name in SCHEMA["$defs"]}}
+
+
+@pytest.mark.parametrize("key", POINTERS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_checker_agrees_with_jsonschema(key, data):
-    rule = SCHEMA if key is None else SCHEMA["properties"][key]
+    rule = {"$ref": POINTERS[key]}
     value = data.draw(near(rule))
-    assert ours(value, rule) == jsonschema.Draft7Validator(rule).is_valid(value)
+    assert ours(value, rule) == draft7(POINTERS[key]).is_valid(value)
 
 
 @pytest.mark.parametrize("key, value", [("K", {"kind": "finite", "members": [1.0, 2]}),
@@ -63,7 +86,7 @@ def test_checker_agrees_with_jsonschema(key, data):
 def test_the_two_intended_differences_from_draft7(key, value):
     # draft-07 counts 1.0 as an integer and nan or inf as numbers; the
     # config rules do not
-    assert jsonschema.Draft7Validator(SCHEMA["properties"][key]).is_valid(value)
+    assert draft7(f"#/properties/{key}").is_valid(value)
     with pytest.raises(ConfigError, match=re.escape(key)):
         check(key, value)
 
@@ -81,6 +104,33 @@ def test_an_error_names_its_key_path(key, value, where):
 
 def test_bounds_apply_to_numbers_only():
     assert check("grid", {"n_theta": None}) == {"n_theta": None}
+
+
+def rules(rule):
+    """Every rule nested in `rule`, `rule` included."""
+    yield rule
+    for sub in (*rule.get("properties", {}).values(), *rule.get("$defs", {}).values(),
+                *([rule["items"]] if "items" in rule else [])):
+        yield from rules(sub)
+
+
+def test_a_ref_stands_alone_and_points_into_the_schema():
+    # draft-07 ignores every keyword beside a $ref
+    refs = [rule for rule in rules(SCHEMA) if "$ref" in rule]
+    assert refs
+    for rule in refs:
+        assert set(rule) == {"$ref"} and rule["$ref"].startswith("#/")
+        assert isinstance(_resolve(rule["$ref"]), dict)
+
+
+@pytest.mark.parametrize("name", SCHEMA["$defs"])
+def test_each_defs_rule_names_a_public_class_or_function_and_its_fields(name):
+    # the dataclass fields, or the parameters of bump and custom_function
+    assert not name.startswith("_")
+    owner = getattr(sectorlab, name)
+    names = ({f.name for f in dataclasses.fields(owner)} if inspect.isclass(owner)
+             else set(inspect.signature(owner).parameters))
+    assert set(SCHEMA["$defs"][name]["properties"]) <= names
 
 
 # how cli.py and criteria.py read a config or scenario: the variable, and
@@ -112,3 +162,69 @@ def test_the_schema_declares_every_key_read_from_a_config():
         for key in path:
             assert key in rule.get("properties", {}), f"schema lacks {'.'.join(path)}"
             rule = rule["properties"][key]
+
+
+# a valid call of each class or function the `$defs` rules hold
+VALID = {"Sector": dict(alpha=0.5),
+         "LpSpace": dict(weight=sectorlab.exp_decay(), p=2.0, sector=sectorlab.Sector(0.5)),
+         "Certificate": dict(M=1.0, w=0.0), "IndexSet": dict(kind="all"),
+         "OrbitResolution": {}, "PairSampling": {}, "WitnessSampling": {},
+         "RadiusSchedule": {}, "bump": dict(center=1 + 0j, radius=0.5),
+         "custom_function": dict(fn=abs, support_radius=None)}
+
+
+def breaking(rule: dict) -> list:
+    """Values that break `rule`: a string, a bool, nan and inf for a
+    number, a fraction for an integer, a value just past each bound, and
+    for an array no item and an item that breaks its item rule."""
+    while "$ref" in rule:
+        rule = _resolve(rule["$ref"])
+    types = rule.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    values = ["x", True]
+    if "number" in types:
+        values += [math.nan, math.inf, -math.inf]
+    elif "integer" in types:
+        values.append(1.5)
+    if "minimum" in rule:
+        values.append(rule["minimum"] - 1)
+    if "maximum" in rule:
+        values.append(rule["maximum"] + 1)
+    values += [rule[key] for key in ("exclusiveMinimum", "exclusiveMaximum") if key in rule]
+    if "array" in types:
+        values += [[]] * bool(rule.get("minItems")) + [[item] for item in breaking(rule["items"])]
+    return values
+
+
+FIELD_CASES = [(name, key, value) for name, rule in SCHEMA["$defs"].items()
+               for key, sub in rule["properties"].items() for value in breaking(sub)]
+
+
+@pytest.mark.parametrize("name, key, value", FIELD_CASES,
+                         ids=[f"{n}.{k}={v!r}" for n, k, v in FIELD_CASES])
+def test_a_field_that_breaks_its_rule_raises_domain_error_naming_it(name, key, value):
+    with pytest.raises(sectorlab.DomainError, match=re.escape(f"{name}.{key}")):
+        getattr(sectorlab, name)(**{**VALID[name], key: value})
+
+
+@pytest.mark.parametrize("M, w", [(math.nan, 0.0), (1.0, math.nan), (1.0, math.inf)])
+def test_a_certificate_that_is_not_finite_is_refused_not_passed(M, w):
+    # it used to report ok=True: every comparison with nan is False
+    with pytest.raises(sectorlab.DomainError, match="Certificate"):
+        sectorlab.admissibility_check(sectorlab.exp_decay(), M, w, sectorlab.Sector(0.5))
+
+
+def test_numpy_scalars_and_tuples_meet_the_field_rules():
+    f32, i64, f64 = np.float32, np.int64, np.float64
+    sector = sectorlab.Sector(f32(0.5))
+    assert sectorlab.LpSpace(sectorlab.exp_decay(), i64(3), sector).p == 3
+    assert sectorlab.Certificate(f32(1.5), i64(-1)).w == -1
+    assert sectorlab.IndexSet("finite", (i64(1), i64(2))).members == (1, 2)
+    assert sectorlab.IndexSet.arithmetic(i64(1), i64(2)).step == 2
+    assert sectorlab.OrbitResolution(i64(2), i64(1)).n_r == 2
+    assert sectorlab.RadiusSchedule(f32(0.5), f64(1.5), i64(3)).count == 3
+    assert len(sectorlab.PairSampling(grid_radii=(f32(0.0), i64(2)), grid_angles=i64(1),
+                                      n_random=i64(0), r_max=f32(1.0), seed=i64(0)).grid_radii) == 2
+    assert sectorlab.WitnessSampling(i64(1), i64(1), i64(0), i64(0)).seed == 0
+    assert sectorlab.bump(1 + 0j, f32(0.5)).kind == "bump"
+    assert sectorlab.custom_function(abs, i64(2)).support_radius(0.5) is not None

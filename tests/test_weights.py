@@ -129,8 +129,9 @@ class TestWeightIntegral:
             assert near.tail <= remainder * 1.5  # and not wildly loose
 
     def test_bad_radius(self, sector):
-        with pytest.raises(DomainError):
-            weight_integral(exp_decay(), 0.0, sector)
+        for R in (0.0, math.nan):
+            with pytest.raises(DomainError, match="truncation radius"):
+                weight_integral(exp_decay(), R, sector)
 
     def test_unknown_tail_model_raises_on_every_verdict(self, sector):
         # convergent at R > 1, R <= 1 (no tail fitted) and divergent
