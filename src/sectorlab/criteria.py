@@ -110,8 +110,8 @@ class IndexSet:
         raise ConfigError(f"unknown index-set kind {self.kind!r}")
 
     def counting_ratio(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"the counting ratio needs n >= 1, got {n}")
+        """#(K ∩ [1, n]) / n for an integer n >= 1."""
+        check_fields(IndexSet.counting_ratio, n=n)
         ms = self.members_up_to(n)
         return len(ms[(ms >= 1) & (ms <= n)]) / n
 
@@ -220,10 +220,10 @@ def dc_sufficient_series(v: Weight, K: IndexSet, k_max: int,
     radial built-in weights, one call of the ray engine otherwise.  The
     p-th power of the norm of the K-annuli indicator is the same
     integral; criterion 8 checks the two agree (for a weight that is not
-    radial, that is the engine against itself).
+    radial, that is the engine against itself).  k_max meets the schema's
+    `horizons.series_k_max` (an integer >= 0).
     """
-    if k_max < 0:
-        raise DomainError(f"k_max must be >= 0, got {k_max}")
+    check_fields(dc_sufficient_series, k_max=k_max)
     ks = K.members_up_to(k_max)
     terms = weight_rect_integrals(v, full_annuli(ks, ks + 1.0, sector), sector)
     partial = np.cumsum(terms)
@@ -249,8 +249,9 @@ def devaney_ray_series(v: Weight, t1, k_max: int, sector: Sector) -> SeriesRepor
     Summability along a ray not contained in the sector boundary
     certifies a nontrivial periodic point of the restriction to the ray;
     the boundary case is rejected because the criterion does not apply
-    there.
+    there.  k_max meets the schema's `horizons.ray_k_max` (an integer >= 1).
     """
+    check_fields(devaney_ray_series, k_max=k_max)
     z1 = as_complex(t1)
     if z1 == 0 or not contains(sector, z1):
         raise DomainError(f"ray direction {z1} must be a nonzero sector point")
@@ -299,8 +300,11 @@ def build_witness(v: Weight, K: IndexSet, p: float, sector: Sector,
     Requires the annulus series to be convergent-trend (otherwise the
     indicator is not in the space and the construction is invalid).
     The infinite annuli union is capped at k_cap; the cap only matters
-    past the verification horizon and is recorded in the package.
+    past the verification horizon and is recorded in the package.  k_cap
+    and bound meet the schema's `horizons.witness_k_cap` and
+    `witness_bound`.
     """
+    check_fields(build_witness, k_cap=k_cap, bound=bound)
     LpSpace(v, p, sector)  # refuses a p the schema does not allow
     series = dc_sufficient_series(v, K, k_cap, sector)
     if series.verdict == "divergent-trend":
@@ -314,14 +318,9 @@ def build_witness(v: Weight, K: IndexSet, p: float, sector: Sector,
         delta_analytic = (alpha * compact_lower_bound(v, 2.0, sector).analytic) ** (1.0 / p)
     if bound == "auto":
         bound = "analytic" if v.certified else "grid"
-    if bound == "analytic":
-        if delta_analytic is None:
-            raise WitnessInvalidError("analytic bound requested but the weight is uncertified")
-        delta = delta_analytic
-    elif bound == "grid":
-        delta = delta_grid
-    else:
-        raise DomainError(f"bound must be 'auto', 'analytic' or 'grid', got {bound!r}")
+    if bound == "analytic" and delta_analytic is None:
+        raise WitnessInvalidError("analytic bound requested but the weight is uncertified")
+    delta = delta_analytic if bound == "analytic" else delta_grid
     f = indicator(annuli_union(K.members_up_to(k_cap), sector))
     return WitnessPackage(f=f, delta=delta, delta_analytic=delta_analytic,
                           delta_grid=delta_grid, bound_source=bound, p=p,
@@ -366,10 +365,10 @@ def verify_witness(space: LpSpace, pkg: WitnessPackage, K: IndexSet, R: float,
 
     Samples t over the union of the bands {k-1 <= |t| <= k} for k in K
     with 1 <= k <= R; each norm is an exact-path quadrature of the
-    translated indicator.
+    translated indicator.  R and tol meet the schema's
+    `horizons.witness_R` and `thresholds.witness_tol`.
     """
-    if not R >= 3:
-        raise DomainError(f"verification horizon must be >= 3, got {R}")
+    check_fields(verify_witness, R=R, tol=tol)
     sampling = sampling or WitnessSampling()
     alpha = space.sector.alpha
     ks = [int(k) for k in K.members_up_to(int(math.floor(R))) if k >= 1]

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Sector, schedule_radii, truncated_measure
+from .geometry import Sector, schedule_radii
+from .schema import check_fields
 from .sets import measure_profile
 
 __all__ = [
@@ -38,8 +39,9 @@ class DensityProfile:
 
     @classmethod
     def from_measures(cls, radii, measures, errors, sector: Sector) -> "DensityProfile":
-        """Ratios of measures (and of their errors) to mu(Δ_r)."""
-        denom = np.array([truncated_measure(sector, r) for r in radii])
+        """Ratios of measures (and of their errors) to mu(Δ_r) = alpha r^2,
+        over radii that `schedule_radii` has read."""
+        denom = sector.alpha * radii * radii
         return cls(radii=radii, ratios=measures / denom, errors=errors / denom)
 
     def __len__(self):
@@ -88,9 +90,9 @@ def density_profile(A, schedule, sector: Sector) -> DensityProfile:
 
 def density_estimates(profile: DensityProfile, window: int,
                       settle_tol: float = 0.05) -> DensityEstimate:
-    """Sup/inf of the trailing `window` (1 to len) ratios plus a trend flag."""
-    if window < 1:
-        raise DomainError("window must be >= 1")
+    """Sup/inf of the trailing `window` (an integer from 1 to len) ratios
+    plus a trend flag; settle_tol is a real >= 0."""
+    check_fields(density_estimates, window=window, settle_tol=settle_tol)
     if window > len(profile):
         raise DomainError(f"window {window} exceeds profile length {len(profile)}")
     tail = profile.ratios[-window:]

@@ -114,10 +114,10 @@ def orbit_profile(space: LpSpace, f: SectorFunction, R: float,
     dth = 2 alpha / n_theta, so columns j and n_theta - 1 - j are exact
     conjugates; for a radial weight and a function equal to its mirror
     image in the real axis, `orbit_norms` computes one column of each such
-    pair and the two columns are equal bit for bit.
+    pair and the two columns are equal bit for bit.  R meets the schema's
+    `horizons.orbit_R` (a real > 0).
     """
-    if not R > 0:
-        raise DomainError(f"grid radius must be > 0, got {R}")
+    check_fields(orbit_profile, R=R)
     res = resolution or OrbitResolution()
     sector = space.sector
     radii = np.geomspace(R / res.n_r, R, res.n_r)
@@ -158,12 +158,10 @@ def level_density(grid: OrbitGrid, threshold: float, side: str,
     `OrbitGrid.cell_edges` (b_0 = 0, b_{n_r} = infinity), each of angle
     2 alpha / n_theta,
     ``mu(L ∩ Δ_r) = (alpha / n_theta) * sum_i c_i (clip(r, b_i, b_{i+1})^2 - b_i^2)``;
-    the errors are identically 0.  The schedule is read by `schedule_radii`.
+    the errors are identically 0.  The schedule is read by `schedule_radii`;
+    the threshold meets the schema's `thresholds.epsilon` (a real > 0).
     """
-    if threshold <= 0:
-        raise DomainError(f"threshold must be > 0, got {threshold}")
-    if side not in ("super", "sub"):
-        raise DomainError(f"side must be 'super' or 'sub', got {side!r}")
+    check_fields(level_density, threshold=threshold, side=side)
     radii = schedule_radii(schedule)
     if radii.max() > grid.R * (1 + 1e-12):
         raise DomainError(
@@ -215,10 +213,10 @@ def pair_diagnostic(space: LpSpace, x: SectorFunction, y: SectorFunction,
     """Distributional-pair diagnostics for (x, y) on the horizon R.
 
     The difference x - y is formed symbolically, so identical terms
-    cancel exactly before any quadrature.
+    cancel exactly before any quadrature.  epsilon and delta are reals
+    > 0, window an integer >= 1 and tol a real >= 0.
     """
-    if epsilon <= 0 or delta <= 0:
-        raise DomainError("epsilon and delta must be > 0")
+    check_fields(pair_diagnostic, epsilon=epsilon, delta=delta, window=window, tol=tol)
     diff = linear_combination([(1.0, x), (-1.0, y)])
     grid = orbit_profile(space, diff, R, resolution)
     if schedule is None:
@@ -250,8 +248,10 @@ def unboundedness_diagnostic(grid: OrbitGrid, thresholds, schedule,
     """Upper-density estimates of {t : ||T_t f|| > M} for increasing M.
 
     Flags "unboundedness-consistent" iff every estimate exceeds 1 - tol;
-    a bounded orbit drives the estimates to 0 as M grows.
+    a bounded orbit drives the estimates to 0 as M grows.  window and tol
+    follow `pair_diagnostic`'s rules.
     """
+    check_fields(unboundedness_diagnostic, window=window, tol=tol)
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
     if np.any(np.diff(thresholds) <= 0):
         raise DomainError("thresholds must be strictly increasing")

@@ -35,9 +35,9 @@ class Sector:
         check_fields(self)
 
     def point(self, r: float, theta: float) -> "SectorPoint":
-        """Construct a validated point from polar coordinates."""
-        if r < 0:
-            raise DomainError(f"modulus must be >= 0, got {r}")
+        """Construct a validated point from polar coordinates (r a real >= 0,
+        theta a real)."""
+        check_fields(Sector.point, r=r, theta=theta)
         return SectorPoint(r * math.cos(theta), r * math.sin(theta), self)
 
     def from_complex(self, z: complex) -> "SectorPoint":
@@ -90,10 +90,9 @@ def truncated_measure(sector: Sector, r: float) -> float:
     ----------
     sector : Sector
     r : float
-        Truncation radius, must be >= 0.
+        Truncation radius, a real >= 0.
     """
-    if r < 0:
-        raise DomainError(f"truncation radius must be >= 0, got {r}")
+    check_fields(truncated_measure, r=r)
     return sector.alpha * r * r
 
 

@@ -183,6 +183,7 @@ class SectorFunction:
         return not self.terms
 
     def scaled(self, c: float) -> "SectorFunction":
+        check_fields(SectorFunction.scaled, c=c)
         return linear_combination([(c, self)])
 
 
@@ -200,15 +201,18 @@ def _function(terms) -> SectorFunction:
 
 
 def indicator(rects: RectUnionSet, amplitude: float = 1.0) -> SectorFunction:
+    check_fields(indicator, amplitude=amplitude)
     return _function([(float(amplitude), _Indicator(rects), 0j)] if rects.rects else [])
 
 
 def bump(center, radius: float, amplitude: float = 1.0) -> SectorFunction:
-    check_fields(bump, radius=radius)
-    return _function([(float(amplitude), _Bump(as_complex(center), float(radius)), 0j)])
+    c = as_complex(center)
+    check_fields(bump, center=[c.real, c.imag], radius=radius, amplitude=amplitude)
+    return _function([(float(amplitude), _Bump(c, float(radius)), 0j)])
 
 
 def linear_combination(terms: Sequence[tuple[float, SectorFunction]]) -> SectorFunction:
+    check_fields(linear_combination, terms=[c for c, _ in terms])
     return _function((float(c) * a, h, t) for c, f in terms for a, h, t in f.terms)
 
 
@@ -326,10 +330,9 @@ def _mirror_symmetric(space: LpSpace, g: SectorFunction) -> bool:
 
 
 def _front(space: LpSpace, f: SectorFunction, R: float | None) -> float | None:
-    """f's support bound; an R that is not > 0 (nan included), or no R for
-    an unbounded support, raises `DomainError`."""
-    if R is not None and not R > 0:
-        raise DomainError(f"truncation radius must be > 0, got {R}")
+    """f's support bound; an R that breaks the rule `lp_norm.R` (a real > 0
+    or None), or no R for an unbounded support, raises `DomainError`."""
+    check_fields(lp_norm, R=R)
     sup = f.support_radius(space.sector.alpha)
     if R is None and sup is None:
         raise DomainError("function has unbounded support; a truncation radius is required")

@@ -1,8 +1,9 @@
 """The input rules: `data/scenario.schema.json` and its one checker.
 
 The schema is the one statement of what an input may be: a config value
-under `properties`, and a field of a library class (or an argument of a
-library function) under `$defs`, keyed by the class or function name.
+under `properties`, and under `$defs` a field of a library class, keyed
+by the class name, or a scalar argument of a public function or method,
+keyed by its qualname (`Sector.point`); `check_fields` checks either.
 The checker reads the draft-07 subset the schema uses: `type` (a name or
 a list, `null` included), `enum`, `required`, `properties`,
 `additionalProperties: false`, `items`, `minItems`, `maxItems`,
@@ -90,10 +91,12 @@ def check(key: str, value):
 def check_fields(obj, **args) -> None:
     """Raise `DomainError` unless the fields of `obj`, a dataclass instance,
     meet the rule `$defs` holds under its class name; or, given `args`,
-    unless those arguments of `obj`, a function, meet the rule under its
-    name.  The message names `Class.field` as a config error names its key
-    path (`PairSampling.n_random must be >= 0, got -1`)."""
-    name = obj.__name__ if args else type(obj).__name__
+    unless those arguments of `obj`, a function or method, meet the rule
+    under its qualname.  The message names `Class.field` or
+    `function.arg` as a config error names its key path
+    (`PairSampling.n_random must be >= 0, got -1`,
+    `IndexSet.counting_ratio.n must be >= 1, got 0`)."""
+    name = (obj if args else type(obj)).__qualname__
     try:
         validate(args or vars(obj), SCHEMA["$defs"][name], name)
     except ConfigError as exc:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import Sector, as_complex, contains, schedule_radii
+from .schema import check_fields
 
 __all__ = [
     "PolarRect", "RectUnionSet", "OracleSet", "TranslatedRectUnion",
@@ -434,11 +435,10 @@ def translate_set(A, t0, sector: Sector, direction: str = "minus"):
     (for "plus" because s - t1 - t0 in the sector puts s - t1 there too).
     Any other set gives a membership-only `OracleSet`.
     """
+    check_fields(translate_set, direction=direction)
     z0 = as_complex(t0)
     if not contains(sector, z0):
         raise DomainError(f"translation offset {z0} lies outside the sector")
-    if direction not in ("minus", "plus"):
-        raise DomainError(f"direction must be 'minus' or 'plus', got {direction!r}")
     if isinstance(A, RectUnionSet):
         return TranslatedRectUnion(A, z0, direction, sector)
     if (isinstance(A, TranslatedRectUnion) and A.direction == direction

@@ -344,9 +344,6 @@ def trend_verdict(terms: np.ndarray) -> str:
     return "inconclusive"
 
 
-_TAIL_MODELS = ("none", "exp", "power")
-
-
 def _radial_density(v: Weight, rho: float, sector: Sector) -> float:
     """g(rho) = rho * integral of v(rho e^{i th}) over the angular span, by
     the phi rule of the ray engine's general rows."""
@@ -383,12 +380,9 @@ def weight_integral(v: Weight, R: float, sector: Sector,
     (the last one cut at R), one batch of `weight_rect_integrals`.
     Divergence is reported in the verdict (from those terms), never
     raised: a growing weight simply yields 'divergent-trend' and no tail
-    estimate.  `tail` is one of none, exp, power.
+    estimate.  R is a real > 0 and `tail` one of none, exp, power.
     """
-    if not R > 0:
-        raise DomainError(f"truncation radius must be > 0, got {R}")
-    if tail not in _TAIL_MODELS:
-        raise DomainError(f"unknown tail model {tail!r}")
+    check_fields(weight_integral, R=R, tail=tail)
     edges = np.append(np.arange(math.ceil(R)), R)
     terms = weight_rect_integrals(v, full_annuli(edges[:-1], edges[1:], sector), sector)
     verdict = trend_verdict(terms)
@@ -418,7 +412,9 @@ class CompactBound:
 
 def grid_minimum(v: Weight, R: float, sector: Sector,
                  n_r: int = 81, n_theta: int = 33) -> tuple[float, complex]:
-    """Sampled minimum of v over the closed truncation (endpoint-inclusive)."""
+    """Sampled minimum of v over the closed truncation (endpoint-inclusive):
+    R a real >= 0, n_r and n_theta integers >= 1."""
+    check_fields(grid_minimum, R=R, n_r=n_r, n_theta=n_theta)
     r = np.linspace(0.0, R, n_r)
     th = np.linspace(-sector.alpha, sector.alpha, n_theta)
     z = r[:, None] * np.exp(1j * th[None, :])
@@ -428,7 +424,9 @@ def grid_minimum(v: Weight, R: float, sector: Sector,
 
 
 def compact_lower_bound(v: Weight, R: float, sector: Sector) -> CompactBound:
-    """Certificate-backed lower bound of v on the closed ball of radius R."""
+    """Certificate-backed lower bound of v on the closed ball of radius R,
+    a real >= 0."""
+    check_fields(compact_lower_bound, R=R)
     if not v.certified:
         raise MissingCertificateError(
             f"weight '{v.family}' carries no certificate; only the sampled "

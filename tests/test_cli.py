@@ -211,12 +211,17 @@ class TestCheckCommand:
         assert report["passed"] is True
         assert report["min_norm"] >= report["delta"] - 1e-4
 
-    def test_input_outside_domain_is_config_error(self, capsys):
-        # annulus 9 lies beyond the horizon: a bad input, not a failed check
-        code, out, err = run_cli(capsys, "check", "witness", "--K", "finite:9",
-                                 "--horizon", "6")
+    # annulus 9 lies beyond the horizon, and a ray series needs k_max >= 1:
+    # a bad input, not a failed check, so no report is written
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "witness", "--K", "finite:9", "--horizon", "6"], "no separation bands"),
+        (["check", "devaney-ray", "--t1", "2,1", "--kmax", "-1"],
+         "config error: devaney_ray_series.k_max must be >= 1, got -1"),
+    ], ids=["witness-beyond-horizon", "devaney-kmax-negative"])
+    def test_input_outside_domain_is_config_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert out == "" and "no separation bands" in err
+        assert out == "" and message in err
 
     @pytest.mark.parametrize("check", ["admissible", "witness"])
     def test_negative_seed_is_config_error(self, capsys, check):

@@ -256,7 +256,7 @@ class TestWitness:
         v = exp_decay()
         pkg = build_witness(v, IndexSet.all_naturals(), 2.0, sector, k_cap=20)
         for R in (2.0, math.nan):
-            with pytest.raises(DomainError, match="horizon"):
+            with pytest.raises(DomainError, match="verify_witness.R"):
                 verify_witness(LpSpace(v, 2.0, sector), pkg, IndexSet.all_naturals(), R)
 
     def test_cap_below_horizon_rejected(self, sector):

@@ -45,7 +45,7 @@ class TestOrbitProfile:
 
     def test_grid_radius_validation(self, exp_space):
         for R in (0.0, np.nan):
-            with pytest.raises(DomainError, match="grid radius"):
+            with pytest.raises(DomainError, match="orbit_profile.R"):
                 orbit_profile(exp_space, bump(1 + 0j, 0.5), R, FAST)
 
     @pytest.mark.parametrize("bad", [dict(n_r=0), dict(n_r=1), dict(n_r=2.5),

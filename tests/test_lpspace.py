@@ -118,9 +118,9 @@ class TestLpNorm:
     def test_truncation_radius_not_above_zero_is_refused(self, sector, R):
         # nan used to give NormResult(value=0.0, R=nan): every R <= 0 is False
         space, f = exp_space(), indicator(annuli_union([0, 1], sector))
-        with pytest.raises(DomainError, match="truncation radius"):
+        with pytest.raises(DomainError, match="lp_norm.R"):
             lp_norm(space, f, R=R)
-        with pytest.raises(DomainError, match="truncation radius"):
+        with pytest.raises(DomainError, match="lp_norm.R"):
             orbit_norms(space, f, [0.5], R=R)
 
     def test_unbounded_support_needs_truncation(self, sector):

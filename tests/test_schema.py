@@ -2,7 +2,9 @@
 against the keys the readers take from a config and against the fields of
 the classes whose rules it holds."""
 
+import ast
 import dataclasses
+import functools
 import inspect
 import math
 import re
@@ -123,11 +125,17 @@ def test_a_ref_stands_alone_and_points_into_the_schema():
         assert isinstance(_resolve(rule["$ref"]), dict)
 
 
+def named(name: str):
+    """The class, function or method a `$defs` key names (`Sector.point`)."""
+    return functools.reduce(getattr, name.split("."), sectorlab)
+
+
 @pytest.mark.parametrize("name", SCHEMA["$defs"])
 def test_each_defs_rule_names_a_public_class_or_function_and_its_fields(name):
-    # the dataclass fields, or the parameters of bump and custom_function
-    assert not name.startswith("_")
-    owner = getattr(sectorlab, name)
+    # the dataclass fields, or the parameters of the function or method
+    assert not any(part.startswith("_") for part in name.split("."))
+    owner = named(name)
+    assert owner.__qualname__ == name
     names = ({f.name for f in dataclasses.fields(owner)} if inspect.isclass(owner)
              else set(inspect.signature(owner).parameters))
     assert set(SCHEMA["$defs"][name]["properties"]) <= names
@@ -164,19 +172,100 @@ def test_the_schema_declares_every_key_read_from_a_config():
             rule = rule["properties"][key]
 
 
-# a valid call of each class or function the `$defs` rules hold
+def literal(node) -> bool:
+    """Whether `node` is a literal: a constant, a signed one, or a tuple,
+    list or set of them."""
+    if isinstance(node, ast.UnaryOp):
+        return literal(node.operand)
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return all(map(literal, node.elts))
+    return isinstance(node, ast.Constant)
+
+
+def hand_checks(text: str) -> set:
+    """Names of the functions in `text` with an `if` that raises
+    `DomainError` (in its body or its else) and whose test compares one of
+    the function's own parameters with a literal (`R <= 0`, `R is None`,
+    `side not in ("super", "sub")`): an argument rule stated in Python."""
+    found = set()
+    for fn in ast.walk(ast.parse(text)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.If) or not any(
+                    isinstance(s, ast.Raise) and isinstance(s.exc, ast.Call)
+                    and getattr(s.exc.func, "id", None) == "DomainError"
+                    for s in node.body + node.orelse):
+                continue
+            for cmp in (c for c in ast.walk(node.test) if isinstance(c, ast.Compare)):
+                operands = [cmp.left, *cmp.comparators]
+                if (any(isinstance(o, ast.Name) and o.id in params for o in operands)
+                        and any(map(literal, operands))):
+                    found.add(fn.name)
+    return found
+
+
+# the argument rules that stay in Python, each because it is relational:
+# _front refuses R = None only for a function of unbounded support
+RELATIONAL = {"lpspace.py": {"_front"}}
+
+
+def test_no_argument_rule_is_stated_by_hand():
+    # the rule belongs in the schema's $defs, checked by check_fields
+    for path in sorted(SRC.glob("*.py")):
+        assert hand_checks(path.read_text()) == RELATIONAL.get(path.name, set()), path.name
+
+
+# a valid call of each class, function or method the `$defs` rules hold,
+# with a small orbit grid, profile and witness where one is needed
+S, V = sectorlab.Sector(0.5), sectorlab.exp_decay()
+SPACE, K = sectorlab.LpSpace(V, 2.0, S), sectorlab.IndexSet.all_naturals()
+UNIT = sectorlab.annuli_union([0], S)
+F, SMALL = sectorlab.indicator(UNIT), sectorlab.OrbitResolution(n_r=2, n_theta=1)
+GRID = sectorlab.orbit_profile(SPACE, F, 2.0, SMALL)
 VALID = {"Sector": dict(alpha=0.5),
-         "LpSpace": dict(weight=sectorlab.exp_decay(), p=2.0, sector=sectorlab.Sector(0.5)),
+         "LpSpace": dict(weight=V, p=2.0, sector=S),
          "Certificate": dict(M=1.0, w=0.0), "IndexSet": dict(kind="all"),
          "OrbitResolution": {}, "PairSampling": {}, "WitnessSampling": {},
-         "RadiusSchedule": {}, "bump": dict(center=1 + 0j, radius=0.5),
-         "custom_function": dict(fn=abs, support_radius=None)}
+         "RadiusSchedule": {}, "bump": dict(center=1 + 0j, radius=0.5, amplitude=1.0),
+         "custom_function": dict(fn=abs, support_radius=None),
+         "Sector.point": dict(self=S, r=1.0, theta=0.0),
+         "truncated_measure": dict(sector=S, r=1.0),
+         "translate_set": dict(A=UNIT, t0=0.5, sector=S, direction="minus"),
+         "density_estimates": dict(profile=sectorlab.density_profile(UNIT, [1.0, 2.0], S),
+                                   window=1, settle_tol=0.05),
+         "weight_integral": dict(v=V, R=1.0, sector=S, tail="none"),
+         "grid_minimum": dict(v=V, R=1.0, sector=S, n_r=2, n_theta=2),
+         "compact_lower_bound": dict(v=V, R=1.0, sector=S),
+         "lp_norm": dict(space=SPACE, f=F, R=None),
+         "orbit_profile": dict(space=SPACE, f=F, R=2.0, resolution=SMALL),
+         "level_density": dict(grid=GRID, threshold=0.1, side="super", schedule=[1.0]),
+         "pair_diagnostic": dict(space=SPACE, x=F, y=F.scaled(0.5), epsilon=0.1, delta=0.1,
+                                 R=2.0, resolution=SMALL, schedule=[1.0], window=1, tol=0.05),
+         "unboundedness_diagnostic": dict(grid=GRID, thresholds=[0.1], schedule=[1.0],
+                                          window=1, tol=0.05),
+         "IndexSet.counting_ratio": dict(self=K, n=1),
+         "dc_sufficient_series": dict(v=V, K=K, k_max=1, sector=S),
+         "devaney_ray_series": dict(v=V, t1=1.0, k_max=1, sector=S),
+         "build_witness": dict(v=V, K=K, p=2.0, sector=S, k_cap=4, bound="auto"),
+         "verify_witness": dict(space=SPACE, pkg=sectorlab.build_witness(V, K, 2.0, S, k_cap=4),
+                                K=K, R=3.0, sampling=sectorlab.WitnessSampling(1, 1, 0, 0),
+                                tol=1e-4),
+         "indicator": dict(rects=UNIT, amplitude=1.0),
+         "SectorFunction.scaled": dict(self=F, c=2.0),
+         "linear_combination": dict(terms=[(1.0, F)])}
+
+
+@pytest.mark.parametrize("name", SCHEMA["$defs"])
+def test_each_defs_rule_has_a_valid_call_that_runs(name):
+    named(name)(**VALID[name])
 
 
 def breaking(rule: dict) -> list:
-    """Values that break `rule`: a string, a bool, nan and inf for a
-    number, a fraction for an integer, a value just past each bound, and
-    for an array no item and an item that breaks its item rule."""
+    """Values that break `rule`: a string, a bool, nan and inf for a number
+    or an integer, a fraction for an integer, a value just past each
+    bound, and for an array no item and an item that breaks its item rule."""
     while "$ref" in rule:
         rule = _resolve(rule["$ref"])
     types = rule.get("type", [])
@@ -185,7 +274,7 @@ def breaking(rule: dict) -> list:
     if "number" in types:
         values += [math.nan, math.inf, -math.inf]
     elif "integer" in types:
-        values.append(1.5)
+        values += [1.5, math.nan, math.inf, -math.inf]
     if "minimum" in rule:
         values.append(rule["minimum"] - 1)
     if "maximum" in rule:
@@ -196,15 +285,31 @@ def breaking(rule: dict) -> list:
     return values
 
 
-FIELD_CASES = [(name, key, value) for name, rule in SCHEMA["$defs"].items()
-               for key, sub in rule["properties"].items() for value in breaking(sub)]
+def cases(name: str, key: str, rule: dict) -> list:
+    """(shown, passed) for each value that breaks the rule of `name.key`.
+    Two arguments are checked in another form than they are passed: bump's
+    complex center as [c.real, c.imag], so only a part that is not finite
+    breaks it, and linear_combination's (coef, f) terms as their coefs."""
+    while "$ref" in rule:
+        rule = _resolve(rule["$ref"])
+    if (name, key) == ("bump", "center"):
+        return [([x, 0.0], complex(x, 0.0)) for x in breaking(rule["items"])
+                if isinstance(x, float)] + [([0.0, math.nan], complex(0.0, math.nan))]
+    if (name, key) == ("linear_combination", "terms"):
+        return [([x], [(x, F)]) for x in breaking(rule["items"])]
+    return [(x, x) for x in breaking(rule)]
 
 
-@pytest.mark.parametrize("name, key, value", FIELD_CASES,
-                         ids=[f"{n}.{k}={v!r}" for n, k, v in FIELD_CASES])
-def test_a_field_that_breaks_its_rule_raises_domain_error_naming_it(name, key, value):
+FIELD_CASES = [(name, key, shown, value) for name, rule in SCHEMA["$defs"].items()
+               for key, sub in rule["properties"].items()
+               for shown, value in cases(name, key, sub)]
+
+
+@pytest.mark.parametrize("name, key, shown, value", FIELD_CASES,
+                         ids=[f"{n}.{k}={s!r}" for n, k, s, _ in FIELD_CASES])
+def test_a_field_that_breaks_its_rule_raises_domain_error_naming_it(name, key, shown, value):
     with pytest.raises(sectorlab.DomainError, match=re.escape(f"{name}.{key}")):
-        getattr(sectorlab, name)(**{**VALID[name], key: value})
+        named(name)(**{**VALID[name], key: value})
 
 
 @pytest.mark.parametrize("M, w", [(math.nan, 0.0), (1.0, math.nan), (1.0, math.inf)])

@@ -130,13 +130,13 @@ class TestWeightIntegral:
 
     def test_bad_radius(self, sector):
         for R in (0.0, math.nan):
-            with pytest.raises(DomainError, match="truncation radius"):
+            with pytest.raises(DomainError, match="weight_integral.R"):
                 weight_integral(exp_decay(), R, sector)
 
     def test_unknown_tail_model_raises_on_every_verdict(self, sector):
         # convergent at R > 1, R <= 1 (no tail fitted) and divergent
         for v, R in ((exp_decay(), 60.0), (exp_decay(), 0.5), (vertical_exp(), 30.0)):
-            with pytest.raises(DomainError, match="tail model"):
+            with pytest.raises(DomainError, match="weight_integral.tail"):
                 weight_integral(v, R, sector, tail="bogus")
 
 
