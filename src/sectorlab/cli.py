@@ -19,6 +19,7 @@ every reduction in the library runs in a fixed order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -56,6 +57,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+@functools.cache  # parsing leaves the parser as it is, so one serves every call
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="JSON config file")

@@ -12,6 +12,7 @@ the polar view is derived on demand.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,9 +115,12 @@ def add_points(s: SectorPoint, t: SectorPoint) -> SectorPoint:
 
 
 def as_complex(t) -> complex:
-    """Coerce a SectorPoint or complex-like value to a complex number."""
+    """A SectorPoint or a number (numpy's too, never a bool) as a complex
+    number; anything else, a string say, is a `DomainError`."""
     if isinstance(t, SectorPoint):
         return t.z
+    if not isinstance(t, numbers.Number) or isinstance(t, bool):
+        raise DomainError(f"a point must be a SectorPoint or a number, got {t!r}")
     return complex(t)
 
 

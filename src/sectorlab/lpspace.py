@@ -374,7 +374,7 @@ def orbit_norms(space: LpSpace, f: SectorFunction, ts, R: float | None = None) -
     raises `DomainError`, as `orbit_norm` does.
 
     When `_mirror_symmetric` holds, ||T_t f|| = ||T_{conj t} f||: the steps
-    are keyed by (Re t, |Im t|), the first step of each key, in the given
+    are keyed by Re t + i |Im t|, the first step of each key, in the given
     order, goes to the engine, and every other step of that key receives a
     copy of its value, so a step and its conjugate read the same float.
     """
@@ -384,11 +384,11 @@ def orbit_norms(space: LpSpace, f: SectorFunction, ts, R: float | None = None) -
         return np.zeros(len(taus))
     if not _mirror_symmetric(space, f):
         return _norms(space, f, taus, R)
-    _, first, pair = np.unique(np.stack([taus.real, np.abs(taus.imag)], axis=1), axis=0,
-                               return_index=True, return_inverse=True)
+    _, first, pair = np.unique(taus.real + 1j * np.abs(taus.imag), return_index=True,
+                               return_inverse=True)
     keep = np.sort(first)
     norms = _norms(space, f, taus[keep], R)
-    return norms[np.searchsorted(keep, first[pair.ravel()])]
+    return norms[np.searchsorted(keep, first[pair])]
 
 
 def indicator_orbit_norms(space: LpSpace, f: SectorFunction, ts,

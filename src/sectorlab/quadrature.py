@@ -68,8 +68,16 @@ into pieces of constant |g|^p).  Combinations cut the ray at every
 interval end and integrate |g(s + t)|^p on radial panels between the
 cuts.  `ray_rows`, the one entry, skips a row whose pieces all lie in
 discs |s + tau| <= r_hi that miss the sector (`_misses`): it is exactly
-zero, reads 0.0 and g is never evaluated for it.  All reductions run in
-a fixed order, so repeated runs produce bit-identical results.
+zero, reads 0.0 and g is never evaluated for it.  The other rows of a
+batch go through one `_engine` pass (none when every row misses), so
+each bisection round costs one `_kronrod_sums` call for the whole batch.
+Memory grows with the phi panels, not the rows: `_panel_rays` evaluates
+them in chunks of at most _PANEL_CHUNK pieces (a combination's pieces
+are cut against each other, so there a panel counts m^2 of them).  Each
+node's rho-integral is independent of its neighbours and each row is the
+`bincount` of its own panels' sums, so neither the batch nor the chunks
+change a value.  All reductions run in a fixed order, so repeated runs
+produce bit-identical results.
 
 `panel_nodes`, `integrate_polar` and `interval_gl` are no longer called
 by the library; the per-module trace of the benchmark looks them up by
@@ -88,7 +96,7 @@ from .errors import InvalidWeightError
 _MIN_PHI_PANELS, _RHO_NODES = 6, 12
 # closed-form rows: one base phi panel, refined to this relative estimate
 _PHI_RTOL, _MAX_ROUNDS = 1e-10, 8
-_ROW_BLOCK = 256  # pieces (over all rows) whose ray intervals are held at once
+_PANEL_CHUNK = 2048  # phi panels (times pieces) whose ray intervals are held at once
 _PANEL_BLOCK = 1 << 15  # radial panels evaluated at once
 _EDGE_SLACK = 4 * np.finfo(float).eps  # angle of a step on an edge, up to rounding
 
@@ -344,7 +352,17 @@ def _panel_rays(v, alpha: float, p: float, tau, rc, R, g, shift, kinks: bool, ro
     pieces.  tau, rc and the step are gathered per panel, and the ray
     intervals (k, panels, n) keep the node axis last.  v alone with a ray
     primitive takes it in rho; the rest takes the radial panels of
-    `_ray_integrate`, 16 times finer where terms overlap if `kinks`."""
+    `_ray_integrate`, 16 times finer where terms overlap if `kinks`.
+    Panels run in chunks of at most _PANEL_CHUNK pieces (of their squares
+    when they are cut against each other), which bounds a batch's memory;
+    a node's integral does not depend on its neighbours, so the chunks
+    change no value."""
+    m = tau.shape[1]
+    chunk = max(1, _PANEL_CHUNK // (m if g is None else m * m))
+    if len(row) > chunk:
+        return np.concatenate([_panel_rays(v, alpha, p, tau, rc, R, g, shift, kinks,
+                                           row[i:i + chunk], phi[i:i + chunk])
+                               for i in range(0, len(row), chunk)])
     lo, hi = _piece_intervals(tau[row], rc[row] if len(rc) > 1 else rc, phi, alpha, R)
     if g is None and v.primitive is not None:
         live = hi > lo
@@ -542,15 +560,11 @@ def ray_rows(v, alpha: float, p: float, tau, rc, R: float | None, g=None, shift=
              ) -> np.ndarray:
     """The engine over the rows of tau (rows, m), the arguments as in
     `_engine`.  A row whose pieces all miss the sector is skipped and
-    reads 0.0 (a row at tau = 0 never misses); the others run in blocks
-    of at most _ROW_BLOCK pieces (of their squares when they are cut
-    against each other)."""
+    reads 0.0 (a row at tau = 0 never misses); the others go through one
+    `_engine` pass, none when every row misses."""
     total = np.zeros(len(tau))
     live = np.flatnonzero(~_misses(alpha, tau, rc[..., 1]).all(axis=1))
-    m = tau.shape[1]
-    block = max(1, _ROW_BLOCK // (m if g is None else m * m))
-    for i in range(0, len(live), block):
-        rows = live[i:i + block]
-        total[rows] = _engine(v, alpha, p, tau[rows], rc[rows] if len(rc) > 1 else rc, R, g,
-                              None if shift is None else shift[rows])
+    if len(live):
+        total[live] = _engine(v, alpha, p, tau[live], rc[live] if len(rc) > 1 else rc, R, g,
+                              None if shift is None else shift[live])
     return total

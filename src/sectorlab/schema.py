@@ -18,6 +18,7 @@ tuples, so neither widening changes a config's verdict.  Bounds apply to
 numbers only.
 """
 
+import functools
 import json
 import math
 import numbers
@@ -28,19 +29,34 @@ from .errors import ConfigError, DomainError
 
 SCHEMA = json.loads((resources.files("sectorlab") / "data" / "scenario.schema.json").read_text())
 
+
+# exact int and float, the common cases, skip the slow ABC checks
+def _is_integer(x) -> bool:
+    if type(x) is int:
+        return True
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    if type(x) is float:
+        return math.isfinite(x)
+    return _is_integer(x) or (
+        isinstance(x, numbers.Real) and not isinstance(x, numbers.Integral) and math.isfinite(x))
+
+
 _TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, (list, tuple)),
     "string": lambda x: isinstance(x, str),
     "null": lambda x: x is None,
-    "integer": lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool),
-    "number": lambda x: _TYPES["integer"](x) or (
-        isinstance(x, numbers.Real) and not isinstance(x, numbers.Integral) and math.isfinite(x)),
+    "integer": _is_integer,
+    "number": _is_number,
 }
 _BOUNDS = (("minimum", ">=", operator.ge), ("maximum", "<=", operator.le),
            ("exclusiveMinimum", ">", operator.gt), ("exclusiveMaximum", "<", operator.lt))
 
 
+@functools.cache
 def _resolve(ref: str) -> dict:
     """The rule at the local JSON pointer `ref` (`#/properties/alpha`)."""
     rule = SCHEMA
@@ -61,9 +77,11 @@ def validate(value, rule: dict, path: str):
         raise ConfigError(f"{path} must be of type {' or '.join(types)}, got {value!r}")
     if "enum" in rule and value not in rule["enum"]:
         raise ConfigError(f"{path} must be one of {rule['enum']}, got {value!r}")
-    for key, op, holds in _BOUNDS:
-        if key in rule and _TYPES["number"](value) and not holds(value, rule[key]):
-            raise ConfigError(f"{path} must be {op} {rule[key]}, got {value!r}")
+    bounded = [bound for bound in _BOUNDS if bound[0] in rule]
+    if bounded and _is_number(value):
+        for key, op, holds in bounded:
+            if not holds(value, rule[key]):
+                raise ConfigError(f"{path} must be {op} {rule[key]}, got {value!r}")
     if isinstance(value, dict):
         missing = [key for key in rule.get("required", ()) if key not in value]
         if missing:

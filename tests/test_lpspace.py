@@ -12,7 +12,7 @@ from sectorlab import (ConfigError, DomainError, EvaluationError, IndexSet,
                        custom_weight, dc_sufficient_series, exp_decay,
                        function_from_spec, indicator, indicator_orbit_norms,
                        linear_combination, lp_norm, orbit_norm, orbit_norms,
-                       poly_decay, translate_function, vertical_exp)
+                       poly_decay, translate_function, translate_set, vertical_exp)
 from sectorlab import quadrature
 from sectorlab.lpspace import _cone_factor
 
@@ -188,6 +188,25 @@ class TestTranslation:
     def test_step_outside_sector_rejected(self, sector):
         with pytest.raises(DomainError):
             translate_function(bump(1 + 0j, 0.5), 1j, sector)
+
+    @pytest.mark.parametrize("call", [
+        lambda s: bump("1+0.2j", 0.5),
+        lambda s: bump(True, 0.5),
+        lambda s: bump("1+x", 0.5),
+        lambda s: translate_set(RectUnionSet([]), "0.5", s),
+        lambda s: orbit_norm(LpSpace(exp_decay(), 2.0, s), bump(1 + 0j, 0.5), "0.5"),
+        lambda s: translate_function(bump(1 + 0j, 0.5), np.True_, s),
+    ], ids=["bump-string", "bump-bool", "bump-malformed-string", "translate_set-string",
+            "orbit_norm-string", "translate_function-numpy-bool"])
+    def test_point_that_is_not_a_number_is_refused(self, sector, call):
+        with pytest.raises(DomainError, match="must be a SectorPoint or a number"):
+            call(sector)
+
+    def test_numpy_scalars_are_points(self, sector):
+        space = LpSpace(exp_decay(), 2.0, sector)
+        f = bump(np.complex128(1 + 0.2j), 0.5)
+        assert f.offset == bump(1 + 0.2j, 0.5).offset
+        assert orbit_norm(space, f, np.float64(0.5)) == orbit_norm(space, f, 0.5)
 
     def test_support_escape(self, sector):
         # support in the unit ball, |t| = 2, alpha <= pi/4: the translate

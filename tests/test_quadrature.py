@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -347,15 +348,74 @@ def _batch_case(case):
     return LpSpace(v, 2.0, sector), f
 
 
+@pytest.mark.parametrize("chunk", [1, None], ids=["chunk-1", "chunk-default"])
 @pytest.mark.parametrize("case", ["indicator", "bump", "indicator-minus-bump",
                                   "custom-function", "custom-weight"])
-def test_a_rows_value_does_not_depend_on_its_batch(case):
+def test_a_rows_value_does_not_depend_on_its_batch(monkeypatch, case, chunk):
+    # nor on the chunks its panels are evaluated in
+    if chunk is not None:
+        monkeypatch.setattr(quadrature, "_PANEL_CHUNK", chunk)
     space, f = _batch_case(case)
     ts = np.array([HARD_STEP, 0.5, 2.0 * cmath.exp(1.2j), 6.0 - 1.0j])
     batch = orbit_norms(space, f, ts)
     singles = np.concatenate([orbit_norms(space, f, ts[i:i + 1]) for i in range(len(ts))])
     assert np.count_nonzero(batch) >= 2
     assert batch.tobytes() == singles.tobytes()
+
+
+def _engine_calls(monkeypatch):
+    """Record the rows sent to `ray_rows` and to `_engine`, in call order."""
+    calls = []
+    engine, rows = quadrature._engine, quadrature.ray_rows
+
+    def counted(name, fn):
+        def call(v, alpha, p, tau, *args):
+            calls.append((name, len(tau)))
+            return fn(v, alpha, p, tau, *args)
+        return call
+
+    monkeypatch.setattr(quadrature, "_engine", counted("engine", engine))
+    monkeypatch.setattr(quadrature, "ray_rows", counted("ray_rows", rows))
+    return calls
+
+
+def test_a_batch_takes_one_engine_pass(monkeypatch):
+    sector = Sector(math.pi / 4)
+    space = LpSpace(exp_decay(), 2.0, sector)
+    calls = _engine_calls(monkeypatch)
+    grid = orbit_profile(space, indicator(annuli_union([1, 3], sector)), 20.0,
+                         OrbitResolution(n_r=48, n_theta=16))
+    # one row per step of each mirror pair and annulus, the dead ones skipped
+    assert calls == [("ray_rows", 48 * 8 * 2), ("engine", calls[1][1])]
+    assert 0 < calls[1][1] < 48 * 8 * 2 and np.count_nonzero(grid.norms) > 0
+
+
+@pytest.mark.parametrize("f", [indicator(annuli_union([1], Sector(math.pi / 4))),
+                               bump(1.0 + 0j, 0.5)], ids=["indicator", "bump"])
+def test_a_batch_that_misses_the_sector_takes_no_engine_pass(monkeypatch, f):
+    # at alpha <= pi/4, |s + t| >= |t| on the sector
+    space = LpSpace(exp_decay(), 2.0, Sector(math.pi / 4))
+    calls = _engine_calls(monkeypatch)
+    norms = orbit_norms(space, f, np.array([3.0, 4.0 * cmath.exp(0.5j), 9.0]))
+    assert [name for name, _ in calls] == ["ray_rows"]
+    assert norms.tobytes() == np.zeros(3).tobytes()
+
+
+def test_panel_chunks_bound_the_memory_of_a_general_batch():
+    # 384 steps of an indicator-minus-bump at p = 1, with its 16x radial and
+    # 2x phi kink refinement: about 51 MB with chunks, 77 MB with none
+    sector = Sector(0.7)
+    space = LpSpace(exp_decay(), 1.0, sector)
+    f = linear_combination([(1.0, indicator(annuli_union([0], sector))),
+                            (-1.0, bump(1.0 + 0.1j, 0.5))])
+    tracemalloc.start()
+    try:
+        grid = orbit_profile(space, f, 10.0, OrbitResolution(n_r=32, n_theta=12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(grid.norms) > 100
+    assert peak < 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("case, p", [("bump", 2.0), ("indicator-minus-bump", 1.0),
