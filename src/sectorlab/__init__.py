@@ -19,7 +19,7 @@ from .sets import (PolarRect, RectUnionSet, OracleSet, TranslatedRectUnion,
                    normalize, measure_in_truncation, measure_profile,
                    translate_set, annuli_union)
 from .density import (DensityProfile, DensityEstimate, density_profile,
-                      density_estimates, annuli_density_bound)
+                      density_estimates)
 from .weights import (Certificate, Weight, PairSampling, AdmissibilityReport,
                       IntegralEstimate, CompactBound, exp_decay, poly_decay,
                       vertical_exp, constant_weight, custom_weight,
@@ -36,8 +36,8 @@ from .dynamics import (OrbitResolution, OrbitGrid, LevelSetProfile,
                        pair_diagnostic, unboundedness_diagnostic)
 from .criteria import (IndexSet, SeriesReport, WitnessPackage,
                        WitnessVerification, WitnessSampling, ExampleReport,
-                       dc_sufficient_series, build_witness, verify_witness,
-                       devaney_ray_series, run_example, load_scenario,
+                       annuli_density_bound, dc_sufficient_series, build_witness,
+                       verify_witness, devaney_ray_series, run_example, load_scenario,
                        EXAMPLE_IDS)
 from .errors import (SectorLabError, DomainError, InvalidWeightError,
                      MissingCertificateError, EvaluationError,

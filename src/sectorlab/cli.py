@@ -1,13 +1,23 @@
 """Batch command-line front end.
 
 Three subcommands: `density` (ratio profiles of sector subsets),
-`check` (admissibility / series / ray / witness checks as report JSON),
-and `reproduce` (packaged example scenarios with pass/fail lines).
+`check` (admissibility / series / ray / witness checks as report JSON,
+each check a subcommand of its own: `check admissible`, `check
+dc-sufficient`, `check devaney-ray`, `check witness`), and `reproduce`
+(packaged example scenarios with pass/fail lines).
+
+Each command and each check parses only the flags its code reads, one
+table in `_build_parser` says which; any other flag is a usage error,
+raised before any file is read.  So is `density --annuli` with
+`--set-json`, and `--kmax` with `--set-json`.  `reproduce` takes
+`--out` alone.
 
 A `--config` JSON object is checked against `scenario.schema.json`, the
-one statement of the config rules, one key where it is read: `check`
-reads `alpha`, `weight`, `K` and (`witness`) `p`; `density` reads
-`alpha`, `horizon` and `grid`.  `reproduce` checks the whole scenario.
+one statement of the config rules, one key where it is read: every
+check reads `alpha` and `weight`, `dc-sufficient` and `witness` also
+`K`, and `witness` also `p`; `density` reads `alpha`, `horizon` and
+`grid`.  `reproduce` reads no config; it checks its packaged scenario
+as a whole.
 
 Exit codes: 0 success, 1 a numeric acceptance threshold failed (a
 divergent series included), 2 configuration error or an input outside
@@ -43,7 +53,10 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_USAGE = 64
 
-_CHECKS = ("admissible", "dc-sufficient", "devaney-ray", "witness")
+_CHECKS = {"admissible": "the admissibility bound on sampled pairs",
+           "dc-sufficient": "the annulus series of the dense-chaos sufficient condition",
+           "devaney-ray": "the ray series of the Devaney-chaos criterion",
+           "witness": "build and verify a separation witness"}
 _RECTS = SCHEMA["properties"]["function"]["properties"]["params"]["properties"]["rects"]
 _SEED = SCHEMA["properties"]["sampling"]["properties"]["seed"]
 
@@ -59,45 +72,42 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache  # parsing leaves the parser as it is, so one serves every call
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="JSON config file")
-    common.add_argument("--out", type=Path, help="output directory")
-    common.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
-    common.add_argument("--horizon", type=float, help="override the radial horizon")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="profile output format")
-
     p = _Parser(prog="sectorlab",
                 description="Density, admissibility and chaos-criteria checks for "
                             "translation semigroups on weighted sector spaces.")
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
-
-    d = sub.add_parser("density", parents=[common],
-                       help="density profile of a sector subset")
-    d.add_argument("--annuli", help="index-set spec: all | evens | odds | nonsquares "
-                                    "| finite:1,2,3 | arith:start:step")
-    d.add_argument("--set-json", help="inline JSON rect list or @path")
-    d.add_argument("--kmax", type=int, default=None, help="largest annulus index")
-    d.add_argument("--t0", help="also profile the set translated by t0, e.g. '3,1'")
-    d.add_argument("--alpha", type=float, default=math.pi / 4)
-    d.add_argument("--window", type=int, default=6)
-
-    c = sub.add_parser("check", parents=[common],
-                       help="run a single check and emit report JSON")
-    c.add_argument("check", choices=_CHECKS)
-    c.add_argument("--family", default="exp_decay",
-                   help="built-in weight family (ignored when --config gives one)")
-    c.add_argument("--alpha", type=float, default=math.pi / 4)
-    c.add_argument("--p", type=float, default=2.0)
-    c.add_argument("--M", type=float, default=None)
-    c.add_argument("--w", type=float, default=None)
-    c.add_argument("--K", default="all", help="index-set spec, as for density --annuli")
-    c.add_argument("--kmax", type=int, default=60)
-    c.add_argument("--t1", help="ray direction, e.g. '2,-1'")
-
-    r = sub.add_parser("reproduce", parents=[common],
-                       help="rerun a packaged example scenario")
+    d = sub.add_parser("density", help="density profile of a sector subset")
+    checks = sub.add_parser("check", help="run a single check and emit report JSON"
+                            ).add_subparsers(dest="check", required=True, parser_class=_Parser)
+    a, s, ray, w = (checks.add_parser(name, help=text) for name, text in _CHECKS.items())
+    r = sub.add_parser("reproduce", help="rerun a packaged example scenario")
     r.add_argument("example", choices=EXAMPLE_IDS)
+    shape = d.add_mutually_exclusive_group()
+    # each flag with the parsers of the commands whose code reads it
+    for flag, parsers, settings in (
+            ("--config", (d, a, s, ray, w), dict(type=Path, help="JSON config file")),
+            ("--out", (d, a, s, ray, w, r), dict(type=Path, help="output directory")),
+            ("--seed", (a, w), dict(type=int, default=42, help="seed for sampled checks")),
+            ("--horizon", (d, w), dict(type=float, help="override the radial horizon")),
+            ("--format", (d,), dict(choices=("csv", "json"), default="csv",
+                                    help="profile output format")),
+            ("--annuli", (shape,), dict(help="index-set spec: all | evens | odds | nonsquares "
+                                             "| finite:1,2,3 | arith:start:step")),
+            ("--set-json", (shape,), dict(help="inline JSON rect list or @path")),
+            ("--kmax", (d,), dict(type=int, help="largest annulus index (not with --set-json)")),
+            ("--t0", (d,), dict(help="also profile the set translated by t0, e.g. '3,1'")),
+            ("--window", (d,), dict(type=int, default=6)),
+            ("--family", (a, s, ray, w), dict(default="exp_decay", help="built-in weight "
+                                              "family (ignored when --config gives one)")),
+            ("--alpha", (d, a, s, ray, w), dict(type=float, default=math.pi / 4)),
+            ("--M", (a,), dict(type=float)),
+            ("--w", (a,), dict(type=float)),
+            ("--K", (s, w), dict(default="all", help="index-set spec, as for density --annuli")),
+            ("--kmax", (s, ray), dict(type=int, default=60)),
+            ("--t1", (ray,), dict(help="ray direction, e.g. '2,-1'")),
+            ("--p", (w,), dict(type=float, default=2.0))):
+        for parser in parsers:
+            parser.add_argument(flag, **settings)
     return p
 
 
@@ -174,7 +184,7 @@ def _cmd_density(args, cfg: dict) -> int:
         np.arange(1.0, math.floor(horizon) + 1.0),
     ]))
 
-    if args.set_json:
+    if args.set_json is not None:
         A = _load_rects(args.set_json)
     elif args.annuli:
         K = IndexSet.from_spec(args.annuli)
@@ -208,14 +218,13 @@ def _cmd_check(args, cfg: dict) -> int:
     alpha = cfg.get("alpha", args.alpha)
     sector = Sector(alpha)
     v = weight_from_spec(cfg.get("weight", {"family": args.family}))
-    seed = validate(args.seed, _SEED, "--seed")
     report: dict = {"check": args.check, "alpha": alpha, "weight": v.family}
 
     if args.check == "admissible":
         M = args.M if args.M is not None else (v.certificate.M if v.certified else 1.0)
         w = args.w if args.w is not None else (v.certificate.w if v.certified else 0.0)
         res = admissibility_check(v, M, w, sector,
-                                  PairSampling(seed=seed))
+                                  PairSampling(seed=validate(args.seed, _SEED, "--seed")))
         report.update({"M": M, "w": w, "ok": res.ok, "worst_ratio": res.worst_ratio,
                        "n_pairs": res.n_pairs,
                        "violations": [[str(t), str(tp), r] for t, tp, r in res.violations]})
@@ -246,7 +255,7 @@ def _cmd_check(args, cfg: dict) -> int:
         R = check("horizon", args.horizon if args.horizon is not None else 20.0)
         pkg = build_witness(v, K, p, sector, k_cap=int(R) + 14)
         ver = verify_witness(LpSpace(v, p, sector), pkg, K, R,
-                             WitnessSampling(seed=seed))
+                             WitnessSampling(seed=validate(args.seed, _SEED, "--seed")))
         report.update({"K": K.describe(), "R": R, "p": p,
                        "delta": pkg.delta, "delta_grid": pkg.delta_grid,
                        "bound_source": pkg.bound_source,
@@ -278,13 +287,13 @@ def main(argv=None) -> int:
     if not args.command:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    if args.command == "density" and args.set_json is not None and args.kmax is not None:
+        parser.error("argument --kmax: not allowed with argument --set-json")
     try:
-        cfg = _load_config(args.config)
-        if args.command == "density":
-            return _cmd_density(args, cfg)
-        if args.command == "check":
-            return _cmd_check(args, cfg)
-        return _cmd_reproduce(args)
+        if args.command == "reproduce":
+            return _cmd_reproduce(args)
+        cmd = _cmd_density if args.command == "density" else _cmd_check
+        return cmd(args, _load_config(args.config))
     except (ConfigError, DomainError) as exc:  # bad input, not a failed check
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dynamics import OrbitResolution, level_density, orbit_profile
 from .errors import ConfigError, DomainError, WitnessInvalidError
-from .geometry import Sector, as_complex, contains
+from .geometry import _ANGLE_SLACK, Sector, as_complex
 from .lpspace import (LpSpace, SectorFunction, function_from_spec, indicator,
                       indicator_orbit_norms)
 from .schema import SCHEMA, check, check_fields, validate
@@ -44,7 +44,7 @@ from .weights import (Weight, admissibility_check, compact_lower_bound,
 __all__ = [
     "IndexSet", "SeriesReport", "WitnessPackage", "WitnessVerification",
     "WitnessSampling", "CheckResult", "ExampleReport",
-    "dc_sufficient_series", "build_witness", "verify_witness",
+    "annuli_density_bound", "dc_sufficient_series", "build_witness", "verify_witness",
     "devaney_ray_series", "run_example", "load_scenario", "EXAMPLE_IDS",
 ]
 
@@ -155,6 +155,18 @@ class IndexSet:
         return {"all": cls.all_naturals, "evens": cls.evens, "nonsquares": cls.nonsquares}[kind]()
 
 
+def annuli_density_bound(K, n: int) -> float:
+    """Lower-bound term ``IndexSet.counting_ratio(n)**2`` at horizon n >= 1;
+    an iterable K is read as `IndexSet.finite(K)`.
+
+    The density of a union of unit annuli indexed by K dominates this
+    squared counting ratio; see the acceptance suite for the comparison
+    against exact rect-union profiles.
+    """
+    K = K if isinstance(K, IndexSet) else IndexSet.finite(K)
+    return K.counting_ratio(n) ** 2
+
+
 # ---------------------------------------------------------------------------
 # series
 
@@ -252,11 +264,10 @@ def devaney_ray_series(v: Weight, t1, k_max: int, sector: Sector) -> SeriesRepor
     there.  k_max meets the schema's `horizons.ray_k_max` (an integer >= 1).
     """
     check_fields(devaney_ray_series, k_max=k_max)
-    z1 = as_complex(t1)
-    if z1 == 0 or not contains(sector, z1):
-        raise DomainError(f"ray direction {z1} must be a nonzero sector point")
-    if abs(abs(math.atan2(z1.imag, z1.real)) - sector.alpha) < 1e-12:
-        raise DomainError("ray lies on the sector boundary; criterion not applicable")
+    z1 = sector.require(as_complex(t1), "devaney_ray_series.t1")
+    if z1 == 0 or abs(abs(math.atan2(z1.imag, z1.real)) - sector.alpha) < _ANGLE_SLACK:
+        raise DomainError(f"devaney_ray_series.t1 {z1} is 0 or on the sector boundary, "
+                          "where the criterion does not apply")
     ks = np.arange(0, k_max + 1)
     terms = v.eval(ks * z1)
     partial = np.cumsum(terms)

@@ -24,7 +24,7 @@ from .sets import measure_profile
 
 __all__ = [
     "DensityProfile", "DensityEstimate",
-    "density_profile", "density_estimates", "annuli_density_bound",
+    "density_profile", "density_estimates",
 ]
 
 
@@ -109,16 +109,3 @@ def density_estimates(profile: DensityProfile, window: int,
             trend = "oscillating"
     return DensityEstimate(upper=float(tail.max()), lower=float(tail.min()),
                            window=window, trend=trend)
-
-
-def annuli_density_bound(K, n: int) -> float:
-    """Lower-bound term ``IndexSet.counting_ratio(n)**2`` at horizon n >= 1;
-    an iterable K is read as `IndexSet.finite(K)`.
-
-    The density of a union of unit annuli indexed by K dominates this
-    squared counting ratio; see the acceptance suite for the comparison
-    against exact rect-union profiles.
-    """
-    from .criteria import IndexSet  # criteria imports this module
-    K = K if isinstance(K, IndexSet) else IndexSet.finite(K)
-    return K.counting_ratio(n) ** 2

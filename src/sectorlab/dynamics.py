@@ -248,13 +248,15 @@ def unboundedness_diagnostic(grid: OrbitGrid, thresholds, schedule,
     """Upper-density estimates of {t : ||T_t f|| > M} for increasing M.
 
     Flags "unboundedness-consistent" iff every estimate exceeds 1 - tol;
-    a bounded orbit drives the estimates to 0 as M grows.  window and tol
-    follow `pair_diagnostic`'s rules.
+    a bounded orbit drives the estimates to 0 as M grows.  thresholds must
+    hold one or more levels M; window and tol follow `pair_diagnostic`'s
+    rules.
     """
     check_fields(unboundedness_diagnostic, window=window, tol=tol)
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    if np.any(np.diff(thresholds) <= 0):
-        raise DomainError("thresholds must be strictly increasing")
+    if not thresholds.size or np.any(np.diff(thresholds) <= 0):
+        raise DomainError("unboundedness_diagnostic.thresholds must be one or more strictly "
+                          f"increasing levels, got {thresholds}")
     uppers = []
     for m in thresholds:
         prof = level_density(grid, m, "super", schedule)

@@ -49,6 +49,17 @@ class Sector:
         z = np.asarray(z)
         return (np.abs(np.angle(z)) <= self.alpha + _ANGLE_SLACK) | (z == 0)
 
+    def require(self, z, name: str):
+        """z, a complex number or array, if `membership_mask` holds at every
+        point; else a `DomainError` naming the argument `name` and the first
+        point outside."""
+        inside = self.membership_mask(z)
+        if not (inside.all() if inside.ndim else inside):  # a scalar needs no reduction
+            outside = complex(np.ravel(z)[~np.ravel(inside)][0])
+            raise DomainError(f"{name} leaves the sector (alpha={self.alpha}) "
+                              f"at the point {outside}")
+        return z
+
 
 @dataclass(frozen=True)
 class SectorPoint:
@@ -63,10 +74,7 @@ class SectorPoint:
     sector: Sector = field(repr=False)
 
     def __post_init__(self):
-        if not contains(self.sector, complex(self.x, self.y)):
-            raise DomainError(
-                f"point {self.x}+{self.y}j lies outside the sector "
-                f"(alpha={self.sector.alpha})")
+        self.sector.require(complex(self.x, self.y), "SectorPoint")
 
     @property
     def r(self) -> float:

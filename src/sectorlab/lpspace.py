@@ -38,7 +38,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import ConfigError, DomainError, EvaluationError
-from .geometry import Sector, as_complex, contains
+from .geometry import Sector, as_complex
 from .schema import check, check_fields
 from .sets import PolarRect, RectUnionSet
 from .weights import Weight
@@ -229,10 +229,7 @@ def _shifted(f: SectorFunction, z: complex) -> SectorFunction:
 
 def translate_function(f: SectorFunction, t, sector: Sector) -> SectorFunction:
     """Apply the translation operator: offsets add, evaluation is exact."""
-    z = as_complex(t)
-    if not contains(sector, z):
-        raise DomainError(f"translation step {z} lies outside the sector")
-    return _shifted(f, z)
+    return _shifted(f, sector.require(as_complex(t), "translate_function.t"))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +299,7 @@ def _steps(sector: Sector, ts) -> np.ndarray:
     ts = np.atleast_1d(ts)  # numbers convert at once, `SectorPoint`s one by one
     taus = (ts.astype(complex) if ts.dtype.kind in "biufc"
             else np.array([as_complex(t) for t in ts], dtype=complex))
-    outside = ~sector.membership_mask(taus)
-    if np.any(outside):
-        raise DomainError(f"translation step {taus[outside][0]} lies outside the sector")
-    return taus
+    return sector.require(taus, "orbit_norms.ts")
 
 
 def _mirror_symmetric(space: LpSpace, g: SectorFunction) -> bool:

@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Sector, as_complex, contains, schedule_radii
+from .geometry import Sector, as_complex, schedule_radii
 from .schema import check_fields
 
 __all__ = [
@@ -436,9 +436,7 @@ def translate_set(A, t0, sector: Sector, direction: str = "minus"):
     Any other set gives a membership-only `OracleSet`.
     """
     check_fields(translate_set, direction=direction)
-    z0 = as_complex(t0)
-    if not contains(sector, z0):
-        raise DomainError(f"translation offset {z0} lies outside the sector")
+    z0 = sector.require(as_complex(t0), "translate_set.t0")
     if isinstance(A, RectUnionSet):
         return TranslatedRectUnion(A, z0, direction, sector)
     if (isinstance(A, TranslatedRectUnion) and A.direction == direction

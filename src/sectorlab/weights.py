@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature as quad
-from .errors import DomainError, InvalidWeightError, MissingCertificateError
+from .errors import InvalidWeightError, MissingCertificateError
 from .geometry import Sector
 from .schema import check, check_fields
 
@@ -271,12 +271,11 @@ def weight_rect_integrals(v: Weight, rc, sector: Sector) -> np.ndarray:
     1e-10 (without a primitive: radial panels of the evaluator and one
     unrefined pass of the Kronrod panels), split at the rectangle's span.
     The norm engine computes the same integral as ||1_A||^p.  A span that
-    leaves the sector (beyond the 1e-12 slack of `contains`) raises
-    `DomainError`: the engine integrates over the sector only.
+    leaves the sector raises `DomainError` (`Sector.require`): the engine
+    integrates over the sector only.
     """
     rc = np.asarray(rc, dtype=float).reshape(-1, 4)
-    if not sector.membership_mask(np.exp(1j * rc[:, 2:])).all():
-        raise DomainError(f"a rectangle's angular span leaves the sector (alpha={sector.alpha})")
+    sector.require(np.exp(1j * rc[:, 2:]), "weight_rect_integrals.rc")
     if v.primitive is not None and v.radial:
         return (rc[:, 3] - rc[:, 2]) * v.primitive(0.0, rc[:, 0], rc[:, 1])
     return quad.ray_rows(v, sector.alpha, 1.0, np.zeros((len(rc), 1), complex), rc[:, None], None)

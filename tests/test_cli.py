@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sectorlab.cli import main
+from sectorlab.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -445,7 +446,7 @@ class TestReproducibility:
         for out_dir in (a, b):
             code, _, _ = run_cli(capsys, "density", "--annuli", "nonsquares",
                                  "--horizon", "80", "--t0", "2,0.5",
-                                 "--seed", "7", "--out", str(out_dir))
+                                 "--out", str(out_dir))
             assert code == 0
         for name in ("density_profile.csv", "density_profile_translated.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
@@ -462,3 +463,79 @@ class TestReproducibility:
         _, out2, _ = run_cli(capsys, "check", "admissible", "--family",
                              "vertical_exp", "--M", "1", "--w", "2")
         assert out1 == out2
+
+
+# the flags each command's code reads; no other flag is parsed
+FLAGS = {
+    "density": {"--config", "--out", "--horizon", "--format", "--annuli", "--set-json",
+                "--kmax", "--t0", "--alpha", "--window"},
+    "admissible": {"--config", "--out", "--seed", "--family", "--alpha", "--M", "--w"},
+    "dc-sufficient": {"--config", "--out", "--family", "--alpha", "--K", "--kmax"},
+    "devaney-ray": {"--config", "--out", "--family", "--alpha", "--kmax", "--t1"},
+    "witness": {"--config", "--out", "--seed", "--horizon", "--family", "--alpha", "--K",
+                "--p"},
+    "reproduce": {"--out"},
+}
+PREFIX = {"density": ["density", "--annuli", "evens", "--horizon", "20"],
+          "reproduce": ["reproduce", "devaney-not-dc"]}
+VALUES = {"--seed": "7", "--horizon": "6", "--format": "json", "--p": "2", "--M": "1",
+          "--w": "1", "--K": "all", "--kmax": "10", "--t1": "2,-1"}
+# every pair that one flag set shared by all commands would accept and
+# that the command's code does not read
+REFUSED = [("density", "--seed"), ("reproduce", "--config"), ("reproduce", "--seed"),
+           ("reproduce", "--horizon"), ("reproduce", "--format")] + [
+    (check, flag) for check, flags in {
+        "admissible": ("--horizon", "--format", "--p", "--K", "--kmax", "--t1"),
+        "dc-sufficient": ("--seed", "--horizon", "--format", "--p", "--M", "--w", "--t1"),
+        "devaney-ray": ("--seed", "--horizon", "--format", "--p", "--M", "--w", "--K"),
+        "witness": ("--format", "--M", "--w", "--kmax", "--t1")}.items()
+    for flag in flags]
+
+
+def subparsers(parser):
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+class TestFlagSurface:
+    def test_each_command_parses_the_flags_it_reads(self):
+        found = {}
+        for name, parser in subparsers(_build_parser()).items():
+            for command, sub in (subparsers(parser) or {name: parser}).items():
+                found[command] = {s for a in sub._actions for s in a.option_strings
+                                  if s.startswith("--") and s != "--help"}
+        assert found == FLAGS
+        assert sum(map(len, found.values())) == 38
+
+    @pytest.mark.parametrize("command, flag", REFUSED, ids=[f"{c}-{f}" for c, f in REFUSED])
+    def test_a_flag_its_command_does_not_read_is_usage_error(self, capsys, tmp_path,
+                                                             command, flag):
+        # the config holds no object, so reading it would exit 2
+        (tmp_path / "cfg.json").write_text("[1]")
+        value = str(tmp_path / "cfg.json") if flag == "--config" else VALUES[flag]
+        argv = PREFIX.get(command, ["check", command]) + [flag, value,
+                                                          "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 64 and out.out == ""
+        assert f"unrecognized arguments: {flag}" in out.err
+        assert not (tmp_path / "out").exists()
+
+    RECT = '[{"r_lo": 0, "r_hi": 5, "th_lo": -0.5, "th_hi": 0.5}]'
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--annuli", "evens", "--set-json", RECT], "not allowed with argument --annuli"),
+        (["--set-json", RECT, "--kmax", "3"], "--kmax: not allowed with argument --set-json"),
+    ], ids=["annuli-and-set-json", "set-json-and-kmax"])
+    def test_a_density_set_is_given_one_way(self, capsys, tmp_path, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--horizon", "20", *argv, "--out", str(tmp_path / "out")])
+        out = capsys.readouterr()
+        assert exc.value.code == 64 and out.out == "" and message in out.err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_check_needs_its_name(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--family", "exp_decay"])
+        assert exc.value.code == 64

@@ -344,8 +344,10 @@ class TestUnboundedness:
     def test_thresholds_must_increase(self, exp_space, sector):
         grid = orbit_profile(exp_space, indicator(annuli_union([0], sector)),
                              10.0, FAST)
-        with pytest.raises(DomainError):
-            unboundedness_diagnostic(grid, [2.0, 1.0], np.linspace(2, 10, 4))
+        # an empty list is refused too: no estimate is not "every estimate"
+        for thresholds in ([2.0, 1.0], []):
+            with pytest.raises(DomainError, match="unboundedness_diagnostic.thresholds"):
+                unboundedness_diagnostic(grid, thresholds, np.linspace(2, 10, 4))
 
     def test_membership_in_space_guarded(self, exp_space):
         # a function with unbounded support cannot even be normed without

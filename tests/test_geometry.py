@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sectorlab
 from sectorlab import (DomainError, RadiusSchedule, Sector, add_points,
                        contains, truncated_measure)
 
@@ -105,6 +106,35 @@ class TestSectorValidation:
     def test_point_outside_rejected(self, sector):
         with pytest.raises(DomainError):
             sector.from_complex(1j)
+
+    # every in-sector check is `Sector.require`: it names the argument and
+    # the first point outside
+    @pytest.mark.parametrize("call, name, point", [
+        (lambda s: s.from_complex(1 + 2j), "SectorPoint", "(1+2j)"),
+        (lambda s: sectorlab.translate_function(sectorlab.bump(1.0, 0.5), 1 + 2j, s),
+         "translate_function.t", "(1+2j)"),
+        (lambda s: sectorlab.orbit_norms(sectorlab.LpSpace(sectorlab.exp_decay(), 2.0, s),
+                                         sectorlab.bump(1.0, 0.5), [1.0, -3.0, 1 + 2j]),
+         "orbit_norms.ts", "(-3+0j)"),
+        (lambda s: sectorlab.translate_set(sectorlab.annuli_union([1], s), -1.0, s),
+         "translate_set.t0", "(-1+0j)"),
+        (lambda s: sectorlab.devaney_ray_series(sectorlab.exp_decay(), 2j, 5, s),
+         "devaney_ray_series.t1", "2j"),
+        (lambda s: sectorlab.weight_rect_integral(
+            sectorlab.exp_decay(), sectorlab.PolarRect(1.0, 2.0, 0.0, math.pi / 2), s),
+         "weight_rect_integrals.rc", str(complex(np.exp(1j * math.pi / 2)))),
+    ], ids=["point", "translate_function", "orbit_norms", "translate_set", "devaney_ray",
+            "weight_rect_integrals"])
+    def test_a_point_outside_is_named_with_its_argument(self, sector, call, name, point):
+        with pytest.raises(DomainError) as exc:
+            call(sector)
+        assert str(exc.value) == (f"{name} leaves the sector (alpha={sector.alpha}) "
+                                  f"at the point {point}")
+
+    @pytest.mark.parametrize("t1", [0.0, np.exp(1j * ALPHA)], ids=["zero", "boundary"])
+    def test_a_ray_at_zero_or_on_the_boundary_is_refused(self, sector, t1):
+        with pytest.raises(DomainError, match="devaney_ray_series.t1 .* sector boundary"):
+            sectorlab.devaney_ray_series(sectorlab.exp_decay(), t1, 5, sector)
 
     def test_negative_modulus_rejected(self, sector):
         with pytest.raises(DomainError):
