@@ -7,8 +7,9 @@ dc-sufficient`, `check devaney-ray`, `check witness`), and `reproduce`
 (packaged example scenarios with pass/fail lines).
 
 Each command and each check parses only the flags its code reads, one
-table in `_build_parser` says which; any other flag is a usage error,
-raised before any file is read.  So is `density --annuli` with
+table in `_build_parser` says which; any other flag, a prefix of a flag
+included, is a usage error, raised with the usage line of the command or
+check before any file is read.  So is `density --annuli` with
 `--set-json`, and `--kmax` with `--set-json`.  `reproduce` takes
 `--out` alone.
 
@@ -62,7 +63,11 @@ _SEED = SCHEMA["properties"]["sampling"]["properties"]["seed"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with BSD-style usage exit code."""
+    """argparse with BSD-style usage exit code, and no flag prefixes: a flag
+    is spelled in full or is unknown."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -82,6 +87,8 @@ def _build_parser() -> _Parser:
     a, s, ray, w = (checks.add_parser(name, help=text) for name, text in _CHECKS.items())
     r = sub.add_parser("reproduce", help="rerun a packaged example scenario")
     r.add_argument("example", choices=EXAMPLE_IDS)
+    for leaf in (d, a, s, ray, w, r):  # the parser whose usage an unread flag shows
+        leaf.set_defaults(parser=leaf)
     shape = d.add_mutually_exclusive_group()
     # each flag with the parsers of the commands whose code reads it
     for flag, parsers, settings in (
@@ -283,12 +290,14 @@ def _cmd_reproduce(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:  # shown with the usage of the command or check that was named
+        getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(unread)}")
     if not args.command:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     if args.command == "density" and args.set_json is not None and args.kmax is not None:
-        parser.error("argument --kmax: not allowed with argument --set-json")
+        args.parser.error("argument --kmax: not allowed with argument --set-json")
     try:
         if args.command == "reproduce":
             return _cmd_reproduce(args)

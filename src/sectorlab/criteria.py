@@ -322,11 +322,14 @@ def build_witness(v: Weight, K: IndexSet, p: float, sector: Sector,
         raise WitnessInvalidError(
             "annulus series diverges: the witness indicator is not in the space")
     alpha = sector.alpha
-    gmin, _ = grid_minimum(v, 2.0, sector)
-    delta_grid = (alpha * gmin) ** (1.0 / p)
     delta_analytic = None
-    if v.certified:
-        delta_analytic = (alpha * compact_lower_bound(v, 2.0, sector).analytic) ** (1.0 / p)
+    if v.certified:  # the compact bound carries the grid minimum too
+        compact = compact_lower_bound(v, 2.0, sector)
+        gmin = compact.grid_min
+        delta_analytic = (alpha * compact.analytic) ** (1.0 / p)
+    else:
+        gmin, _ = grid_minimum(v, 2.0, sector)
+    delta_grid = (alpha * gmin) ** (1.0 / p)
     if bound == "auto":
         bound = "analytic" if v.certified else "grid"
     if bound == "analytic" and delta_analytic is None:

@@ -12,7 +12,6 @@ limit; callers are expected to surface the trend flag.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +48,8 @@ class DensityProfile:
 
     def to_csv(self) -> str:
         """CSV with columns r, ratio, error (one row per schedule radius)."""
-        buf = io.StringIO()
-        buf.write("r,ratio,error\n")
-        for r, q, e in zip(self.radii, self.ratios, self.errors):
-            buf.write(f"{float(r)!r},{float(q)!r},{float(e)!r}\n")
-        return buf.getvalue()
+        rows = zip(self.radii.tolist(), self.ratios.tolist(), self.errors.tolist())
+        return "r,ratio,error\n" + "".join(f"{r!r},{q!r},{e!r}\n" for r, q, e in rows)
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,17 @@ def truncated_measure(sector: Sector, r: float) -> float:
     return sector.alpha * r * r
 
 
+def cone_factor(alpha: float) -> float:
+    """The constant of the cone bound |s + t| >= cone_factor(alpha) max(|s|, |t|)
+    for s, t in a sector of half-angle alpha.
+
+    s and t are at most 2 alpha apart in angle, so the bound holds with 1
+    for alpha <= pi/4; beyond that with sin(2 alpha), reached at
+    |t| = -|s| cos(2 alpha) on opposite edges.
+    """
+    return 1.0 if alpha <= math.pi / 4 else math.sin(2.0 * alpha)
+
+
 def contains(sector: Sector, p) -> bool:
     """True iff `p`, a complex number or a SectorPoint, lies in the closed
     sector: `Sector.membership_mask` of the one point, so the origin is in

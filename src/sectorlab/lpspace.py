@@ -38,7 +38,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import ConfigError, DomainError, EvaluationError
-from .geometry import Sector, as_complex
+from .geometry import Sector, as_complex, cone_factor
 from .schema import check, check_fields
 from .sets import PolarRect, RectUnionSet
 from .weights import Weight
@@ -121,22 +121,14 @@ class _Custom:
 _KINDS = {_Indicator: "indicator", _Bump: "bump", _Custom: "custom"}
 
 
-# Two points s, t of a sector of half-angle alpha are at most 2 alpha apart
-# in angle, so |s + t| >= max(|s|, |t|) for alpha <= pi/4 and beyond that
-# |s + t| >= sin(2 alpha) max(|s|, |t|), with equality at |t| = -|s| cos(2 alpha)
-# on opposite edges.  This converts a support bound on the shapes into one
-# on the translate.
-def _cone_factor(alpha: float) -> float:
-    return 1.0 if alpha <= math.pi / 4 else math.sin(2.0 * alpha)
-
-
 def _support(shapes, alpha: float) -> float | None:
     """Bound R such that the shapes, at any in-sector offset, vanish on
-    |s| > R in the sector: |s + offset| >= _cone_factor(alpha) |s|.  None
-    for an unbounded support."""
+    |s| > R in the sector: |s + offset| >= cone_factor(alpha) |s| (the cone
+    bound turns a support bound on the shapes into one on the translate).
+    None for an unbounded support."""
     radius = max((abs(c) + float(np.max(rc[:, 1], initial=0.0))
                   for c, rc in (h.pieces() for h in shapes)), default=0.0)
-    return None if math.isinf(radius) else radius / _cone_factor(alpha)
+    return None if math.isinf(radius) else radius / cone_factor(alpha)
 
 
 @dataclass(frozen=True)

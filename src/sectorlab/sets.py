@@ -10,7 +10,12 @@ Every measure here is exact, with errors identically 0:
     parameters and its span clipped to the sector; a translated rectangle
     is an annular sector centred at -t0 (or +t0), bounded by arcs and
     segments, and its measure inside a truncation follows from Green's
-    theorem with closed-form cuts.
+    theorem with closed-form cuts.  Only the radii inside a window that
+    the cone bound (`geometry.cone_factor`) gives take the cut; below it
+    the rectangle adds 0, above it its full in-sector area.  The full
+    areas and the cut pairs of a profile are one batch, and a rectangle
+    edge beyond a sector edge line (every edge of a full-span "minus"
+    translate) is not cut at all.
 *   `OracleSet` — an arbitrary membership predicate, what `translate_set`
     returns for a set that is not a rect union.  It is membership-only:
     `measure_profile` has no exact measure for it and raises
@@ -28,7 +33,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Sector, as_complex, schedule_radii
+from .geometry import Sector, as_complex, cone_factor, schedule_radii
 from .schema import check_fields
 
 __all__ = [
@@ -327,9 +332,9 @@ def _annular_sector_areas(c: complex, r_lo, r_hi, a1, a2, r, alpha: float):
     elementwise over the arrays (0 < a2 - a1 <= 2 alpha < π)."""
     rot = np.exp(1j * alpha)
 
-    def in_truncation(s):
-        return ((np.abs(s) <= r[:, None]) & (np.imag(s * rot) >= 0)
-                & (np.imag(s / rot) <= 0))
+    def in_truncation(rr):  # the test of s in S_r, one radius per row
+        return lambda s: ((np.abs(s) <= rr[:, None]) & (np.imag(s * rot) >= 0)
+                          & (np.imag(s / rot) <= 0))
 
     def in_rect(s):
         w = s - c
@@ -347,13 +352,21 @@ def _annular_sector_areas(c: complex, r_lo, r_hi, a1, a2, r, alpha: float):
             a1, a2, _wrapped(cuts, a1),
             lambda psi: 0.5 * (Rc * Rc * psi + Rc * c.real * np.sin(psi)
                                - Rc * c.imag * np.cos(psi)),
-            lambda psi: c + Rc * np.exp(1j * psi), in_truncation)
+            lambda psi: c + Rc * np.exp(1j * psi), in_truncation(r))
     for a, sign in ((a1, 1.0), (a2, -1.0)):  # edge at a1 outwards, a2 inwards
         u = np.exp(1j * a)
+        p, q = c + r_lo * u, c + r_hi * u
+        # an edge with both ends in the closed outer half-plane of a sector
+        # edge line meets S_r at most on that line, where x dy - y dx = 0
+        live = ~(((np.imag(p / rot) >= 0) & (np.imag(q / rot) >= 0))
+                 | ((np.imag(p * rot) <= 0) & (np.imag(q * rot) <= 0)))
+        if not live.any():
+            continue
+        u, rr = u[live], r[live]
         slope = (0.5 * np.imag(np.conj(c) * u))[:, None]
-        total += sign * _cut_sum(
-            r_lo, r_hi, _seg_cuts(c, u, r, alpha), lambda tau: slope * tau,
-            lambda tau: c + tau * u[:, None], in_truncation)
+        total[live] += sign * _cut_sum(
+            r_lo[live], r_hi[live], _seg_cuts(c, u, rr, alpha), lambda tau: slope * tau,
+            lambda tau: c + tau * u[:, None], in_truncation(rr))
     lo = np.full_like(r, -alpha)
     cuts = (_arc_circle_cuts(0.0, r, c, r_lo) + _arc_circle_cuts(0.0, r, c, r_hi)
             + _arc_line_cuts(0.0, r, c, a1) + _arc_line_cuts(0.0, r, c, a2))
@@ -374,10 +387,16 @@ def _blocked_areas(c, r_lo, r_hi, a1, a2, r, alpha):
 def _translated_profile(T: TranslatedRectUnion, radii: np.ndarray) -> np.ndarray:
     """Exact ``mu(T ∩ Δ_r)`` for every r.
 
-    A rectangle whose translate lies inside |s| <= r (r_hi + |t0| <= r)
-    adds its in-wedge area, computed once and summed over radii by a
-    prefix sum; one that lies outside (r_lo - |t0| >= r) adds 0; only the
-    pairs in between take the r-dependent cut.
+    The cone bound (`geometry.cone_factor`) puts the in-sector part of a
+    translated rectangle inside |s| <= min(r_hi / cone, r_hi + |t0|) for
+    "minus" (s + t0 in it, s and t0 in the sector) and outside
+    |s| < max(cone r_lo, r_lo - |t0|) for "plus" (t0 plus a point of it);
+    the other ends are r_lo - |t0| and r_hi + |t0|.  A rectangle adds its
+    in-wedge area at the radii past its window, summed over radii by a
+    prefix sum, and 0 at the radii before it; only the pairs inside take
+    the r-dependent cut.  The in-wedge areas and the cut pairs go through
+    `_annular_sector_areas` as one batch, which skips the edges beyond a
+    sector edge line.
     """
     alpha = T.sector.alpha
     if T.t0 == 0:
@@ -387,15 +406,20 @@ def _translated_profile(T: TranslatedRectUnion, radii: np.ndarray) -> np.ndarray
     rects = rects[np.argsort(rects[:, 1], kind="stable")]
     r_lo, r_hi, a1, a2 = rects.T
     c = -T.t0 if T.direction == "minus" else T.t0
-    reach = abs(c)
+    reach, cone = abs(c), cone_factor(alpha)
+    if T.direction == "minus":
+        inner, outer = r_lo - reach, np.minimum(r_hi / cone, r_hi + reach)
+    else:
+        inner, outer = np.maximum(cone * r_lo, r_lo - reach), r_hi + reach
 
-    full = _blocked_areas(c, r_lo, r_hi, a1, a2, r_hi + reach + 1.0, alpha)
-    n_full = np.searchsorted(r_hi + reach, radii, side="right")
+    ir, ik = np.nonzero((inner[None, :] < radii[:, None]) & (radii[:, None] < outer[None, :]))
+    k = np.concatenate([np.arange(len(rects)), ik])
+    areas = _blocked_areas(c, r_lo[k], r_hi[k], a1[k], a2[k],
+                           np.concatenate([r_hi + reach + 1.0, radii[ir]]), alpha)
+    full, cut = areas[:len(rects)], areas[len(rects):]
+    # outer rises with r_hi, so the rectangles past r are a prefix
+    n_full = np.searchsorted(outer, radii, side="right")
     vals = np.concatenate([[0.0], np.cumsum(full)])[n_full]
-
-    ir, ik = np.nonzero((r_lo[None, :] - reach < radii[:, None])
-                        & (radii[:, None] < r_hi[None, :] + reach))
-    cut = _blocked_areas(c, r_lo[ik], r_hi[ik], a1[ik], a2[ik], radii[ir], alpha)
     return vals + np.bincount(ir, weights=cut, minlength=len(radii))
 
 
@@ -447,10 +471,12 @@ def translate_set(A, t0, sector: Sector, direction: str = "minus"):
 
 
 def annuli_union(K: Iterable[int], sector: Sector) -> RectUnionSet:
-    """Union of full-span unit annuli ``{k <= |t| <= k+1}`` for k in K."""
-    rects = []
-    for k in K:
-        if k < 0:
-            raise DomainError(f"annulus indices must be >= 0, got {k}")
-        rects.append(PolarRect(float(k), float(k) + 1.0, -sector.alpha, sector.alpha))
-    return RectUnionSet(rects)
+    """Union of full-span unit annuli ``{k <= |t| <= k+1}`` for k in K,
+    one rectangle per run of consecutive indices."""
+    ks = np.unique(np.fromiter(K, dtype=float))
+    if ks.size and ks[0] < 0:
+        raise DomainError(f"annulus indices must be >= 0, got {ks[0]:g}")
+    starts = np.flatnonzero(np.diff(ks, prepend=-np.inf) > 1.0)  # a gap ends a run
+    ends = np.flatnonzero(np.diff(ks, append=np.inf) > 1.0)
+    return RectUnionSet(PolarRect(lo, hi + 1.0, -sector.alpha, sector.alpha)
+                        for lo, hi in zip(ks[starts].tolist(), ks[ends].tolist()))

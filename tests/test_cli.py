@@ -522,6 +522,21 @@ class TestFlagSurface:
         assert f"unrecognized arguments: {flag}" in out.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, usage", [
+        (["density", "--annuli", "evens", "--w", "3"], "sectorlab density"),
+        (["check", "witness", "--hor", "6"], "sectorlab check witness"),
+        (["check", "witness", "--kmax", "100"], "sectorlab check witness"),
+    ], ids=["density-prefix", "witness-prefix", "witness-unread"])
+    def test_an_unread_flag_shows_its_command_usage(self, capsys, tmp_path, argv, usage):
+        # a prefix of a flag is not that flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        out = capsys.readouterr()
+        assert exc.value.code == 64 and out.out == ""
+        assert out.err.startswith(f"usage: {usage} [-h]")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+        assert not (tmp_path / "out").exists()
+
     RECT = '[{"r_lo": 0, "r_hi": 5, "th_lo": -0.5, "th_hi": 0.5}]'
 
     @pytest.mark.parametrize("argv, message", [

@@ -59,6 +59,7 @@ from sectorlab import (IndexSet, LpSpace, OracleSet, OrbitResolution, PolarRect,
                        level_density, linear_combination, measure_profile, orbit_norm,
                        orbit_profile, poly_decay, translate_function, translate_set,
                        vertical_exp, weight_integral, weight_rect_integral)
+from sectorlab.geometry import cone_factor
 
 ALPHAS = (0.3, math.pi / 4, 1.4)
 FAMILIES = ("exp_decay", "poly_decay", "vertical_exp", "constant")
@@ -735,12 +736,15 @@ def _set_cases():
     return cases
 
 
-def _special_radii(rects, c: complex, alpha: float):
+def _special_radii(rects, c: complex, alpha: float, direction: str):
     """Generic radii, the tangencies r = |t0| + r_hi and r = r_lo - |t0|,
-    and the moduli of the translated corners inside the sector."""
+    the cone bound of the direction (r = r_hi / cone for "minus", where
+    its pairs turn full, and r = cone r_lo for "plus", where they stop
+    reading 0) and the moduli of the translated corners inside the sector."""
     radii = [0.7, 3.3, 9.0]
+    cone = cone_factor(alpha)
     for lo, hi, a, b in rects:
-        radii += [abs(c) + hi, lo - abs(c)]
+        radii += [abs(c) + hi, lo - abs(c), hi / cone if direction == "minus" else cone * lo]
         for R in (lo, hi):
             for th in (a, b):
                 corner = c + R * cmath.exp(1j * th)
@@ -753,7 +757,7 @@ def _check_against_oracle(rects, t0, direction, alpha):
     sector = Sector(alpha)
     T = translate_set(RectUnionSet(PolarRect(*q) for q in rects), t0, sector, direction)
     c = -t0 if direction == "minus" else t0
-    radii = _special_radii(rects, c, alpha)
+    radii = _special_radii(rects, c, alpha, direction)
     got, err = measure_profile(T, radii, sector)
     assert np.all(err == 0.0)
     for r, g in zip(radii, got):

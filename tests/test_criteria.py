@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from importlib import resources
@@ -11,9 +12,9 @@ from sectorlab import (ConfigError, DomainError, IndexSet, LpSpace,
                        annuli_union, build_witness, constant_weight,
                        dc_sufficient_series, devaney_ray_series, exp_decay,
                        indicator, load_scenario, lp_norm, poly_decay,
-                       run_example, verify_witness, vertical_exp,
+                       run_example, verify_witness, vertical_exp, weight_from_spec,
                        EXAMPLE_IDS)
-from sectorlab import criteria
+from sectorlab import criteria, weights
 from sectorlab.criteria import _band_angles, validate_scenario
 
 SCHEMA = resources.files("sectorlab") / "data" / "scenario.schema.json"
@@ -154,6 +155,23 @@ class TestWitness:
         assert pkg.delta == pytest.approx((math.pi / 4) / 17.0, rel=1e-10)
         assert pkg.bound_source == "grid"
         assert pkg.delta_analytic is None
+
+    @pytest.mark.parametrize("family", ["exp_decay", "poly_decay"])
+    def test_a_build_takes_one_grid_minimum(self, sector, monkeypatch, family):
+        # a certified weight reads the grid minimum off its compact bound
+        v, grid_minimum, calls = weight_from_spec({"family": family}), weights.grid_minimum, []
+
+        @functools.wraps(grid_minimum)  # its qualname names its schema rule
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return grid_minimum(*args, **kwargs)
+
+        monkeypatch.setattr(weights, "grid_minimum", counted)
+        monkeypatch.setattr(criteria, "grid_minimum", counted)
+        pkg = build_witness(v, IndexSet.all_naturals(), 2.0, sector, k_cap=12)
+        assert len(calls) == 1
+        assert pkg.delta_grid == ((math.pi / 4) * grid_minimum(v, 2.0, sector)[0]) ** 0.5
+        assert pkg.delta == (pkg.delta_analytic if v.certified else pkg.delta_grid)
 
     def test_divergent_series_rejected(self, sector):
         with pytest.raises(WitnessInvalidError):

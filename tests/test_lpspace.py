@@ -14,7 +14,7 @@ from sectorlab import (ConfigError, DomainError, EvaluationError, IndexSet,
                        linear_combination, lp_norm, orbit_norm, orbit_norms,
                        poly_decay, translate_function, translate_set, vertical_exp)
 from sectorlab import quadrature
-from sectorlab.lpspace import _cone_factor
+from sectorlab.geometry import cone_factor
 
 from conftest import ALPHA, random_small_rects
 
@@ -423,7 +423,7 @@ class TestSupportBounds:
     def test_combination_divides_by_the_cone_factor_once(self):
         # two bumps; the larger base support is 2.4 + 1.0 = 3.4
         g = linear_combination([(1.0, bump(2.4 + 0j, 1.0)), (-0.5, bump(1.5 + 1.0j, 1.0))])
-        assert 3.4 <= g.support_radius(1.4) <= 3.4 / _cone_factor(1.4) * (1 + 1e-12)
+        assert 3.4 <= g.support_radius(1.4) <= 3.4 / cone_factor(1.4) * (1 + 1e-12)
 
 
 class TestCustomSupportDisc:

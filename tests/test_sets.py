@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sectorlab import sets
 from sectorlab import (DomainError, OracleSet, PolarRect,
                        RectUnionSet, Sector, annuli_union, measure_in_truncation,
                        measure_profile, normalize, translate_set,
@@ -177,7 +178,50 @@ class TestTranslateSet:
                 assert m <= upper + 1e-3 * mu_r
 
 
+def _calls(monkeypatch, name):
+    """The arguments of each call of `sets.<name>`, in call order."""
+    calls, fn = [], getattr(sets, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(sets, name, counted)
+    return calls
+
+
+class TestTranslatedProfile:
+    # |t0| = 1.118 at alpha = pi/4, where the cone bound reads 1: a "minus"
+    # pair is cut on (r_lo - |t0|, r_hi), a "plus" pair on (r_lo, r_hi + |t0|)
+    @pytest.mark.parametrize("direction, cut", [("minus", 3), ("plus", 4)])
+    def test_a_profile_takes_one_area_pass(self, sector, monkeypatch, direction, cut):
+        A = annuli_union([1, 4], sector)
+        calls = _calls(monkeypatch, "_annular_sector_areas")
+        measure_profile(translate_set(A, 1.0 + 0.5j, sector, direction),
+                        [0.5, 1.5, 2.5, 4.5, 6.0], sector)
+        # one row per rectangle for its in-wedge area, then the cut pairs
+        assert [len(r) for *_, r, _ in calls] == [2 + cut]
+
+    @pytest.mark.parametrize("direction, rect, edges", [
+        ("minus", full_span(1, 3), 0), ("plus", full_span(1, 3), 2),
+        ("minus", PolarRect(1, 3, -0.3, 0.4), 2)])
+    def test_edges_beyond_a_sector_edge_line_are_skipped(self, sector, monkeypatch,
+                                                          direction, rect, edges):
+        # the edges of a full-span "minus" translate lie outside the sector
+        calls = _calls(monkeypatch, "_cut_sum")
+        measure_profile(translate_set(RectUnionSet([rect]), 1.0 + 0.5j, sector, direction),
+                        [2.0], sector)
+        assert len(calls) == 3 + edges  # two arcs of the rectangle and one of |s| = r
+
+
 class TestAnnuliUnion:
+    def test_one_rect_per_run(self, sector):
+        K = [9, 0, 1, 2, 5, 6, 2]
+        u = annuli_union(K, sector)
+        assert u.rects == (full_span(0, 3), full_span(5, 7), full_span(9, 10))
+        assert u == RectUnionSet(full_span(k, k + 1) for k in K)
+        assert len(annuli_union(range(171), sector).rects) == 1
+
     def test_single(self, sector):
         u = annuli_union([0], sector)
         assert len(u.rects) == 1
