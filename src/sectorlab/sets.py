@@ -13,9 +13,10 @@ Every measure here is exact, with errors identically 0:
     theorem with closed-form cuts.  Only the radii inside a window that
     the cone bound (`geometry.cone_factor`) gives take the cut; below it
     the rectangle adds 0, above it its full in-sector area.  The full
-    areas and the cut pairs of a profile are one batch, and a rectangle
-    edge beyond a sector edge line (every edge of a full-span "minus"
-    translate) is not cut at all.
+    areas and the cut pairs of a profile are one batch, and a boundary
+    piece that adds nothing is not cut at all: an edge beyond a sector
+    edge line (every edge of a full-span "minus" translate), an arc of
+    radius 0, the arc |s| = r beyond the translate.
 *   `OracleSet` — an arbitrary membership predicate, what `translate_set`
     returns for a set that is not a rect union.  It is membership-only:
     `measure_profile` has no exact measure for it and raises
@@ -329,50 +330,63 @@ def _seg_cuts(p, u, r, alpha):
 
 def _annular_sector_areas(c: complex, r_lo, r_hi, a1, a2, r, alpha: float):
     """mu((c + P) ∩ S_r) for polar rectangles P = [r_lo, r_hi] x [a1, a2],
-    elementwise over the arrays (0 < a2 - a1 <= 2 alpha < π)."""
+    elementwise over the arrays (0 < a2 - a1 <= 2 alpha < π).
+
+    Each kind of boundary piece is one batch over the rows it can add to.
+    Left out, as they add nothing: an arc of radius 0; an edge with both
+    ends in the closed outer half-plane of a sector edge line, which meets
+    S_r at most on that line, where x dy - y dx = 0; and the arc |s| = r
+    where it passes beyond the translate (r > |c| + r_hi).
+    """
     rot = np.exp(1j * alpha)
+    rows = np.arange(len(r))
 
     def in_truncation(rr):  # the test of s in S_r, one radius per row
         return lambda s: ((np.abs(s) <= rr[:, None]) & (np.imag(s * rot) >= 0)
                           & (np.imag(s / rot) <= 0))
 
+    # np.add.at adds in row order: outer arc (ccw), inner arc (cw), then the
+    # edge at a1 (outwards) and at a2 (inwards)
+    total = np.zeros_like(r)
+    inner = rows[r_lo > 0]
+    k = np.concatenate([rows, inner])
+    R, sign = np.concatenate([r_hi, r_lo[inner]]), np.repeat([1.0, -1.0], [len(r), len(inner)])
+    cuts = (_arc_circle_cuts(c, R, 0.0, r[k]) + _arc_line_cuts(c, R, 0.0, -alpha)
+            + _arc_line_cuts(c, R, 0.0, alpha))
+    Rc = R[:, None]
+    np.add.at(total, k, sign * _cut_sum(
+        a1[k], a2[k], _wrapped(cuts, a1[k]),
+        lambda psi: 0.5 * (Rc * Rc * psi + Rc * c.real * np.sin(psi)
+                           - Rc * c.imag * np.cos(psi)),
+        lambda psi: c + Rc * np.exp(1j * psi), in_truncation(r[k])))
+
+    u = np.exp(1j * np.concatenate([a1, a2]))
+    p, q = c + np.tile(r_lo, 2) * u, c + np.tile(r_hi, 2) * u
+    live = ~(((np.imag(p / rot) >= 0) & (np.imag(q / rot) >= 0))
+             | ((np.imag(p * rot) <= 0) & (np.imag(q * rot) <= 0)))
+    if live.any():
+        k, sign, u = np.tile(rows, 2)[live], np.repeat([1.0, -1.0], len(r))[live], u[live]
+        slope = (0.5 * np.imag(np.conj(c) * u))[:, None]
+        np.add.at(total, k, sign * _cut_sum(
+            r_lo[k], r_hi[k], _seg_cuts(c, u, r[k], alpha), lambda tau: slope * tau,
+            lambda tau: c + tau * u[:, None], in_truncation(r[k])))
+
+    k = rows[r <= abs(c) + r_hi]
+    rk, lo_k, hi_k, a1_k, a2_k = r[k], r_lo[k], r_hi[k], a1[k], a2[k]
+
     def in_rect(s):
         w = s - c
         rho = np.abs(w)
-        return ((rho >= r_lo[:, None]) & (rho <= r_hi[:, None])
-                & (np.imag(w * np.exp(-1j * a1)[:, None]) >= 0)
-                & (np.imag(w * np.exp(-1j * a2)[:, None]) <= 0))
+        return ((rho >= lo_k[:, None]) & (rho <= hi_k[:, None])
+                & (np.imag(w * np.exp(-1j * a1_k)[:, None]) >= 0)
+                & (np.imag(w * np.exp(-1j * a2_k)[:, None]) <= 0))
 
-    total = np.zeros_like(r)
-    for R, sign in ((r_hi, 1.0), (r_lo, -1.0)):  # outer arc ccw, inner cw
-        cuts = (_arc_circle_cuts(c, R, 0.0, r) + _arc_line_cuts(c, R, 0.0, -alpha)
-                + _arc_line_cuts(c, R, 0.0, alpha))
-        Rc = R[:, None]
-        total += sign * _cut_sum(
-            a1, a2, _wrapped(cuts, a1),
-            lambda psi: 0.5 * (Rc * Rc * psi + Rc * c.real * np.sin(psi)
-                               - Rc * c.imag * np.cos(psi)),
-            lambda psi: c + Rc * np.exp(1j * psi), in_truncation(r))
-    for a, sign in ((a1, 1.0), (a2, -1.0)):  # edge at a1 outwards, a2 inwards
-        u = np.exp(1j * a)
-        p, q = c + r_lo * u, c + r_hi * u
-        # an edge with both ends in the closed outer half-plane of a sector
-        # edge line meets S_r at most on that line, where x dy - y dx = 0
-        live = ~(((np.imag(p / rot) >= 0) & (np.imag(q / rot) >= 0))
-                 | ((np.imag(p * rot) <= 0) & (np.imag(q * rot) <= 0)))
-        if not live.any():
-            continue
-        u, rr = u[live], r[live]
-        slope = (0.5 * np.imag(np.conj(c) * u))[:, None]
-        total[live] += sign * _cut_sum(
-            r_lo[live], r_hi[live], _seg_cuts(c, u, rr, alpha), lambda tau: slope * tau,
-            lambda tau: c + tau * u[:, None], in_truncation(rr))
-    lo = np.full_like(r, -alpha)
-    cuts = (_arc_circle_cuts(0.0, r, c, r_lo) + _arc_circle_cuts(0.0, r, c, r_hi)
-            + _arc_line_cuts(0.0, r, c, a1) + _arc_line_cuts(0.0, r, c, a2))
-    rc = r[:, None]
-    total += _cut_sum(lo, -lo, _wrapped(cuts, lo), lambda psi: 0.5 * rc * rc * psi,
-                      lambda psi: rc * np.exp(1j * psi), in_rect)
+    lo = np.full_like(rk, -alpha)
+    cuts = (_arc_circle_cuts(0.0, rk, c, lo_k) + _arc_circle_cuts(0.0, rk, c, hi_k)
+            + _arc_line_cuts(0.0, rk, c, a1_k) + _arc_line_cuts(0.0, rk, c, a2_k))
+    rc = rk[:, None]
+    total[k] += _cut_sum(lo, -lo, _wrapped(cuts, lo), lambda psi: 0.5 * rc * rc * psi,
+                         lambda psi: rc * np.exp(1j * psi), in_rect)
     return total
 
 
@@ -395,8 +409,8 @@ def _translated_profile(T: TranslatedRectUnion, radii: np.ndarray) -> np.ndarray
     in-wedge area at the radii past its window, summed over radii by a
     prefix sum, and 0 at the radii before it; only the pairs inside take
     the r-dependent cut.  The in-wedge areas and the cut pairs go through
-    `_annular_sector_areas` as one batch, which skips the edges beyond a
-    sector edge line.
+    `_annular_sector_areas` as one batch, which leaves out the pieces
+    that add nothing.
     """
     alpha = T.sector.alpha
     if T.t0 == 0:

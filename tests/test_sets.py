@@ -202,16 +202,20 @@ class TestTranslatedProfile:
         # one row per rectangle for its in-wedge area, then the cut pairs
         assert [len(r) for *_, r, _ in calls] == [2 + cut]
 
-    @pytest.mark.parametrize("direction, rect, edges", [
-        ("minus", full_span(1, 3), 0), ("plus", full_span(1, 3), 2),
-        ("minus", PolarRect(1, 3, -0.3, 0.4), 2)])
-    def test_edges_beyond_a_sector_edge_line_are_skipped(self, sector, monkeypatch,
-                                                          direction, rect, edges):
-        # the edges of a full-span "minus" translate lie outside the sector
+    # rows of each Green batch: the rectangle's arcs (outer, and inner
+    # unless r_lo = 0), its edges where they can meet S_r, and |s| = r
+    # where it can meet the translate; the in-wedge row (r = r_hi + |t0| + 1)
+    # and the cut row r = 2 each take both arcs
+    @pytest.mark.parametrize("direction, rect, rows", [
+        ("minus", full_span(1, 3), [4, 1]), ("minus", full_span(0, 3), [2, 1]),
+        ("plus", full_span(1, 3), [4, 4, 1]), ("minus", PolarRect(1, 3, -0.3, 0.4), [4, 4, 1])])
+    def test_pieces_that_add_nothing_are_left_out(self, sector, monkeypatch,
+                                                  direction, rect, rows):
+        # every edge of a full-span "minus" translate lies outside the sector
         calls = _calls(monkeypatch, "_cut_sum")
         measure_profile(translate_set(RectUnionSet([rect]), 1.0 + 0.5j, sector, direction),
                         [2.0], sector)
-        assert len(calls) == 3 + edges  # two arcs of the rectangle and one of |s| = r
+        assert [len(lo) for lo, *_ in calls] == rows
 
 
 class TestAnnuliUnion:
