@@ -10,13 +10,12 @@ Every measure here is exact, with errors identically 0:
     parameters and its span clipped to the sector; a translated rectangle
     is an annular sector centred at -t0 (or +t0), bounded by arcs and
     segments, and its measure inside a truncation follows from Green's
-    theorem with closed-form cuts.  Only the radii inside a window that
-    the cone bound (`geometry.cone_factor`) gives take the cut; below it
-    the rectangle adds 0, above it its full in-sector area.  The full
-    areas and the cut pairs of a profile are one batch, and a boundary
-    piece that adds nothing is not cut at all: an edge beyond a sector
-    edge line (every edge of a full-span "minus" translate), an arc of
-    radius 0, the arc |s| = r beyond the translate.
+    theorem with closed-form cuts.  Only the radii inside a window take
+    the cut (for "minus" the cone bound `geometry.cone_factor` narrows
+    it); below it the rectangle adds 0, above it its full in-sector area.
+    The full areas and the cut pairs of a profile are one batch, and a
+    rectangle edge beyond a sector edge line (every edge of a full-span
+    "minus" translate) is not cut at all.
 *   `OracleSet` — an arbitrary membership predicate, what `translate_set`
     returns for a set that is not a rect union.  It is membership-only:
     `measure_profile` has no exact measure for it and raises
@@ -218,6 +217,10 @@ class TranslatedRectUnion:
     direction: str
     sector: Sector
 
+    def __post_init__(self):
+        # the cone window of `_translated_profile` holds only for t0 in the sector
+        self.sector.require(self.t0, "TranslatedRectUnion.t0")
+
     def member(self, z) -> np.ndarray:
         return _translated_member(self.base, self.t0, self.direction, self.sector,
                                   np.asarray(z, dtype=complex))
@@ -330,63 +333,50 @@ def _seg_cuts(p, u, r, alpha):
 
 def _annular_sector_areas(c: complex, r_lo, r_hi, a1, a2, r, alpha: float):
     """mu((c + P) ∩ S_r) for polar rectangles P = [r_lo, r_hi] x [a1, a2],
-    elementwise over the arrays (0 < a2 - a1 <= 2 alpha < π).
-
-    Each kind of boundary piece is one batch over the rows it can add to.
-    Left out, as they add nothing: an arc of radius 0; an edge with both
-    ends in the closed outer half-plane of a sector edge line, which meets
-    S_r at most on that line, where x dy - y dx = 0; and the arc |s| = r
-    where it passes beyond the translate (r > |c| + r_hi).
-    """
+    elementwise over the arrays (0 < a2 - a1 <= 2 alpha < π)."""
     rot = np.exp(1j * alpha)
-    rows = np.arange(len(r))
 
     def in_truncation(rr):  # the test of s in S_r, one radius per row
         return lambda s: ((np.abs(s) <= rr[:, None]) & (np.imag(s * rot) >= 0)
                           & (np.imag(s / rot) <= 0))
 
-    # np.add.at adds in row order: outer arc (ccw), inner arc (cw), then the
-    # edge at a1 (outwards) and at a2 (inwards)
-    total = np.zeros_like(r)
-    inner = rows[r_lo > 0]
-    k = np.concatenate([rows, inner])
-    R, sign = np.concatenate([r_hi, r_lo[inner]]), np.repeat([1.0, -1.0], [len(r), len(inner)])
-    cuts = (_arc_circle_cuts(c, R, 0.0, r[k]) + _arc_line_cuts(c, R, 0.0, -alpha)
-            + _arc_line_cuts(c, R, 0.0, alpha))
-    Rc = R[:, None]
-    np.add.at(total, k, sign * _cut_sum(
-        a1[k], a2[k], _wrapped(cuts, a1[k]),
-        lambda psi: 0.5 * (Rc * Rc * psi + Rc * c.real * np.sin(psi)
-                           - Rc * c.imag * np.cos(psi)),
-        lambda psi: c + Rc * np.exp(1j * psi), in_truncation(r[k])))
-
-    u = np.exp(1j * np.concatenate([a1, a2]))
-    p, q = c + np.tile(r_lo, 2) * u, c + np.tile(r_hi, 2) * u
-    live = ~(((np.imag(p / rot) >= 0) & (np.imag(q / rot) >= 0))
-             | ((np.imag(p * rot) <= 0) & (np.imag(q * rot) <= 0)))
-    if live.any():
-        k, sign, u = np.tile(rows, 2)[live], np.repeat([1.0, -1.0], len(r))[live], u[live]
-        slope = (0.5 * np.imag(np.conj(c) * u))[:, None]
-        np.add.at(total, k, sign * _cut_sum(
-            r_lo[k], r_hi[k], _seg_cuts(c, u, r[k], alpha), lambda tau: slope * tau,
-            lambda tau: c + tau * u[:, None], in_truncation(r[k])))
-
-    k = rows[r <= abs(c) + r_hi]
-    rk, lo_k, hi_k, a1_k, a2_k = r[k], r_lo[k], r_hi[k], a1[k], a2[k]
-
     def in_rect(s):
         w = s - c
         rho = np.abs(w)
-        return ((rho >= lo_k[:, None]) & (rho <= hi_k[:, None])
-                & (np.imag(w * np.exp(-1j * a1_k)[:, None]) >= 0)
-                & (np.imag(w * np.exp(-1j * a2_k)[:, None]) <= 0))
+        return ((rho >= r_lo[:, None]) & (rho <= r_hi[:, None])
+                & (np.imag(w * np.exp(-1j * a1)[:, None]) >= 0)
+                & (np.imag(w * np.exp(-1j * a2)[:, None]) <= 0))
 
-    lo = np.full_like(rk, -alpha)
-    cuts = (_arc_circle_cuts(0.0, rk, c, lo_k) + _arc_circle_cuts(0.0, rk, c, hi_k)
-            + _arc_line_cuts(0.0, rk, c, a1_k) + _arc_line_cuts(0.0, rk, c, a2_k))
-    rc = rk[:, None]
-    total[k] += _cut_sum(lo, -lo, _wrapped(cuts, lo), lambda psi: 0.5 * rc * rc * psi,
-                         lambda psi: rc * np.exp(1j * psi), in_rect)
+    total = np.zeros_like(r)
+    for R, sign in ((r_hi, 1.0), (r_lo, -1.0)):  # outer arc ccw, inner cw
+        cuts = (_arc_circle_cuts(c, R, 0.0, r) + _arc_line_cuts(c, R, 0.0, -alpha)
+                + _arc_line_cuts(c, R, 0.0, alpha))
+        Rc = R[:, None]
+        total += sign * _cut_sum(
+            a1, a2, _wrapped(cuts, a1),
+            lambda psi: 0.5 * (Rc * Rc * psi + Rc * c.real * np.sin(psi)
+                               - Rc * c.imag * np.cos(psi)),
+            lambda psi: c + Rc * np.exp(1j * psi), in_truncation(r))
+    for a, sign in ((a1, 1.0), (a2, -1.0)):  # edge at a1 outwards, a2 inwards
+        u = np.exp(1j * a)
+        p, q = c + r_lo * u, c + r_hi * u
+        # an edge with both ends in the closed outer half-plane of a sector
+        # edge line meets S_r at most on that line, where x dy - y dx = 0
+        live = ~(((np.imag(p / rot) >= 0) & (np.imag(q / rot) >= 0))
+                 | ((np.imag(p * rot) <= 0) & (np.imag(q * rot) <= 0)))
+        if not live.any():
+            continue
+        u, rr = u[live], r[live]
+        slope = (0.5 * np.imag(np.conj(c) * u))[:, None]
+        total[live] += sign * _cut_sum(
+            r_lo[live], r_hi[live], _seg_cuts(c, u, rr, alpha), lambda tau: slope * tau,
+            lambda tau: c + tau * u[:, None], in_truncation(rr))
+    lo = np.full_like(r, -alpha)
+    cuts = (_arc_circle_cuts(0.0, r, c, r_lo) + _arc_circle_cuts(0.0, r, c, r_hi)
+            + _arc_line_cuts(0.0, r, c, a1) + _arc_line_cuts(0.0, r, c, a2))
+    rc = r[:, None]
+    total += _cut_sum(lo, -lo, _wrapped(cuts, lo), lambda psi: 0.5 * rc * rc * psi,
+                      lambda psi: rc * np.exp(1j * psi), in_rect)
     return total
 
 
@@ -401,16 +391,15 @@ def _blocked_areas(c, r_lo, r_hi, a1, a2, r, alpha):
 def _translated_profile(T: TranslatedRectUnion, radii: np.ndarray) -> np.ndarray:
     """Exact ``mu(T ∩ Δ_r)`` for every r.
 
-    The cone bound (`geometry.cone_factor`) puts the in-sector part of a
-    translated rectangle inside |s| <= min(r_hi / cone, r_hi + |t0|) for
-    "minus" (s + t0 in it, s and t0 in the sector) and outside
-    |s| < max(cone r_lo, r_lo - |t0|) for "plus" (t0 plus a point of it);
-    the other ends are r_lo - |t0| and r_hi + |t0|.  A rectangle adds its
-    in-wedge area at the radii past its window, summed over radii by a
-    prefix sum, and 0 at the radii before it; only the pairs inside take
-    the r-dependent cut.  The in-wedge areas and the cut pairs go through
-    `_annular_sector_areas` as one batch, which leaves out the pieces
-    that add nothing.
+    A translated rectangle lies in r_lo - |t0| <= |s| <= r_hi + |t0|, and
+    for "minus" the cone bound (`geometry.cone_factor`) narrows the outer
+    end to min(r_hi / cone, r_hi + |t0|): s + t0 is in the rectangle, with
+    s and t0 in the sector.  A rectangle adds its in-wedge area at
+    the radii past its window, summed over radii by a prefix sum, and 0
+    at the radii before it; only the pairs inside take the r-dependent
+    cut.  The in-wedge areas and the cut pairs go through
+    `_annular_sector_areas` as one batch, which skips the edges beyond a
+    sector edge line.
     """
     alpha = T.sector.alpha
     if T.t0 == 0:
@@ -420,11 +409,10 @@ def _translated_profile(T: TranslatedRectUnion, radii: np.ndarray) -> np.ndarray
     rects = rects[np.argsort(rects[:, 1], kind="stable")]
     r_lo, r_hi, a1, a2 = rects.T
     c = -T.t0 if T.direction == "minus" else T.t0
-    reach, cone = abs(c), cone_factor(alpha)
+    reach = abs(c)
+    inner, outer = r_lo - reach, r_hi + reach
     if T.direction == "minus":
-        inner, outer = r_lo - reach, np.minimum(r_hi / cone, r_hi + reach)
-    else:
-        inner, outer = np.maximum(cone * r_lo, r_lo - reach), r_hi + reach
+        outer = np.minimum(r_hi / cone_factor(alpha), outer)
 
     ir, ik = np.nonzero((inner[None, :] < radii[:, None]) & (radii[:, None] < outer[None, :]))
     k = np.concatenate([np.arange(len(rects)), ik])
@@ -487,10 +475,7 @@ def translate_set(A, t0, sector: Sector, direction: str = "minus"):
 def annuli_union(K: Iterable[int], sector: Sector) -> RectUnionSet:
     """Union of full-span unit annuli ``{k <= |t| <= k+1}`` for k in K,
     one rectangle per run of consecutive indices."""
-    ks = np.unique(np.fromiter(K, dtype=float))
-    if ks.size and ks[0] < 0:
-        raise DomainError(f"annulus indices must be >= 0, got {ks[0]:g}")
-    starts = np.flatnonzero(np.diff(ks, prepend=-np.inf) > 1.0)  # a gap ends a run
-    ends = np.flatnonzero(np.diff(ks, append=np.inf) > 1.0)
-    return RectUnionSet(PolarRect(lo, hi + 1.0, -sector.alpha, sector.alpha)
-                        for lo, hi in zip(ks[starts].tolist(), ks[ends].tolist()))
+    runs = _merge_intervals([(float(k), float(k) + 1.0) for k in K])
+    if runs and runs[0][0] < 0:
+        raise DomainError(f"annulus indices must be >= 0, got {runs[0][0]:g}")
+    return RectUnionSet(PolarRect(lo, hi, -sector.alpha, sector.alpha) for lo, hi in runs)

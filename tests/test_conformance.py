@@ -738,13 +738,13 @@ def _set_cases():
 
 def _special_radii(rects, c: complex, alpha: float, direction: str):
     """Generic radii, the tangencies r = |t0| + r_hi and r = r_lo - |t0|,
-    the cone bound of the direction (r = r_hi / cone for "minus", where
-    its pairs turn full, and r = cone r_lo for "plus", where they stop
-    reading 0) and the moduli of the translated corners inside the sector."""
+    for "minus" the cone bound r = r_hi / cone, where its pairs turn full,
+    and the moduli of the translated corners inside the sector."""
     radii = [0.7, 3.3, 9.0]
-    cone = cone_factor(alpha)
     for lo, hi, a, b in rects:
-        radii += [abs(c) + hi, lo - abs(c), hi / cone if direction == "minus" else cone * lo]
+        radii += [abs(c) + hi, lo - abs(c)]
+        if direction == "minus":
+            radii.append(hi / cone_factor(alpha))
         for R in (lo, hi):
             for th in (a, b):
                 corner = c + R * cmath.exp(1j * th)

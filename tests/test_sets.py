@@ -6,9 +6,9 @@ import pytest
 
 from sectorlab import sets
 from sectorlab import (DomainError, OracleSet, PolarRect,
-                       RectUnionSet, Sector, annuli_union, measure_in_truncation,
-                       measure_profile, normalize, translate_set,
-                       truncated_measure)
+                       RectUnionSet, Sector, TranslatedRectUnion, annuli_union,
+                       measure_in_truncation, measure_profile, normalize,
+                       translate_set, truncated_measure)
 
 from conftest import (ALPHA, inclusion_exclusion_measure,
                       midpoint_measure_oracle, random_small_rects)
@@ -148,6 +148,12 @@ class TestTranslateSet:
         with pytest.raises(DomainError):
             translate_set(RectUnionSet([]), 1j, sector, "minus")
 
+    @pytest.mark.parametrize("t0", [-1.0, 1j])
+    def test_a_direct_translate_outside_the_sector_is_refused(self, sector, t0):
+        # its measure window rests on t0 lying in the sector
+        with pytest.raises(DomainError, match="TranslatedRectUnion.t0"):
+            TranslatedRectUnion(annuli_union([0, 1], sector), t0, "minus", sector)
+
     def test_measured_in_its_own_sector_only(self, sector):
         shifted = translate_set(RectUnionSet([full_span(0, 2)]), 0.5, sector, "minus")
         with pytest.raises(DomainError):
@@ -192,8 +198,9 @@ def _calls(monkeypatch, name):
 
 class TestTranslatedProfile:
     # |t0| = 1.118 at alpha = pi/4, where the cone bound reads 1: a "minus"
-    # pair is cut on (r_lo - |t0|, r_hi), a "plus" pair on (r_lo, r_hi + |t0|)
-    @pytest.mark.parametrize("direction, cut", [("minus", 3), ("plus", 4)])
+    # pair is cut on (r_lo - |t0|, r_hi), a "plus" pair on
+    # (r_lo - |t0|, r_hi + |t0|)
+    @pytest.mark.parametrize("direction, cut", [("minus", 3), ("plus", 5)])
     def test_a_profile_takes_one_area_pass(self, sector, monkeypatch, direction, cut):
         A = annuli_union([1, 4], sector)
         calls = _calls(monkeypatch, "_annular_sector_areas")
@@ -202,20 +209,16 @@ class TestTranslatedProfile:
         # one row per rectangle for its in-wedge area, then the cut pairs
         assert [len(r) for *_, r, _ in calls] == [2 + cut]
 
-    # rows of each Green batch: the rectangle's arcs (outer, and inner
-    # unless r_lo = 0), its edges where they can meet S_r, and |s| = r
-    # where it can meet the translate; the in-wedge row (r = r_hi + |t0| + 1)
-    # and the cut row r = 2 each take both arcs
-    @pytest.mark.parametrize("direction, rect, rows", [
-        ("minus", full_span(1, 3), [4, 1]), ("minus", full_span(0, 3), [2, 1]),
-        ("plus", full_span(1, 3), [4, 4, 1]), ("minus", PolarRect(1, 3, -0.3, 0.4), [4, 4, 1])])
-    def test_pieces_that_add_nothing_are_left_out(self, sector, monkeypatch,
-                                                  direction, rect, rows):
-        # every edge of a full-span "minus" translate lies outside the sector
+    @pytest.mark.parametrize("direction, rect, edges", [
+        ("minus", full_span(1, 3), 0), ("plus", full_span(1, 3), 2),
+        ("minus", PolarRect(1, 3, -0.3, 0.4), 2)])
+    def test_edges_beyond_a_sector_edge_line_are_skipped(self, sector, monkeypatch,
+                                                          direction, rect, edges):
+        # the edges of a full-span "minus" translate lie outside the sector
         calls = _calls(monkeypatch, "_cut_sum")
         measure_profile(translate_set(RectUnionSet([rect]), 1.0 + 0.5j, sector, direction),
                         [2.0], sector)
-        assert [len(lo) for lo, *_ in calls] == rows
+        assert len(calls) == 3 + edges  # two arcs of the rectangle and one of |s| = r
 
 
 class TestAnnuliUnion:
@@ -241,8 +244,14 @@ class TestAnnuliUnion:
         assert annuli_union([], sector).is_empty
 
     def test_negative_rejected(self, sector):
+        with pytest.raises(DomainError, match="got -2"):
+            annuli_union([3, -1, -2], sector)
+
+    @pytest.mark.parametrize("K", [[0, math.nan], [math.nan], [0, math.inf],
+                                   [1, -math.inf]])
+    def test_an_index_that_is_not_finite_is_rejected(self, sector, K):
         with pytest.raises(DomainError):
-            annuli_union([-1], sector)
+            annuli_union(K, sector)
 
 
 class TestJsonRoundTrip:
